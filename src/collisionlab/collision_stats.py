@@ -10,6 +10,10 @@ ordered vertex pairs with the diagonal as taboo set:
 * summing qlast over all (n, v) partitions the sample space, so the total is
   exactly 1 for every start u and horizon N.
 
+q0 for every start comes from one backward taboo recursion on V x V matrices,
+h_0 = 1 and h_m = P (h_{m-1} off the diagonal) P^T with q0(v, m) = h_m[v, v]:
+O(N V^3) time and O(V^2) memory for all starts together.
+
 Monte Carlo collision counting runs replicas in fixed chunks with per-chunk
 seed streams, so the per-replica counts are independent of the worker count.
 """
@@ -28,9 +32,6 @@ from .walk_engine import NetworkStepper, Trajectory, substream_rng
 
 # Largest |V|^2 for exact pair-chain computations.
 PAIR_STATE_CAP = 250_000
-
-# Batch the per-start pair-chain iteration only while V^3 stays small.
-_BATCH_VERTEX_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -68,48 +69,37 @@ def _check_pair_cap(net, cap):
         )
 
 
-def q0_profile(net, v, N, cap=PAIR_STATE_CAP):
-    """Array q0(v, m) for m = 0..N via taboo iteration of the pair chain."""
-    _check_pair_cap(net, cap)
-    P = net.one_step_matrix()
-    n = net.vertex_count
-    W = np.zeros((n, n))
-    W[v, v] = 1.0
-    out = np.empty(N + 1)
-    out[0] = 1.0
-    for m in range(1, N + 1):
-        W = P.T @ W @ P
-        np.fill_diagonal(W, 0.0)
-        out[m] = W.sum()
-    return out
-
-
 def q0_profile_all(net, N, cap=PAIR_STATE_CAP):
-    """Matrix of q0(v, m) with shape (N + 1, V), all starts at once."""
+    """Matrix of q0(v, m) with shape (N + 1, V), all starts at once.
+
+    Backward taboo recursion over pairs of starts: h_0 = 1 and
+    h_m = P (h_{m-1} with its diagonal zeroed) P^T, so h_m[a, b] is the
+    probability that walks from a and b avoid each other at steps 1..m and
+    q0(v, m) = h_m[v, v].  Each step is two dense V x V products.
+    """
+    if N < 0:
+        raise ValueError("N must be nonnegative")
     _check_pair_cap(net, cap)
     P = net.one_step_matrix()
     n = net.vertex_count
     out = np.empty((N + 1, n))
     out[0] = 1.0
-    if n <= _BATCH_VERTEX_LIMIT:
-        W = np.zeros((n, n, n))
-        idx = np.arange(n)
-        W[idx, idx, idx] = 1.0
-        for m in range(1, N + 1):
-            W = np.matmul(np.matmul(P.T, W), P)
-            W[:, idx, idx] = 0.0
-            out[m] = W.sum(axis=(1, 2))
-    else:
-        for v in range(n):
-            out[:, v] = q0_profile(net, v, N, cap=cap)
+    h = np.ones((n, n))
+    for m in range(1, N + 1):
+        np.fill_diagonal(h, 0.0)
+        h = P @ h @ P.T
+        out[m] = h.diagonal()
     return out
+
+
+def q0_profile(net, v, N, cap=PAIR_STATE_CAP):
+    """Array q0(v, m) for m = 0..N; a column of :func:`q0_profile_all`."""
+    return q0_profile_all(net, N, cap=cap)[:, v]
 
 
 def q0_exact(net, v, m, cap=PAIR_STATE_CAP):
     """Probability two independent walks from v never meet at steps 1..m."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return float(q0_profile(net, v, m, cap=cap)[m])
+    return float(q0_profile_all(net, m, cap=cap)[m, v])
 
 
 def qlast_horizon(net, u, v, n, N, cap=PAIR_STATE_CAP):
@@ -122,7 +112,7 @@ def qlast_horizon(net, u, v, n, N, cap=PAIR_STATE_CAP):
     _check_pair_cap(net, cap)
     P = net.one_step_matrix()
     pn = np.linalg.matrix_power(P, n)[u, v]
-    return float(pn * pn * q0_profile(net, v, N - n, cap=cap)[N - n])
+    return float(pn * pn * q0_profile_all(net, N - n, cap=cap)[N - n, v])
 
 
 def last_collision_identity_all(net, N, cap=PAIR_STATE_CAP):

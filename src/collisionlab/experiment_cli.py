@@ -294,24 +294,7 @@ def _violations(config):
     if config.kind == "identity":
         if config.n_steps is None or config.n_steps < 0:
             out.append(Violation("n_steps", "window N must be a nonnegative integer", "config"))
-        v = _known_vertex_count(config)
-        if v is not None:
-            if v > DENSE_VERTEX_CAP:
-                out.append(
-                    Violation(
-                        "model",
-                        f"{v} vertices exceed the dense kernel cap {DENSE_VERTEX_CAP}",
-                        "resource",
-                    )
-                )
-            elif v * v > PAIR_STATE_CAP:
-                out.append(
-                    Violation(
-                        "model",
-                        f"{v}^2 pair states exceed the pair-chain cap {PAIR_STATE_CAP}",
-                        "resource",
-                    )
-                )
+        out.extend(_kernel_cap_violations(config, pair_chain=True))
 
     if config.kind == "mtp":
         if config.transport is None:
@@ -323,15 +306,8 @@ def _violations(config):
                 out.append(Violation("transport", str(exc), "config"))
         if config.root_law not in ("uniform", "biased", "conductance_biased"):
             out.append(Violation("root_law", f"unknown root law {config.root_law!r}", "config"))
-        v = _known_vertex_count(config)
-        if v is not None and v > DENSE_VERTEX_CAP:
-            out.append(
-                Violation(
-                    "model",
-                    f"{v} vertices exceed the dense kernel cap {DENSE_VERTEX_CAP}",
-                    "resource",
-                )
-            )
+        pair_chain = (config.transport or "").startswith("qlast:")
+        out.extend(_kernel_cap_violations(config, pair_chain))
 
     if config.kind in ("voter", "ctcollide"):
         if config.t_max is not None and config.t_max <= 0:
@@ -340,6 +316,30 @@ def _violations(config):
         if config.grid < 1:
             out.append(Violation("grid", "must be at least 1", "config"))
     return out
+
+
+def _kernel_cap_violations(config, pair_chain):
+    """Dense-kernel cap, and the pair-chain cap when the run needs q0."""
+    v = _known_vertex_count(config)
+    if v is None:
+        return []
+    if v > DENSE_VERTEX_CAP:
+        return [
+            Violation(
+                "model",
+                f"{v} vertices exceed the dense kernel cap {DENSE_VERTEX_CAP}",
+                "resource",
+            )
+        ]
+    if pair_chain and v * v > PAIR_STATE_CAP:
+        return [
+            Violation(
+                "model",
+                f"{v}^2 pair states exceed the pair-chain cap {PAIR_STATE_CAP}",
+                "resource",
+            )
+        ]
+    return []
 
 
 def _certified_horizon(config):

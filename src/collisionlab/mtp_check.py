@@ -76,11 +76,13 @@ def leaf_adjacency_transport():
 
 def qlast_transport(n, N):
     """f(u, v) = c(u) * P(last meeting of two walks from u in [0, N] is at (n, v))."""
+    if not 0 <= n <= N:
+        raise ValueError(f"qlast transport needs 0 <= n <= N, got n={n}, N={N}")
 
     def build(net):
         P = net.one_step_matrix()
         Pn = np.linalg.matrix_power(P, n)
-        prof = q0_profile_all(net, N)[N - n]
+        prof = q0_profile_all(net, N - n)[N - n]
         return net.vertex_conductance[:, None] * (Pn * Pn) * prof[None, :]
 
     return MassTransport(f"qlast:{n}:{N}", build)
@@ -132,19 +134,23 @@ class RootedDistribution:
         return cls(((net, root_law, 1.0),))
 
 
+def _masses(dist, transport):
+    """(mass out, mass in), building the transport matrix once per network."""
+    out = into = 0.0
+    for net, law, weight in dist.support:
+        F = transport.matrix(net)
+        p = law.probabilities
+        out += weight * float(p @ F.sum(axis=1))
+        into += weight * float(p @ F.sum(axis=0))
+    return out, into
+
+
 def expected_mass(dist, transport, direction):
     """Exact E[sum_v f(G, rho, v)] ("out") or E[sum_u f(G, u, rho)] ("in")."""
     if direction not in ("out", "in"):
         raise ValueError("direction must be 'out' or 'in'")
-    total = 0.0
-    for net, law, weight in dist.support:
-        F = transport.matrix(net)
-        p = law.probabilities
-        if direction == "out":
-            total += weight * float(p @ F.sum(axis=1))
-        else:
-            total += weight * float(p @ F.sum(axis=0))
-    return total
+    out, into = _masses(dist, transport)
+    return out if direction == "out" else into
 
 
 class MtpVerdict(Enum):
@@ -164,8 +170,7 @@ class MtpCheck:
 def check_mtp(dist, transport, tolerance=1e-9):
     """Compare expected mass out and in; a transport cap hit is indeterminate."""
     try:
-        out = expected_mass(dist, transport, "out")
-        into = expected_mass(dist, transport, "in")
+        out, into = _masses(dist, transport)
     except TransportCapExceededError:
         return MtpCheck(MtpVerdict.INDETERMINATE, float("nan"), float("nan"), tolerance)
     verdict = MtpVerdict.HOLDS if abs(out - into) <= tolerance else MtpVerdict.VIOLATED

@@ -1,8 +1,9 @@
 """Independent brute-force oracles for the exact computations under test.
 
-Everything here re-derives probabilities from a network's raw edge list:
-no transition matrices, no taboo iteration, no shared code paths with the
-package internals being verified.
+Everything here re-derives probabilities from a network's raw edge list,
+with no shared code paths with the package internals being verified.  The
+one taboo iteration here runs forward from a single start, the reference for
+the package's backward recursion over all starts.
 """
 
 import itertools
@@ -68,6 +69,28 @@ def pair_path_statistics(net, u, N):
 
     rec(u, u, 0, 1.0, 0, u)
     return q0, dict(last)
+
+
+def q0_forward(net, v, N):
+    """q0(v, m) for m = 0..N from the forward pair-chain law of one start.
+
+    W holds the law of the pair (X_m, Y_m) restricted to paths that have not
+    met at steps 1..m: W <- P^T W P, then the diagonal is zeroed.
+    """
+    n = net.vertex_count
+    P = np.zeros((n, n))
+    for u, row in neighbor_probs(net).items():
+        for w, q in row:
+            P[u, w] += q
+    W = np.zeros((n, n))
+    W[v, v] = 1.0
+    out = np.empty(N + 1)
+    out[0] = 1.0
+    for m in range(1, N + 1):
+        W = P.T @ W @ P
+        np.fill_diagonal(W, 0.0)
+        out[m] = W.sum()
+    return out
 
 
 # ---------------------------------------------------------------------------

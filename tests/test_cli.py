@@ -48,6 +48,24 @@ class TestValidate:
         problems = validate(cfg)
         assert any("cap" in p for p in problems)
 
+    @pytest.mark.parametrize("spec", ["qlast:25:20", "qlast:-1:4"])
+    def test_qlast_time_outside_window_named(self, spec):
+        cfg = _cfg(kind="mtp", model={"name": "grid", "R": 2}, transport=spec)
+        problems = validate(cfg)
+        assert any(p.startswith("transport") for p in problems)
+        with pytest.raises(ConfigError):
+            run(cfg)
+
+    def test_mtp_qlast_pair_cap_named(self):
+        # 501 vertices fit the dense kernel, but 501^2 pair states do not
+        cfg = _cfg(kind="mtp", model={"name": "path", "R": 250}, transport="qlast:1:4")
+        problems = validate(cfg)
+        assert any("pair-chain cap" in p for p in problems)
+        with pytest.raises(ResourceLimitError):
+            run(cfg)
+        ok = _cfg(kind="mtp", model={"name": "path", "R": 250}, transport="adjacency")
+        assert validate(ok) == []
+
     def test_run_raises_typed_errors(self):
         with pytest.raises(CertificateViolationError):
             run(_cfg(kind="collide", model={"name": "path", "R": 2},

@@ -21,7 +21,7 @@ from collisionlab import (
     walk_pair,
 )
 from collisionlab.collision_stats import NetworkStepper
-from collisionlab.models import PathLattice
+from collisionlab.models import PathLattice, gen_torus
 
 
 class TestCountCollisions:
@@ -70,11 +70,28 @@ class TestQ0Exact:
             assert prof[0] == 1.0
             assert (np.diff(prof) <= 1e-15).all()
 
-    def test_profile_all_matches_single(self):
-        net = nets.weighted_triangle()
-        prof = q0_profile_all(net, 8)
-        for v in range(3):
-            assert np.allclose(prof[:, v], q0_profile(net, v, 8), atol=1e-14)
+    # torus 10 and 12 (100 and 144 vertices) sit either side of the vertex
+    # count where an earlier implementation switched algorithms
+    ORACLE_CASES = (
+        nets.small_named()
+        + [(f"random{seed}", nets.random_connected_network(seed, max_vertices=60))
+           for seed in range(6)]
+        + [("torus10", gen_torus(10).network), ("torus12", gen_torus(12).network)]
+    )
+
+    @pytest.mark.parametrize(
+        "net", [net for _, net in ORACLE_CASES], ids=[name for name, _ in ORACLE_CASES]
+    )
+    def test_profile_all_matches_forward_oracle(self, net):
+        N = 12
+        prof = q0_profile_all(net, N)
+        assert prof.shape == (N + 1, net.vertex_count)
+        for v in range(net.vertex_count):
+            assert np.abs(prof[:, v] - oracles.q0_forward(net, v, N)).max() <= 1e-13
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError):
+            q0_profile_all(nets.triangle(), -1)
 
     def test_pair_cap(self):
         net = nets.path_n(520)

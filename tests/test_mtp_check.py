@@ -88,6 +88,24 @@ class TestCheckMtp:
         result = check_mtp(d, unit)
         assert result.verdict is MtpVerdict.HOLDS
 
+    def test_matrix_built_once_per_network(self):
+        calls = []
+
+        def build(net):
+            calls.append(net)
+            return adjacency_transport().builder(net)
+
+        d = RootedDistribution(
+            (
+                (nets.p3(), apply_root_law(nets.p3(), "uniform"), 0.5),
+                (nets.triangle(), apply_root_law(nets.triangle(), "uniform"), 0.5),
+            )
+        )
+        result = check_mtp(d, MassTransport("counted", build))
+        assert len(calls) == 2
+        assert result.mass_out == expected_mass(d, adjacency_transport(), "out")
+        assert result.mass_in == expected_mass(d, adjacency_transport(), "in")
+
     def test_cap_hit_is_indeterminate(self):
         huge = MassTransport("huge", lambda n: np.full((n.vertex_count,) * 2, 1e13))
         result = check_mtp(_uniform_dist(nets.p3()), huge)
@@ -112,6 +130,11 @@ class TestTransportRegistry:
             transport_by_name("qlast:2")
         with pytest.raises(ValueError):
             transport_by_name("nope")
+
+    @pytest.mark.parametrize("spec", ["qlast:25:20", "qlast:-1:4"])
+    def test_qlast_time_outside_window(self, spec):
+        with pytest.raises(ValueError):
+            transport_by_name(spec)
 
     def test_random_transport_reproducible(self):
         net = nets.weighted_triangle()
