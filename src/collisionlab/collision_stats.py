@@ -121,7 +121,6 @@ def last_collision_identity_all(net, N, cap=PAIR_STATE_CAP):
     Decomposing by the time and place of the last meeting partitions the
     pair-path space, so every entry equals 1 up to floating-point error.
     """
-    _check_pair_cap(net, cap)
     prof = q0_profile_all(net, N, cap=cap)
     P = net.one_step_matrix()
     n_v = net.vertex_count
@@ -136,7 +135,6 @@ def last_collision_identity_all(net, N, cap=PAIR_STATE_CAP):
 
 def last_collision_identity(net, u, N, cap=PAIR_STATE_CAP):
     """The last-collision partition total for a single start vertex."""
-    _check_pair_cap(net, cap)
     prof = q0_profile_all(net, N, cap=cap)
     P = net.one_step_matrix()
     row = np.zeros(net.vertex_count)
