@@ -240,7 +240,8 @@ def _resolve_steppers(graph, start):
         if isinstance(start, tuple):
             sx, sy = start
             return NetworkStepper(graph, sx), NetworkStepper(graph, sy)
-        return NetworkStepper(graph, start), NetworkStepper(graph, start)
+        stepper = NetworkStepper(graph, start)  # steppers keep no walk state
+        return stepper, stepper
     if hasattr(graph, "advance") and hasattr(graph, "new_state"):
         if start is not None:
             raise ValueError(

@@ -208,9 +208,13 @@ def resolve_graph(config):
 
 
 def _effective_start(config, model):
-    if config.start is not None:
-        return int(config.start)
-    return model.start if model.start is not None else 0
+    """The run's start vertex, checked against the built model's network."""
+    if config.start is None:
+        return model.start if model.start is not None else 0
+    start, V = int(config.start), model.network.vertex_count
+    if not 0 <= start < V:
+        raise ConfigError(f"start: vertex {start} is outside [0, {V})")
+    return start
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,8 @@ class Network:
         else:
             src = dst = np.zeros(0, dtype=np.int64)
             ww = np.zeros(0)
+        # edge ends per vertex, a self-loop counted once
+        self.degrees = np.bincount(src, minlength=n)
 
         order = np.lexsort((dst, src))
         src, dst, ww = src[order], dst[order], ww[order]
@@ -128,13 +130,6 @@ class Network:
         strength = np.zeros(n)
         np.add.at(strength, rows, weights)
         self.vertex_conductance = strength
-
-        deg = np.zeros(n, dtype=np.int64)
-        for a, b, _ in self.edges:
-            deg[a] += 1
-            if b != a:
-                deg[b] += 1
-        self.degrees = deg
 
     def _check_connected(self):
         n = self.vertex_count

@@ -23,8 +23,10 @@ import numpy as np
 from ._parallel import TAG_CTCOLLIDE, TAG_VOTER, chunk_sizes, run_chunked
 from .errors import HorizonMismatchError
 from .walk_engine import (
+    CSRSampler,
     JumpTrajectory,
     _as_rng,
+    _check_start,
     _sampling_tables,
     sample_step,
     substream_rng,
@@ -144,8 +146,9 @@ def voter_simulate(net, initial, t_max, seed):
 
 def _voter_batch(net, initial, t_max, size, rng):
     V = net.vertex_count
-    nbr, cum = _sampling_tables(net)
+    sampler = CSRSampler(_sampling_tables(net))
     opinions = np.tile(initial, (size, 1))
+    flat = opinions.reshape(-1)  # replica k's vertex u is flat[k * V + u]
     ones = opinions.sum(axis=1, dtype=np.int64)
     t = np.zeros(size)
     cons_val = np.full(size, -1, dtype=np.int8)
@@ -159,21 +162,23 @@ def _voter_batch(net, initial, t_max, size, rng):
         dt = rng.exponential(1.0 / V, k.size)
         u = rng.integers(0, V, k.size)
         r = rng.random(k.size)
-        t[k] += dt
-        alive = t[k] <= t_max
-        k, u, r = k[alive], u[alive], r[alive]
-        if k.size == 0:
-            break
-        idx = (cum[u] <= r[:, None]).sum(axis=1)
-        v = nbr[u, idx]
-        old = opinions[k, u]
-        new = opinions[k, v]
-        ones[k] += new.astype(np.int64) - old.astype(np.int64)
-        opinions[k, u] = new
-        done = (ones[k] == 0) | (ones[k] == V)
+        tk = t[k] + dt
+        t[k] = tk
+        alive = tk <= t_max
+        if not alive.all():
+            k, u, r = k[alive], u[alive], r[alive]
+            if k.size == 0:
+                break
+        row = k * V
+        at_u = row + u
+        new = flat[row + sampler.draw(u, r)]
+        count = ones[k] + (new - flat[at_u])
+        ones[k] = count
+        flat[at_u] = new
+        done = (count == 0) | (count == V)
         if done.any():
             d = k[done]
-            cons_val[d] = (ones[d] > 0).astype(np.int8)
+            cons_val[d] = count[done] > 0
             cons_time[d] = t[d]
         active = k[~done]
     return opinions, cons_val, cons_time
@@ -227,15 +232,15 @@ def dual_walker_positions(net, start, t, replicas, seed):
     vertex holds opinion 1 at time t equals the chance that this walk sits on
     an initially-1 vertex at time t.  Jump counts are Poisson(t).
     """
+    start = _check_start(net, start)
     rng = _as_rng(seed)
-    nbr, cum = _sampling_tables(net)
+    sampler = CSRSampler(_sampling_tables(net))
     jumps = rng.poisson(t, replicas)
     pos = np.full(replicas, start, dtype=np.int64)
     for step in range(int(jumps.max(initial=0))):
         act = np.flatnonzero(jumps > step)
         r = rng.random(act.size)
-        idx = (cum[pos[act]] <= r[:, None]).sum(axis=1)
-        pos[act] = nbr[pos[act], idx]
+        pos[act] = sampler.draw(pos[act], r)
     return pos
 
 

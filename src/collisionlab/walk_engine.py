@@ -4,6 +4,14 @@ All sampling is reproducible: randomness flows from a :class:`SeedSpec`,
 and independent streams are derived by hashing a path of integers into the
 seed sequence, so replicas can run in any order (or in parallel) without
 sharing generator state.
+
+Every one-step draw goes through one sampler over the network's CSR
+adjacency: per-row cumulative conductances in O(E) memory, searched with a
+uniform ``r`` in [0, 1).  The step from ``u`` takes the neighbor whose index
+in ``u``'s row is the count of cumulative values ``<= r`` (so an ``r`` equal
+to an interior cumulative value moves past it).  Batched draws run a
+vectorized binary search of ceil(log2 maxdeg) passes; single draws run the
+same search on one row.
 """
 
 from __future__ import annotations
@@ -120,48 +128,92 @@ class JumpTrajectory:
 
 
 def _sampling_tables(net: Network):
-    """Padded (neighbors, cumulative) tables for one-step sampling, cached.
+    """CSR (offsets, targets, cum) tables for one-step sampling, cached.
 
-    Each row's final real cumulative entry is pinned to 1.0 so a uniform draw
-    in [0, 1) always selects a real neighbor; padding is never selected.
-    Isolated vertices (single-vertex networks) self-loop.
+    ``offsets`` and ``targets`` are the network's aggregated adjacency; ``cum``
+    holds each row's running conductance sum divided by the row total, the
+    row's last entry pinned to 1.0 so a uniform draw in [0, 1) always selects
+    a real neighbor.  Memory is O(E) whatever the degrees.  The running sums
+    are built in column passes, left to right within every row, so they
+    equal a per-row ``np.cumsum`` bit for bit.  A single-vertex network with
+    no edges gets one self-loop row.
     """
     if net._tables is None:
         offsets, targets, weights = net.adjacency_csr()
-        n = net.vertex_count
+        if targets.size == 0:
+            offsets, targets, weights = (
+                np.array([0, 1]), np.zeros(1, dtype=np.int64), np.ones(1)
+            )
         degs = np.diff(offsets)
-        width = max(int(degs.max()) if n else 1, 1)
-        nbr = np.zeros((n, width), dtype=np.int64)
-        cum = np.ones((n, width))
-        for u in range(n):
-            lo, hi = offsets[u], offsets[u + 1]
-            d = hi - lo
-            if d == 0:
-                nbr[u, :] = u
-                continue
-            c = np.cumsum(weights[lo:hi])
-            c /= c[-1]
-            c[-1] = 1.0
-            nbr[u, :d] = targets[lo:hi]
-            nbr[u, d:] = targets[hi - 1]
-            cum[u, :d] = c
-        net._tables = (nbr, cum)
+        cum = weights.copy()
+        rows = np.arange(degs.size)
+        for k in range(1, int(degs.max())):
+            rows = rows[degs[rows] > k]
+            at = offsets[rows] + k
+            cum[at] += cum[at - 1]
+        cum /= np.repeat(cum[offsets[1:] - 1], degs)
+        cum[offsets[1:] - 1] = 1.0
+        net._tables = (offsets, targets, cum)
     return net._tables
 
 
+class CSRSampler:
+    """Batched one-step draws over the tables of :func:`_sampling_tables`.
+
+    For each walker the search keeps ``pos``, the last index of its row known
+    to hold a cumulative value ``<= r`` (one before the row when none is
+    known yet), and tries steps of 2^(p-1), ..., 2, 1 clamped to the row's
+    last entry, p = ceil(log2 maxdeg).  That entry is 1.0 > r, so a clamped
+    probe never moves ``pos``; the drawn neighbor is ``targets[pos + 1]``.
+    """
+
+    def __init__(self, tables):
+        offsets, self.targets, self.cum = tables
+        self.before = offsets[:-1] - 1
+        self.last = offsets[1:] - 1
+        width = int(np.diff(offsets).max())
+        self.steps = [1 << i for i in reversed(range((width - 1).bit_length()))]
+
+    def draw(self, u, r):
+        """Vertices reached from the vertices ``u`` with the uniforms ``r``."""
+        pos, end, cum = self.before[u], self.last[u], self.cum
+        for step in self.steps:
+            probe = np.minimum(pos + step, end)
+            pos = np.where(cum[probe] <= r, probe, pos)
+        return self.targets[pos + 1]
+
+
+def _check_start(net, start):
+    start = int(start)
+    if not 0 <= start < net.vertex_count:
+        raise ValueError(f"start vertex {start} is outside [0, {net.vertex_count})")
+    return start
+
+
 def sample_step(net, u, rng):
-    """One transition of the conductance-weighted walk from ``u``."""
-    nbr, cum = _sampling_tables(net)
-    idx = int(np.searchsorted(cum[u], rng.random(), side="right"))
-    return int(nbr[u, idx])
+    """One transition of the conductance-weighted walk from ``u``.
+
+    The same rule as :meth:`CSRSampler.draw`, by a binary search on one row,
+    for callers that draw one step at a time.
+    """
+    offsets, targets, cum = _sampling_tables(net)
+    r = rng.random()
+    lo, hi = int(offsets[u]), int(offsets[u + 1]) - 1
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if cum[mid] <= r:
+            lo = mid + 1
+        else:
+            hi = mid
+    return int(targets[lo])
 
 
 class NetworkStepper:
     """Batched pair-walk stepper over a network's aggregated adjacency."""
 
     def __init__(self, net: Network, start=0):
-        self.nbr, self.cum = _sampling_tables(net)
-        self.start = int(start)
+        self.sampler = CSRSampler(_sampling_tables(net))
+        self.start = _check_start(net, start)
         self.vertex_count = net.vertex_count
 
     def new_state(self, m):
@@ -169,8 +221,7 @@ class NetworkStepper:
 
     def advance(self, state, rng):
         r = rng.random(state.shape[0])
-        idx = (self.cum[state] <= r[:, None]).sum(axis=1)
-        state[:] = self.nbr[state, idx]
+        state[:] = self.sampler.draw(state, r)
 
     def same(self, a, b):
         return a == b
@@ -183,10 +234,10 @@ def walk_discrete(net, start, T, seed):
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
+    u = _check_start(net, start)
     rng = _as_rng(seed)
     out = np.empty(T + 1, dtype=np.int64)
-    out[0] = start
-    u = int(start)
+    out[0] = u
     for n in range(1, T + 1):
         u = sample_step(net, u, rng)
         out[n] = u
@@ -203,12 +254,12 @@ def walk_continuous(net, start, t_max, seed):
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    u = _check_start(net, start)
     rng = _as_rng(seed)
     rates = net.vertex_conductance
-    verts = [int(start)]
+    verts = [u]
     times = [0.0]
     t = 0.0
-    u = int(start)
     while True:
         rate = rates[u]
         if rate == 0.0:

@@ -3,7 +3,10 @@
 Everything here re-derives probabilities from a network's raw edge list,
 with no shared code paths with the package internals being verified.  The
 one taboo iteration here runs forward from a single start, the reference for
-the package's backward recursion over all starts.
+the package's backward recursion over all starts.  The one-step draw rule is
+the exception: :class:`PaddedSampler` reads the aggregated CSR adjacency, as
+the package's sampler does, and applies the padded-table rule the package
+used before its CSR binary search, so the two must agree bit for bit.
 """
 
 import itertools
@@ -91,6 +94,42 @@ def q0_forward(net, v, N):
         np.fill_diagonal(W, 0.0)
         out[m] = W.sum()
     return out
+
+
+class PaddedSampler:
+    """Reference one-step draw: the padded (V x maxdeg) table rule, row by row.
+
+    Row ``u`` holds ``np.cumsum`` of its aggregated conductances divided by
+    the row total, with the last real entry pinned to 1.0 and padding of 1.0
+    out to the widest row.  The step from ``u`` with uniform ``r`` takes the
+    neighbor at index #{cum <= r}.  Rows are built on demand, so stars with
+    thousands of leaves never allocate the full table.  An isolated vertex
+    stays put.
+    """
+
+    def __init__(self, net):
+        self.offsets, self.targets, self.weights = net.adjacency_csr()
+        self.width = max(int(np.diff(self.offsets).max()), 1)
+        self._rows = {}
+
+    def row(self, u):
+        if u not in self._rows:
+            lo, hi = self.offsets[u], self.offsets[u + 1]
+            nbr = np.full(self.width, u, dtype=np.int64)
+            cum = np.ones(self.width)
+            if hi > lo:
+                c = np.cumsum(self.weights[lo:hi])
+                c /= c[-1]
+                c[-1] = 1.0
+                nbr[: hi - lo] = self.targets[lo:hi]
+                nbr[hi - lo :] = self.targets[hi - 1]
+                cum[: hi - lo] = c
+            self._rows[u] = (nbr, cum)
+        return self._rows[u]
+
+    def draw(self, u, r):
+        nbr, cum = self.row(int(u))
+        return int(nbr[(cum <= r).sum()])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -153,6 +154,60 @@ class TestRun:
         env = run(cfg)
         again = config_from_dict(env.config)
         assert again.canonical() == env.config
+
+
+class TestStartRange:
+    @pytest.mark.parametrize("kind", ["collide", "identity", "voter", "ctcollide"])
+    @pytest.mark.parametrize("start", [-1, 16, 10_000])
+    def test_out_of_range_start_named(self, kind, start):
+        extra = {"horizons": (4,), "replicas": 5} if kind == "collide" else {}
+        if kind == "identity":
+            extra = {"n_steps": 3}
+        if kind in ("voter", "ctcollide"):
+            extra = {"replicas": 5, "t_max": 1.0}
+        cfg = _cfg(kind=kind, model={"name": "torus", "side": 4}, start=start, **extra)
+        with pytest.raises(ConfigError, match=r"^start: "):
+            run(cfg)
+
+
+def _weighted_hub():
+    """14 vertices; the hub has 12 distinct neighbors (one through parallel
+    edges), so a draw there takes four binary-search passes."""
+    edges = [(0, i, 0.3 * (1 + i % 5)) for i in range(1, 13)]
+    edges += [(i, i + 1, 1.7) for i in range(1, 12)]
+    edges += [(0, 3, 0.45), (5, 5, 0.8), (12, 13, 2.5)]
+    return {"vertices": 14, "edges": [list(e) for e in edges]}
+
+
+class TestPinnedEnvelopes:
+    """sha256 of deterministic bytes, fixed when the padded-table sampler was
+    replaced: the CSR sampler must reproduce every draw."""
+
+    def _sha(self, cfg):
+        return hashlib.sha256(run(cfg).deterministic_bytes()).hexdigest()
+
+    def test_collide_weighted_network_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "hub.json").write_text(json.dumps(_weighted_hub()))
+        cfg = _cfg(kind="collide", network_file="hub.json", horizons=(4, 16),
+                   replicas=600, master_seed=11)
+        assert self._sha(cfg) == (
+            "e33db87feed35f86308c8ece1adb19019b68e67209320594ed6388504365faaf"
+        )
+
+    def test_voter_torus(self):
+        cfg = _cfg(kind="voter", model={"name": "torus", "side": 4},
+                   replicas=600, master_seed=12)
+        assert self._sha(cfg) == (
+            "91e54e59ffd36a7b7fea6ce1db42f858e78a5e7c74bec77fd3b538079934c37c"
+        )
+
+    def test_ctcollide_torus(self):
+        cfg = _cfg(kind="ctcollide", model={"name": "torus", "side": 4},
+                   replicas=40, t_max=4.0, grid=16, master_seed=13)
+        assert self._sha(cfg) == (
+            "f8b2e980a5404f0ee7d9cae7d630932880282b817ac3705c3a710813c37e95f9"
+        )
 
 
 class TestConfigDict:

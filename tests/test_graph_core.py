@@ -28,6 +28,16 @@ class TestBuildNetwork:
         net = nets.p3()
         assert net.vertex_conductance[1] == 2.0
 
+    def test_degrees_count_edge_ends(self):
+        # a self-loop adds one to its vertex's degree
+        for net in nets.battery():
+            deg = np.zeros(net.vertex_count, dtype=np.int64)
+            for a, b, _ in net.edges:
+                deg[a] += 1
+                if b != a:
+                    deg[b] += 1
+            assert np.array_equal(net.degrees, deg)
+
     def test_isolated_vertex_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             build_network(3, [(0, 1, 1.0)])

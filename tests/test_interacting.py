@@ -179,6 +179,11 @@ class TestDuality:
         assert abs(dual_marginal - exact) < 3 * sigma
         assert abs(voter_marginal - dual_marginal) < 3 * sigma * np.sqrt(2)
 
+    @pytest.mark.parametrize("start", [-1, 3])
+    def test_out_of_range_start_rejected(self, start):
+        with pytest.raises(ValueError, match="start"):
+            dual_walker_positions(nets.p3(), start, 1.0, 10, seed=1)
+
 
 class TestCoalescing:
     def test_single_walker(self):

@@ -1,4 +1,5 @@
 import csv
+import pickle
 
 import numpy as np
 import pytest
@@ -8,12 +9,100 @@ import oracles
 from conftest import chisquare_pvalue
 from collisionlab import (
     SeedSpec,
+    build_network,
     n_step_kernel,
     walk_continuous,
     walk_discrete,
     walk_pair,
 )
-from collisionlab.walk_engine import NetworkStepper, write_trajectory_csv
+from collisionlab.walk_engine import (
+    CSRSampler,
+    NetworkStepper,
+    _sampling_tables,
+    sample_step,
+    write_trajectory_csv,
+)
+
+
+class _FixedUniforms:
+    """Stand-in generator whose ``random()`` replays a fixed list."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+_SAMPLER_NETS = [
+    *((f"battery{i}", net) for i, net in enumerate(nets.battery())),
+    *nets.small_named(),
+    ("star4000", nets.star(4000)),
+    ("single_vertex", build_network(1, [])),
+    ("single_vertex_loop", build_network(1, [(0, 0, 2.5)])),
+    (
+        "parallel_and_loops",
+        build_network(
+            4,
+            [(0, 1, 0.5), (1, 0, 1.5), (0, 1, 0.25), (1, 2, 3.0), (2, 2, 0.7),
+             (2, 3, 1.1), (3, 3, 0.2), (3, 3, 0.9), (0, 3, 2.0), (0, 0, 0.1)],
+        ),
+    ),
+]
+
+
+def _draw_cases(net, ref, seed):
+    """(u, r) pairs: every interior cumulative value, both ends of [0, 1), and
+    a few uniforms per vertex."""
+    rng = np.random.default_rng(seed)
+    degs = np.diff(ref.offsets)
+    us, rs = [], []
+    for u in range(net.vertex_count):
+        _, cum = ref.row(u)
+        interior = cum[: max(int(degs[u]) - 1, 0)]
+        extra = np.concatenate(
+            [interior, [0.0, np.nextafter(1.0, 0.0)], rng.random(3)]
+        )
+        us.extend([u] * extra.size)
+        rs.extend(extra)
+    return np.array(us, dtype=np.int64), np.array(rs)
+
+
+class TestSampler:
+    @pytest.mark.parametrize("name,net", _SAMPLER_NETS, ids=[n for n, _ in _SAMPLER_NETS])
+    def test_matches_padded_rule(self, name, net):
+        ref = oracles.PaddedSampler(net)
+        u, r = _draw_cases(net, ref, seed=len(name))
+        expected = np.array([ref.draw(a, b) for a, b in zip(u, r)])
+        assert np.array_equal(CSRSampler(_sampling_tables(net)).draw(u, r), expected)
+        scalar = _FixedUniforms(r)
+        assert [sample_step(net, int(a), scalar) for a in u] == expected.tolist()
+
+    def test_single_vertex_stays_put(self):
+        net = build_network(1, [])
+        stepper = NetworkStepper(net, 0)
+        state = stepper.new_state(5)
+        stepper.advance(state, np.random.default_rng(0))
+        assert state.tolist() == [0] * 5
+        assert walk_discrete(net, 0, 3, seed=1).steps.tolist() == [0, 0, 0, 0]
+
+    def test_star_tables_are_linear_in_edges(self):
+        # padded (V x maxdeg) tables cost 256 MB on this 4,000-edge star
+        net = nets.star(4000)
+        assert sum(a.nbytes for a in _sampling_tables(net)) < 1_000_000
+        assert len(pickle.dumps(NetworkStepper(net, 0))) < 1_000_000
+
+
+class TestStartRange:
+    @pytest.mark.parametrize("start", [-1, 5])
+    def test_walkers_reject_out_of_range_start(self, start):
+        net = nets.path_n(5)
+        with pytest.raises(ValueError, match="start"):
+            NetworkStepper(net, start)
+        with pytest.raises(ValueError, match="start"):
+            walk_discrete(net, start, 3, seed=1)
+        with pytest.raises(ValueError, match="start"):
+            walk_continuous(net, start, 1.0, seed=1)
 
 
 class TestSeedSpec:
