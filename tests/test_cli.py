@@ -156,16 +156,21 @@ class TestRun:
         assert again.canonical() == env.config
 
 
+_KIND_FIELDS = {
+    "collide": {"horizons": (4,), "replicas": 5},
+    "identity": {"n_steps": 3},
+    "voter": {"replicas": 5, "t_max": 1.0},
+    "ctcollide": {"replicas": 5, "t_max": 1.0},
+}
+
+
 class TestStartRange:
-    @pytest.mark.parametrize("kind", ["collide", "identity", "voter", "ctcollide"])
+    @pytest.mark.parametrize("kind", sorted(_KIND_FIELDS))
     @pytest.mark.parametrize("start", [-1, 16, 10_000])
     def test_out_of_range_start_named(self, kind, start):
-        extra = {"horizons": (4,), "replicas": 5} if kind == "collide" else {}
-        if kind == "identity":
-            extra = {"n_steps": 3}
-        if kind in ("voter", "ctcollide"):
-            extra = {"replicas": 5, "t_max": 1.0}
-        cfg = _cfg(kind=kind, model={"name": "torus", "side": 4}, start=start, **extra)
+        # torus side 4 has vertices 0..15
+        cfg = _cfg(kind=kind, model={"name": "torus", "side": 4}, start=start,
+                   **_KIND_FIELDS[kind])
         with pytest.raises(ConfigError, match=r"^start: "):
             run(cfg)
 
