@@ -16,6 +16,9 @@ O(N V^3) time and O(V^2) memory for all starts together.
 
 Monte Carlo collision counting runs replicas in fixed chunks with per-chunk
 seed streams, so the per-replica counts are independent of the worker count.
+A chunk of m pairs steps one flat state of 2m walkers, walk x in the first
+half and walk y in the second, with one ``advance`` (its 2m uniforms are the
+x draw followed by the y draw) and counts a collision wherever x == y.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from ._parallel import TAG_GROWTH, chunk_sizes, run_chunked
 from .errors import LengthMismatchError, ResourceLimitError
 from .graph_core import Network, is_bipartite
-from .walk_engine import NetworkStepper, Trajectory, substream_rng
+from .walk_engine import NetworkStepper, Trajectory, _check_start, substream_rng
 
 # Largest |V|^2 for exact pair-chain computations.
 PAIR_STATE_CAP = 250_000
@@ -215,40 +218,38 @@ class GrowthResult:
 
 
 def _growth_chunk(payload):
-    stepper_x, stepper_y, horizons, seed, chunk_index, size = payload
+    """Collision counts at each horizon for one chunk, stepping the pair state."""
+    stepper, origin, horizons, seed, chunk_index, size = payload
     rng = substream_rng(seed, TAG_GROWTH, chunk_index)
-    sx = stepper_x.new_state(size)
-    sy = stepper_y.new_state(size)
+    state = np.repeat(origin, size)
+    x, y = state[:size], state[size:]
     counters = np.zeros(size, dtype=np.int64)
-    marks = {}
-    for i, h in enumerate(horizons):
-        marks.setdefault(h, []).append(i)
-    out = np.zeros((len(horizons), size), dtype=np.int64)
-    for n in range(1, max(horizons) + 1):
-        stepper_x.advance(sx, rng)
-        stepper_y.advance(sy, rng)
-        counters += stepper_x.same(sx, sy)
-        for i in marks.get(n, ()):
-            out[i] = counters
+    out = np.empty((len(horizons), size), dtype=np.int64)
+    walked = 0
+    for i, h in enumerate(horizons):  # ascending
+        for _ in range(h - walked):
+            stepper.advance(state, rng)
+            counters += x == y
+        walked = h
+        out[i] = counters
     return out
 
 
-def _resolve_steppers(graph, start):
+def _resolve_pair(graph, start):
+    """One stepper for both walks and the start codes (x, y) of every pair."""
     if isinstance(graph, Network):
         if start is None:
             raise ValueError("start vertex is required for an explicit network")
-        if isinstance(start, tuple):
-            sx, sy = start
-            return NetworkStepper(graph, sx), NetworkStepper(graph, sy)
-        stepper = NetworkStepper(graph, start)  # steppers keep no walk state
-        return stepper, stepper
+        sx, sy = start if isinstance(start, tuple) else (start, start)
+        stepper = NetworkStepper(graph, sx)  # steppers keep no walk state
+        return stepper, np.array([stepper.start, _check_start(graph, sy)])
     if hasattr(graph, "advance") and hasattr(graph, "new_state"):
         if start is not None:
             raise ValueError(
                 "lattice walkers always start both walks at the center; "
                 "materialize the network to use another start"
             )
-        return graph, graph
+        return graph, graph.new_state(2)
     raise TypeError(f"cannot run pair walks on {type(graph).__name__}")
 
 
@@ -277,10 +278,10 @@ def collision_growth(
     if certificate is not None:
         for T in horizons:
             certificate.require(T)
-    stepper_x, stepper_y = _resolve_steppers(graph, start)
+    stepper, origin = _resolve_pair(graph, start)
     sizes = chunk_sizes(replicas)
     payloads = [
-        (stepper_x, stepper_y, tuple(horizons), int(seed), i, size)
+        (stepper, origin, tuple(horizons), int(seed), i, size)
         for i, size in enumerate(sizes)
     ]
     pieces = run_chunked(_growth_chunk, payloads, workers=workers)

@@ -43,6 +43,7 @@ from .graph_core import DENSE_VERTEX_CAP, network_from_json
 from .interacting import continuous_collision_ensemble, voter_ensemble
 from .models import (
     LATTICE_WALKERS,
+    MATERIALIZE_CAP,
     RootedModel,
     apply_root_law,
     gen_percolation_cluster,
@@ -154,12 +155,6 @@ class ResolvedGraph:
             self._model = self._materialize()
         return self._model
 
-    @property
-    def certificate(self):
-        if self.walker is not None:
-            return self.walker.certificate
-        return self.model().certificate
-
 
 def _model_params(spec, *names):
     missing = [n for n in names if n not in spec]
@@ -247,8 +242,7 @@ def _violations(config):
     if config.workers < 1:
         out.append(Violation("workers", "must be at least 1", "config"))
 
-    needs_graph = True
-    if config.model is None and config.network_file is None and needs_graph:
+    if config.model is None and config.network_file is None:
         out.append(Violation("model", "a model or network file is required", "config"))
         return out
     if config.model is not None:
@@ -258,6 +252,16 @@ def _violations(config):
             if R is None or int(R) < 1:
                 out.append(Violation("model.R", "radius must be an integer >= 1", "config"))
                 return out
+            try:
+                LATTICE_WALKERS[name](int(R))
+            except ValueError as exc:
+                out.append(Violation("model.R", str(exc), "config"))
+                return out
+            v = _lattice_vertex_count(name, int(R))
+            if config.kind == "collide" and config.dump_trajectories and v > MATERIALIZE_CAP:
+                # the dump walks the materialized truncation: fail before sampling
+                message = f"the dump materializes {name} with {v} vertices; cap is {MATERIALIZE_CAP}"
+                out.append(Violation("dump_trajectories", message, "resource"))
         elif name == "percolation":
             n = config.model.get("n")
             if n is None or int(n) < 1:

@@ -9,6 +9,11 @@ The lattice families (line segment, square box, comb) come in two forms:
   :class:`CombLattice`) that sample the same walk law without materializing
   the graph, which is what makes long-horizon experiments affordable.
 
+A walker's state is a flat int64 array of codes, x on the line and
+x * 2^32 + y on the grid and the comb (y >= 0 there), unique for radius
+< 2^31: two walks meet exactly when their codes are equal, and a step adds a
+delta gathered from a small table.  ``coords`` decodes to vertex labels.
+
 A truncation with safety radius ``R`` reproduces the infinite lattice's walk
 law exactly for any horizon ``T <= R - 1`` started from the designated center:
 every vertex the walk can touch before the final step has the same incident
@@ -126,19 +131,21 @@ def gen_grid_box(R, cap=MATERIALIZE_CAP):
     n = side * side
     if n > cap:
         raise ResourceLimitError(f"grid box would have {n} vertices; cap is {cap}")
-    idx = lambda x, y: (x + R) * side + (y + R)
-    edges = []
-    for x in range(-R, R + 1):
-        for y in range(-R, R + 1):
-            if x < R:
-                edges.append((idx(x, y), idx(x + 1, y), 1.0))
-            if y < R:
-                edges.append((idx(x, y), idx(x, y + 1), 1.0))
-    cert = TruncationCertificate(horizon=R - 1, safety_radius=R, start_vertex=idx(0, 0))
+    a, b = _box_bonds(side)  # site (x + R) * side + (y + R) is (x, y)
+    edges = [(u, v, 1.0) for u, v in zip(a.tolist(), b.tolist())]
+    center = R * side + R
+    cert = TruncationCertificate(horizon=R - 1, safety_radius=R, start_vertex=center)
     coords = tuple((x, y) for x in range(-R, R + 1) for y in range(-R, R + 1))
-    return RootedModel(
-        build_network(n, edges), start=idx(0, 0), certificate=cert, coords=coords
-    )
+    return RootedModel(build_network(n, edges), start=center, certificate=cert, coords=coords)
+
+
+def _box_bonds(side):
+    """Bond ends (a, b) of a side x side box: site x * side + y to x + 1, then y + 1."""
+    x, y = np.divmod(np.arange(side * side), side)
+    a = np.repeat(np.arange(side * side), 2)
+    b = a + np.tile([side, 1], side * side)
+    exists = np.stack([x < side - 1, y < side - 1], axis=1).ravel()
+    return a[exists], b[exists]
 
 
 def gen_comb(R, cap=MATERIALIZE_CAP):
@@ -222,35 +229,26 @@ def gen_percolation_cluster(n, p=CRITICAL_BOND_P, seed=0):
         raise ValueError("p must lie in [0, 1]")
     side = n + 1
     sites = side * side
-    idx = lambda x, y: x * side + y
-    bonds = []
-    for x in range(side):
-        for y in range(side):
-            if x < n:
-                bonds.append((idx(x, y), idx(x + 1, y)))
-            if y < n:
-                bonds.append((idx(x, y), idx(x, y + 1)))
+    a, b = _box_bonds(side)
     rng = np.random.default_rng(seed)
-    keep = rng.random(len(bonds)) < p
+    keep = rng.random(a.size) < p
 
     uf = _UnionFind(sites)
-    for (a, b), k in zip(bonds, keep):
-        if k:
-            uf.union(a, b)
+    for u, v in zip(a[keep].tolist(), b[keep].tolist()):
+        uf.union(u, v)
     roots = np.fromiter((uf.find(s) for s in range(sites)), dtype=np.int64, count=sites)
     sizes = np.bincount(roots, minlength=sites)
     best_root = int(np.flatnonzero(sizes == sizes.max())[0])
     # roots are minimal members of their components, so the first maximal root
     # is also the tie-break by smallest minimal vertex index
     members = np.flatnonzero(roots == best_root)
-    relabel = {int(s): i for i, s in enumerate(members)}
-    edges = [
-        (relabel[a], relabel[b], 1.0)
-        for (a, b), k in zip(bonds, keep)
-        if k and a in relabel and b in relabel
-    ]
+    relabel = np.full(sites, -1)
+    relabel[members] = np.arange(members.size)
+    inside = keep & (roots[a] == best_root)  # a kept bond lies in one cluster
+    ends = zip(relabel[a[inside]].tolist(), relabel[b[inside]].tolist())
+    edges = [(u, v, 1.0) for u, v in ends]
     net = build_network(len(members), edges)
-    coords = tuple((int(s) // side, int(s) % side) for s in members)
+    coords = tuple(zip((members // side).tolist(), (members % side).tolist()))
     return RootedModel(
         net,
         start=0,
@@ -319,98 +317,95 @@ def gen_wilson_ust(base, seed=0):
 # Coordinate walkers for the lattice families
 # ---------------------------------------------------------------------------
 
+# |y| <= horizon = radius - 1 < 2^31 keeps the x * 2^32 + y codes unique
+CODE_RADIUS_LIMIT = 1 << 31
+_HIGH = 1 << 32
+_LOW = _HIGH - 1
 
-class PathLattice:
-    """Walk on the integer line, exact for horizons up to radius - 1."""
+_PATH_MOVES = np.array([-1, 1], dtype=np.int64)  # by floor(2r)
+_GRID_MOVES = np.array([-_HIGH, _HIGH, -1, 1], dtype=np.int64)  # by floor(4r)
+# by 4 * on_tooth + [r >= 1/3] + [r >= 1/2] + [r >= 2/3]
+_COMB_MOVES = np.array([-_HIGH, _HIGH, _HIGH, 1, -1, -1, 1, 1], dtype=np.int64)
+
+
+class _CoordinateWalker:
+    """Walker set-up, exact up to horizon radius - 1; each walker has its own ``advance``."""
+
+    planar = True  # x * 2^32 + y codes
 
     def __init__(self, radius):
         if radius < 1:
             raise ValueError("radius must be at least 1")
+        if self.planar and radius >= CODE_RADIUS_LIMIT:
+            raise ValueError("radius must be below 2^31 to keep x * 2^32 + y codes unique")
         self.radius = int(radius)
         self.certificate = TruncationCertificate(
-            horizon=self.radius - 1, safety_radius=self.radius, start_vertex=self.radius
+            horizon=self.radius - 1, safety_radius=self.radius, start_vertex=self._center(self.radius)
         )
 
     def new_state(self, m):
         return np.zeros(m, dtype=np.int64)
 
-    def advance(self, state, rng):
-        r = rng.random(state.shape[0])
-        state += np.where(r < 0.5, -1, 1)
-
-    def same(self, a, b):
-        return a == b
+    def coords(self, state):
+        """The truncation's ``coords`` labels of the codes in ``state``."""
+        x = (state + (1 << 31)) >> 32
+        return list(zip(x.tolist(), (state - (x << 32)).tolist()))
 
     def materialize(self):
-        return gen_path_segment(self.radius)
+        return self._generate(self.radius)
 
 
-class GridLattice:
-    """Walk on the square lattice, exact for horizons up to radius - 1."""
+class PathLattice(_CoordinateWalker):
+    """Walk on the integer line; the code is x and a draw r < 1/2 steps left."""
 
-    def __init__(self, radius):
-        if radius < 1:
-            raise ValueError("radius must be at least 1")
-        self.radius = int(radius)
-        side = 2 * self.radius + 1
-        center = self.radius * side + self.radius
-        self.certificate = TruncationCertificate(
-            horizon=self.radius - 1, safety_radius=self.radius, start_vertex=center
-        )
-
-    def new_state(self, m):
-        return np.zeros((m, 2), dtype=np.int64)
+    planar = False
+    _generate = staticmethod(gen_path_segment)
+    _center = staticmethod(lambda R: R)
 
     def advance(self, state, rng):
         r = rng.random(state.shape[0])
-        state[r < 0.25, 0] -= 1
-        state[(r >= 0.25) & (r < 0.5), 0] += 1
-        state[(r >= 0.5) & (r < 0.75), 1] -= 1
-        state[r >= 0.75, 1] += 1
+        r *= 2  # exact, so floor(2r) is [r >= 1/2]
+        state += _PATH_MOVES[r.astype(np.intp)]
 
-    def same(self, a, b):
-        return (a == b).all(axis=1)
-
-    def materialize(self):
-        return gen_grid_box(self.radius)
+    def coords(self, state):
+        return state.tolist()
 
 
-class CombLattice:
-    """Walk on the comb (spine with upward teeth), exact up to radius - 1.
+class GridLattice(_CoordinateWalker):
+    """Walk on the square lattice; the quarters of [0, 1) step to x - 1,
+    x + 1, y - 1 and y + 1."""
 
-    State columns are (spine coordinate, tooth height); height 0 is the spine.
-    Within the certified horizon the walk cannot reach tooth tips or spine
-    ends, so the unbounded coordinate rules below realize the truncation's law
-    exactly.
+    _generate = staticmethod(gen_grid_box)
+    _center = staticmethod(lambda R: R * (2 * R + 1) + R)
+
+    def advance(self, state, rng):
+        r = rng.random(state.shape[0])
+        r *= 4  # exact, so floor(4r) is the quarter r lies in
+        state += _GRID_MOVES[r.astype(np.intp)]
+
+
+class CombLattice(_CoordinateWalker):
+    """Walk on the comb: a spine y = 0 with an upward tooth at every x.
+
+    The tooth height y >= 0 is ``code & (2^32 - 1)``.  On the spine the
+    thirds of [0, 1) step left, right and up the tooth; on a tooth the halves
+    step down and up.  Within the certified horizon the walk cannot reach
+    tooth tips or spine ends, so these unbounded rules realize the
+    truncation's law exactly.
     """
 
-    def __init__(self, radius):
-        if radius < 1:
-            raise ValueError("radius must be at least 1")
-        self.radius = int(radius)
-        origin = self.radius * (self.radius + 1)
-        self.certificate = TruncationCertificate(
-            horizon=self.radius - 1, safety_radius=self.radius, start_vertex=origin
-        )
-
-    def new_state(self, m):
-        return np.zeros((m, 2), dtype=np.int64)
+    _generate = staticmethod(gen_comb)
+    _center = staticmethod(lambda R: R * (R + 1))
 
     def advance(self, state, rng):
         r = rng.random(state.shape[0])
-        spine = state[:, 1] == 0
-        state[spine & (r < 1 / 3), 0] -= 1
-        state[spine & (r >= 1 / 3) & (r < 2 / 3), 0] += 1
-        state[spine & (r >= 2 / 3), 1] = 1
-        tooth = ~spine
-        state[tooth & (r < 0.5), 1] -= 1
-        state[tooth & (r >= 0.5), 1] += 1
-
-    def same(self, a, b):
-        return (a == b).all(axis=1)
-
-    def materialize(self):
-        return gen_comb(self.radius)
+        # 3r is not exact, so the thirds are found by comparison
+        move = np.minimum(state & _LOW, 1)
+        move <<= 2
+        move += r >= 1 / 3
+        move += r >= 0.5
+        move += r >= 2 / 3
+        state += _COMB_MOVES[move]
 
 
 LATTICE_WALKERS = {

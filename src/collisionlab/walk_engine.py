@@ -209,12 +209,11 @@ def sample_step(net, u, rng):
 
 
 class NetworkStepper:
-    """Batched pair-walk stepper over a network's aggregated adjacency."""
+    """Batched stepper: one CSR draw moves every walker of a flat vertex state."""
 
     def __init__(self, net: Network, start=0):
         self.sampler = CSRSampler(_sampling_tables(net))
         self.start = _check_start(net, start)
-        self.vertex_count = net.vertex_count
 
     def new_state(self, m):
         return np.full(m, self.start, dtype=np.int64)
@@ -222,9 +221,6 @@ class NetworkStepper:
     def advance(self, state, rng):
         r = rng.random(state.shape[0])
         state[:] = self.sampler.draw(state, r)
-
-    def same(self, a, b):
-        return a == b
 
 
 def walk_discrete(net, start, T, seed):

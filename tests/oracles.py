@@ -7,6 +7,8 @@ the package's backward recursion over all starts.  The one-step draw rule is
 the exception: :class:`PaddedSampler` reads the aggregated CSR adjacency, as
 the package's sampler does, and applies the padded-table rule the package
 used before its CSR binary search, so the two must agree bit for bit.
+:func:`percolation_cluster` is the per-bond loop version of the percolation
+generator, which must return the same cluster edge for edge.
 """
 
 import itertools
@@ -135,6 +137,48 @@ class PaddedSampler:
 # ---------------------------------------------------------------------------
 # Exact continuous-time marginals
 # ---------------------------------------------------------------------------
+
+
+def percolation_cluster(n, p, seed):
+    """(edges, coords) of the largest open cluster, by per-bond Python loops.
+
+    The reference for ``gen_percolation_cluster``: the same bond order and
+    draws, a plain union-find, the largest cluster with ties broken by the
+    smallest member, re-indexed by increasing site number.
+    """
+    side = n + 1
+    idx = lambda x, y: x * side + y
+    bonds = []
+    for x in range(side):
+        for y in range(side):
+            if x < n:
+                bonds.append((idx(x, y), idx(x + 1, y)))
+            if y < n:
+                bonds.append((idx(x, y), idx(x, y + 1)))
+    keep = np.random.default_rng(seed).random(len(bonds)) < p
+    parent = list(range(side * side))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for (a, b), k in zip(bonds, keep):
+        if k:
+            ra, rb = find(a), find(b)
+            parent[max(ra, rb)] = min(ra, rb)
+    clusters = defaultdict(list)
+    for v in range(side * side):
+        clusters[find(v)].append(v)
+    members = max(clusters.values(), key=lambda c: (len(c), -c[0]))
+    relabel = {v: i for i, v in enumerate(members)}
+    edges = [
+        (relabel[a], relabel[b], 1.0)
+        for (a, b), k in zip(bonds, keep)
+        if k and a in relabel and b in relabel
+    ]
+    coords = tuple((v // side, v % side) for v in members)
+    return edges, coords
 
 
 def continuous_walk_marginal(net, start, t):

@@ -67,6 +67,26 @@ class TestValidate:
         ok = _cfg(kind="mtp", model={"name": "path", "R": 250}, transport="adjacency")
         assert validate(ok) == []
 
+    @pytest.mark.parametrize("name", ["grid", "comb"])
+    def test_radius_beyond_code_range_named(self, name):
+        cfg = _cfg(kind="collide", model={"name": name, "R": 2**31}, horizons=(4,))
+        assert any(p.startswith("model.R") and "2^31" in p for p in validate(cfg))
+        ok = _cfg(kind="collide", model={"name": name, "R": 2**31 - 1}, horizons=(4,))
+        assert validate(ok) == []
+
+    def test_oversized_dump_fails_before_sampling(self, tmp_path, monkeypatch):
+        # the dump materializes the comb: 40003 x 20002 vertices exceed the cap
+        def sample(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr("collisionlab.experiment_cli.collision_growth", sample)
+        cfg = _cfg(kind="collide", model={"name": "comb", "R": 20001}, horizons=(100,),
+                   replicas=8, dump_trajectories=str(tmp_path / "walks.csv"))
+        assert any(p.startswith("dump_trajectories") for p in validate(cfg))
+        with pytest.raises(ResourceLimitError, match="800140006 vertices"):
+            run(cfg)
+        assert not (tmp_path / "walks.csv").exists()
+
     def test_run_raises_typed_errors(self):
         with pytest.raises(CertificateViolationError):
             run(_cfg(kind="collide", model={"name": "path", "R": 2},
@@ -185,11 +205,23 @@ def _weighted_hub():
 
 
 class TestPinnedEnvelopes:
-    """sha256 of deterministic bytes, fixed when the padded-table sampler was
-    replaced: the CSR sampler must reproduce every draw."""
+    """sha256 of deterministic bytes, fixed before the padded-table sampler
+    and the two-array lattice walkers were replaced: the CSR sampler and the
+    integer-coded pair state must reproduce every draw."""
 
     def _sha(self, cfg):
         return hashlib.sha256(run(cfg).deterministic_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("name,seed,sha", [
+        ("path", 21, "080824c3f297edab60011bc35c9fcb7640d1eb7ee62251b922ec18f5aba71181"),
+        ("grid", 22, "ca70bef8a210b4390ced957972f59c885c9d1e36e1956279095c702d814af695"),
+        ("comb", 23, "cf47663c2c72c3ef38cc2ebf21d5862d90fee15be561de43fcc0a10da6ac1181"),
+    ])
+    def test_collide_lattice(self, name, seed, sha):
+        # 600 replicas span a full and a partial chunk
+        cfg = _cfg(kind="collide", model={"name": name, "R": 41}, horizons=(10, 40),
+                   replicas=600, master_seed=seed)
+        assert self._sha(cfg) == sha
 
     def test_collide_weighted_network_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,16 @@ class TestCollisionGrowth:
         a = collision_growth(lat, None, [64], 1200, seed=3, workers=1)
         b = collision_growth(lat, None, [64], 1200, seed=3, workers=2)
         assert np.array_equal(a.counts, b.counts)
+
+    def test_distinct_starts_pinned(self):
+        # sha256 of the counts fixed before both walks moved into one pair
+        # state: walk x (from 0) still takes the first half of every draw
+        g = collision_growth(gen_torus(4).network, (0, 5), [4, 16], 600, seed=24)
+        assert g.counts[:, :8].tolist() == [[0, 1, 0, 0, 0, 1, 1, 0],
+                                            [2, 3, 2, 0, 2, 4, 3, 2]]
+        assert hashlib.sha256(g.counts.astype("<i8").tobytes()).hexdigest() == (
+            "232dede24765e248b25d0524f604f651742fef230e23a9473b04e2a5bf82ffe2"
+        )
 
     def test_certificate_enforced(self):
         lat = PathLattice(10)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nets
+import oracles
 from conftest import chisquare_pvalue
 from collisionlab import (
     CertificateViolationError,
@@ -106,15 +107,38 @@ def test_lattice_walker_matches_explicit_kernel(walker_cls, gen):
     state = walker.new_state(20_000)
     for _ in range(3):
         walker.advance(state, rng)
-    if state.ndim == 1:
-        labels = state.tolist()
-    else:
-        labels = [tuple(s) for s in state.tolist()]
+    labels = walker.coords(state)
     row = n_step_kernel(m.network, 3).matrix[m.start]
     support = [v for v in range(len(row)) if row[v] > 0]
     counts = [sum(1 for s in labels if s == m.coords[v]) for v in support]
     p = chisquare_pvalue(counts, [row[v] for v in support], len(labels))
     assert p > 0.001
+
+
+@pytest.mark.parametrize("walker_cls", [GridLattice, CombLattice])
+def test_planar_radius_below_code_range(walker_cls):
+    # x * 2^32 + y codes stay unique only while |y| < 2^31
+    with pytest.raises(ValueError, match="2\\^31"):
+        walker_cls(2**31)
+    assert walker_cls(2**31 - 1).certificate.horizon == 2**31 - 2
+
+
+@pytest.mark.parametrize("walker_cls", [PathLattice, GridLattice, CombLattice])
+def test_lattice_walker_steps_along_edges(walker_cls):
+    # every step of every walker joins two adjacent labels of the truncation
+    walker = walker_cls(12)
+    m = walker.materialize()
+    index = {label: v for v, label in enumerate(m.coords)}
+    adjacent = {frozenset(e[:2]) for e in m.network.edges}
+    rng = np.random.default_rng(3)
+    state = walker.new_state(400)
+    before = walker.coords(state)
+    for _ in range(11):
+        walker.advance(state, rng)
+        after = walker.coords(state)
+        assert all(frozenset((index[a], index[b])) in adjacent
+                   for a, b in zip(before, after))
+        before = after
 
 
 class TestPercolation:
@@ -133,6 +157,16 @@ class TestPercolation:
             xa, ya = m.coords[a]
             xb, yb = m.coords[b]
             assert abs(xa - xb) + abs(ya - yb) == 1
+
+    @pytest.mark.parametrize("n,p,seed", [
+        (1, 0.0, 0), (1, 0.5, 2), (1, 1.0, 0), (4, 0.0, 1), (4, 1.0, 1),
+        (10, 0.5, 3), (25, 0.5, 7), (30, 0.6, 11), (40, 0.45, 5),
+    ])
+    def test_matches_loop_oracle(self, n, p, seed):
+        m = gen_percolation_cluster(n, p, seed=seed)
+        edges, coords = oracles.percolation_cluster(n, p, seed)
+        assert m.network.edges == tuple(edges)
+        assert m.coords == coords
 
     def test_reproducible(self):
         a = gen_percolation_cluster(12, 0.5, seed=9)
