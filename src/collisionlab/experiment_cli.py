@@ -6,6 +6,15 @@ flags override config fields, and the environment variable
 beats both).  The master seed defaults to a fixed constant so that bare
 invocations are reproducible.
 
+Models are described once, in :data:`MODELS`: each entry lists its
+parameters (type, range, default), its vertex count when that is known before
+building, its builder ``(params, master_seed) -> RootedModel`` and its lattice
+coordinate walker class, if it has one.  Resolution, validation (parameter
+checks, certified horizons, size caps) and the ``--model`` help all read that
+table.  Flags are described once too: ``_FLAGS`` maps each flag to the config
+field it sets, ``_SUBCOMMANDS`` lists the flags of each run subcommand, and
+``validate`` takes all of them, so it checks any run's command line.
+
 Results are wrapped in a :class:`ResultEnvelope` whose deterministic body
 (version, canonical config echo, payload) is byte-identical across runs and
 across worker counts; wall-clock time and the worker count live in the
@@ -19,11 +28,12 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,8 +52,11 @@ from .errors import (
 from .graph_core import DENSE_VERTEX_CAP, network_from_json
 from .interacting import continuous_collision_ensemble, voter_ensemble
 from .models import (
-    LATTICE_WALKERS,
+    CRITICAL_BOND_P,
     MATERIALIZE_CAP,
+    CombLattice,
+    GridLattice,
+    PathLattice,
     RootedModel,
     apply_root_law,
     gen_percolation_cluster,
@@ -55,8 +68,6 @@ from .walk_engine import SeedSpec, walk_pair, write_trajectory_csv
 
 DEFAULT_MASTER_SEED = 1729
 SEED_ENV_VAR = "COLLISIONLAB_SEED"
-
-EXPERIMENT_KINDS = ("gen", "collide", "identity", "mtp", "voter", "ctcollide")
 
 # fields that control execution only and are excluded from the deterministic echo
 _EXECUTION_FIELDS = ("output", "envelope_path", "workers", "dump_trajectories", "dump_limit")
@@ -139,16 +150,82 @@ class ResultEnvelope:
 
 
 # ---------------------------------------------------------------------------
-# Model resolution
+# Model registry and resolution
 # ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """A numeric model parameter: its type, its range and its default.
+
+    A parameter with no default is required; a default of None leaves the
+    value to the builder (the model seeds fall back to the master seed).
+    """
+
+    kind: type  # int or float
+    minimum: float
+    default: object = _REQUIRED
+    maximum: float = math.inf
+
+    def check(self, raw):
+        """``raw`` as this parameter's type; ValueError says what is accepted."""
+        number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+        # the range test also rejects nan
+        if number and self.minimum <= raw <= self.maximum and (
+            self.kind is float or isinstance(raw, int) or raw.is_integer()
+        ):
+            return self.kind(raw)
+        kind = "an integer" if self.kind is int else "a number"
+        raise ValueError(f"must be {kind} in [{self.minimum}, {self.maximum}], got {raw!r}")
+
+
+@dataclass(frozen=True)
+class Model:
+    """One model: its parameters, how to build it and what is known beforehand."""
+
+    params: dict  # name -> Param
+    build: Callable  # (params, master_seed) -> RootedModel
+    vertex_count: Optional[Callable] = None  # params -> int, when known before building
+    walker: Optional[type] = None  # lattice coordinate walker, constructed from R
+
+
+def _lattice(walker, vertex_count):
+    return Model({"R": Param(int, 1)}, lambda p, _: walker(p["R"]).materialize(),
+                 vertex_count, walker)
+
+
+def _ust_torus(p, master_seed):
+    tree = gen_wilson_ust(gen_torus(p["side"]).network, p.get("seed", master_seed))
+    return RootedModel(tree, start=0)
+
+
+# Builders look generators up as module globals at call time, so wrappers
+# installed on this module (tracing, test doubles) see every call.
+MODELS = {
+    "path": _lattice(PathLattice, lambda p: 2 * p["R"] + 1),
+    "grid": _lattice(GridLattice, lambda p: (2 * p["R"] + 1) ** 2),
+    "comb": _lattice(CombLattice, lambda p: (2 * p["R"] + 1) * (p["R"] + 1)),
+    "percolation": Model(
+        {"n": Param(int, 1), "p": Param(float, 0.0, CRITICAL_BOND_P, 1.0),
+         "seed": Param(int, 0, None)},
+        lambda p, master_seed: gen_percolation_cluster(
+            p["n"], p["p"], p.get("seed", master_seed)),
+    ),
+    "torus": Model({"side": Param(int, 2)}, lambda p, _: gen_torus(p["side"]),
+                   lambda p: p["side"] ** 2),
+    "ust_torus": Model({"side": Param(int, 2), "seed": Param(int, 0, None)}, _ust_torus,
+                       lambda p: p["side"] ** 2),
+}
 
 
 @dataclass
 class ResolvedGraph:
-    name: str
     walker: object = None  # lattice coordinate walker, when available
-    _model: Optional[RootedModel] = None
+    vertex_count: Optional[int] = None  # when known before building
     _materialize: object = None
+    _model: Optional[RootedModel] = None
 
     def model(self):
         if self._model is None:
@@ -156,50 +233,55 @@ class ResolvedGraph:
         return self._model
 
 
-def _model_params(spec, *names):
-    missing = [n for n in names if n not in spec]
-    if missing:
-        raise ConfigError(f"model.{missing[0]}: required for model {spec.get('name')!r}")
-    return [spec[n] for n in names]
+def _resolve(config):
+    """(ResolvedGraph or None, violations) of the config's model or network file."""
+    if config.model is None:
+        if config.network_file is None:
+            return None, [Violation("model", "a model or network file is required", "config")]
 
-
-def resolve_graph(config):
-    """Turn the config's model spec or network file into a runnable graph."""
-    if config.model is not None:
-        spec = config.model
-        name = spec.get("name")
-        if name in LATTICE_WALKERS:
-            (R,) = _model_params(spec, "R")
-            walker = LATTICE_WALKERS[name](int(R))
-            return ResolvedGraph(name=name, walker=walker, _materialize=walker.materialize)
-        if name == "percolation":
-            (n,) = _model_params(spec, "n")
-            p = float(spec.get("p", 0.5))
-            seed = int(spec.get("seed", config.master_seed))
-            return ResolvedGraph(
-                name=name,
-                _materialize=lambda: gen_percolation_cluster(int(n), p, seed),
-            )
-        if name == "torus":
-            (side,) = _model_params(spec, "side")
-            return ResolvedGraph(name=name, _materialize=lambda: gen_torus(int(side)))
-        if name == "ust_torus":
-            (side,) = _model_params(spec, "side")
-            seed = int(spec.get("seed", config.master_seed))
-
-            def build():
-                tree = gen_wilson_ust(gen_torus(int(side)).network, seed)
-                return RootedModel(tree, start=0)
-
-            return ResolvedGraph(name=name, _materialize=build)
-        raise ConfigError(f"model.name: unknown model {name!r}")
-    if config.network_file is not None:
         def load():
             with open(config.network_file) as fh:
                 return RootedModel(network_from_json(json.load(fh)), start=0)
 
-        return ResolvedGraph(name="network", _materialize=load)
-    raise ConfigError("model: an experiment needs a model or a network file")
+        return ResolvedGraph(_materialize=load), []
+    name = config.model.get("name")
+    entry = MODELS.get(name)
+    if entry is None:
+        return None, [Violation("model.name", f"unknown model {name!r}", "config")]
+    params, problems = {}, []
+    for key in sorted(config.model.keys() - entry.params.keys() - {"name"}):
+        problems.append(Violation(f"model.{key}", f"unknown parameter of model {name!r}", "config"))
+    for key, param in entry.params.items():
+        try:
+            if key in config.model:
+                params[key] = param.check(config.model[key])
+            elif param.default is _REQUIRED:
+                raise ValueError(f"required for model {name!r}")
+            elif param.default is not None:
+                params[key] = param.default
+        except ValueError as exc:
+            problems.append(Violation(f"model.{key}", str(exc), "config"))
+    if problems:
+        return None, problems
+    walker = None
+    if entry.walker is not None:
+        try:
+            walker = entry.walker(params["R"])
+        except ValueError as exc:
+            return None, [Violation("model.R", str(exc), "config")]
+    return ResolvedGraph(
+        walker=walker,
+        vertex_count=entry.vertex_count(params) if entry.vertex_count else None,
+        _materialize=lambda: entry.build(params, config.master_seed),
+    ), []
+
+
+def resolve_graph(config):
+    """Turn the config's model spec or network file into a runnable graph."""
+    resolved, problems = _resolve(config)
+    if problems:
+        raise ConfigError("; ".join(str(p) for p in problems))
+    return resolved
 
 
 def _effective_start(config, model):
@@ -227,14 +309,9 @@ class Violation:
         return f"{self.field}: {self.message}"
 
 
-def _lattice_vertex_count(name, R):
-    side = 2 * R + 1
-    return {"path": side, "grid": side * side, "comb": side * (R + 1)}[name]
-
-
 def _violations(config):
     out = []
-    if config.kind not in EXPERIMENT_KINDS:
+    if config.kind not in _RUNNERS:
         out.append(Violation("kind", f"unknown experiment kind {config.kind!r}", "config"))
         return out
     if not 0 <= config.master_seed < 2**64:
@@ -242,40 +319,15 @@ def _violations(config):
     if config.workers < 1:
         out.append(Violation("workers", "must be at least 1", "config"))
 
-    if config.model is None and config.network_file is None:
-        out.append(Violation("model", "a model or network file is required", "config"))
-        return out
-    if config.model is not None:
-        name = config.model.get("name")
-        if name in LATTICE_WALKERS:
-            R = config.model.get("R")
-            if R is None or int(R) < 1:
-                out.append(Violation("model.R", "radius must be an integer >= 1", "config"))
-                return out
-            try:
-                LATTICE_WALKERS[name](int(R))
-            except ValueError as exc:
-                out.append(Violation("model.R", str(exc), "config"))
-                return out
-            v = _lattice_vertex_count(name, int(R))
-            if config.kind == "collide" and config.dump_trajectories and v > MATERIALIZE_CAP:
-                # the dump walks the materialized truncation: fail before sampling
-                message = f"the dump materializes {name} with {v} vertices; cap is {MATERIALIZE_CAP}"
-                out.append(Violation("dump_trajectories", message, "resource"))
-        elif name == "percolation":
-            n = config.model.get("n")
-            if n is None or int(n) < 1:
-                out.append(Violation("model.n", "box size must be an integer >= 1", "config"))
-            p = float(config.model.get("p", 0.5))
-            if not 0.0 <= p <= 1.0:
-                out.append(Violation("model.p", "bond density must lie in [0, 1]", "config"))
-        elif name in ("torus", "ust_torus"):
-            side = config.model.get("side")
-            if side is None or int(side) < 2:
-                out.append(Violation("model.side", "side must be an integer >= 2", "config"))
-        else:
-            out.append(Violation("model.name", f"unknown model {name!r}", "config"))
-            return out
+    resolved, problems = _resolve(config)
+    out.extend(problems)
+    walker, vertices = (resolved.walker, resolved.vertex_count) if resolved else (None, None)
+    if (config.kind == "collide" and config.dump_trajectories
+            and walker is not None and vertices > MATERIALIZE_CAP):
+        # the dump walks the materialized truncation: fail before sampling
+        name = config.model["name"]
+        message = f"the dump materializes {name} with {vertices} vertices; cap is {MATERIALIZE_CAP}"
+        out.append(Violation("dump_trajectories", message, "resource"))
 
     if config.kind in ("collide", "voter", "ctcollide"):
         if config.replicas < 1:
@@ -287,8 +339,9 @@ def _violations(config):
         else:
             if any(h < 0 for h in config.horizons):
                 out.append(Violation("horizons", "horizons must be nonnegative", "config"))
-            cert_horizon = _certified_horizon(config)
-            if cert_horizon is not None:
+            # an explicit start makes the run a finite-network one, not a truncation
+            if walker is not None and config.start is None:
+                cert_horizon = walker.certificate.horizon
                 for i, h in enumerate(config.horizons):
                     if h > cert_horizon:
                         out.append(
@@ -302,7 +355,7 @@ def _violations(config):
     if config.kind == "identity":
         if config.n_steps is None or config.n_steps < 0:
             out.append(Violation("n_steps", "window N must be a nonnegative integer", "config"))
-        out.extend(_kernel_cap_violations(config, pair_chain=True))
+        out.extend(_kernel_cap_violations(vertices, pair_chain=True))
 
     if config.kind == "mtp":
         if config.transport is None:
@@ -315,7 +368,7 @@ def _violations(config):
         if config.root_law not in ("uniform", "biased", "conductance_biased"):
             out.append(Violation("root_law", f"unknown root law {config.root_law!r}", "config"))
         pair_chain = (config.transport or "").startswith("qlast:")
-        out.extend(_kernel_cap_violations(config, pair_chain))
+        out.extend(_kernel_cap_violations(vertices, pair_chain))
 
     if config.kind in ("voter", "ctcollide"):
         if config.t_max is not None and config.t_max <= 0:
@@ -326,9 +379,8 @@ def _violations(config):
     return out
 
 
-def _kernel_cap_violations(config, pair_chain):
-    """Dense-kernel cap, and the pair-chain cap when the run needs q0."""
-    v = _known_vertex_count(config)
+def _kernel_cap_violations(v, pair_chain):
+    """Dense-kernel cap on ``v`` known vertices, and the pair-chain cap when the run needs q0."""
     if v is None:
         return []
     if v > DENSE_VERTEX_CAP:
@@ -348,24 +400,6 @@ def _kernel_cap_violations(config, pair_chain):
             )
         ]
     return []
-
-
-def _certified_horizon(config):
-    if config.start is not None:
-        return None  # explicit start: a finite-network run, not a truncation
-    if config.model is not None and config.model.get("name") in LATTICE_WALKERS:
-        return int(config.model["R"]) - 1
-    return None
-
-
-def _known_vertex_count(config):
-    if config.model is not None:
-        name = config.model.get("name")
-        if name in LATTICE_WALKERS:
-            return _lattice_vertex_count(name, int(config.model["R"]))
-        if name == "torus":
-            return int(config.model["side"]) ** 2
-    return None
 
 
 def validate(config):
@@ -660,10 +694,49 @@ def _sidecar_path(output):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub):
+def _int_list(text):
+    return [int(tok) for tok in text.split(",") if tok]
+
+
+# flag: (config field it sets, add_argument keywords)
+_FLAGS = {
+    "--seed": ("master_seed", {"type": int, "help": "master seed"}),
+    "--network": ("network_file", {"help": "network JSON file instead of a model"}),
+    "--start": ("start", {"type": int, "help": "start/root vertex"}),
+    "--output": ("output", {"help": "primary output file (CSV or JSON)"}),
+    "--envelope": ("envelope_path", {"help": "write the result envelope here"}),
+    "--workers": ("workers", {"type": int, "help": "parallel worker count"}),
+    "--horizons": ("horizons", {"type": _int_list, "help": "comma-separated horizons"}),
+    "--replicas": ("replicas", {"type": int}),
+    "--dump-trajectories": ("dump_trajectories", {"help": "also write sample trajectories CSV"}),
+    "--dump-limit": ("dump_limit", {"type": int, "help": "replicas to dump"}),
+    "--N": ("n_steps", {"type": int, "help": "window length"}),
+    "--transport": ("transport", {"help": "adjacency | leaf_adjacency | qlast:<n>:<N>"}),
+    "--root-law": ("root_law", {"help": "uniform | biased"}),
+    "--tolerance": ("tolerance", {"type": float}),
+    "--t-max": ("t_max", {"type": float}),
+    "--initial": ("initial", {"help": "zeros | ones | single:<v> | vertices:<v,..>"}),
+    "--grid": ("grid", {"type": int, "help": "offsets for the discretization integral"}),
+}
+
+_COMMON_FLAGS = ("--seed", "--network", "--start", "--output", "--envelope", "--workers")
+
+# run subcommand: (help, its flags beyond the common ones); validate takes them all
+_SUBCOMMANDS = {
+    "gen": ("materialize a model as network JSON plus sidecar", ()),
+    "collide": ("Monte Carlo collision-count growth",
+                ("--horizons", "--replicas", "--dump-trajectories", "--dump-limit")),
+    "identity": ("exact last-collision partition total", ("--N",)),
+    "mtp": ("mass-transport principle check", ("--transport", "--root-law", "--tolerance")),
+    "voter": ("voter-model consensus runs", ("--replicas", "--t-max", "--initial")),
+    "ctcollide": ("continuous-time collision measure runs", ("--replicas", "--t-max", "--grid")),
+}
+
+
+def _add_flags(sub, flags):
     sub.add_argument("--config", help="JSON config document; flags override its fields")
-    sub.add_argument("--seed", type=int, default=None, help="master seed")
-    sub.add_argument("--model", default=None, help="model name (path, grid, comb, percolation, torus, ust_torus)")
+    models = "; ".join(f"{name} ({', '.join(m.params)})" for name, m in MODELS.items())
+    sub.add_argument("--model", default=None, help=f"model name and its parameters: {models}")
     sub.add_argument(
         "--model-param",
         action="append",
@@ -671,11 +744,9 @@ def _add_common(sub):
         metavar="K=V",
         help="model parameter, repeatable (e.g. --model-param R=101)",
     )
-    sub.add_argument("--network", default=None, help="network JSON file instead of a model")
-    sub.add_argument("--start", type=int, default=None, help="start/root vertex")
-    sub.add_argument("--output", default=None, help="primary output file (CSV or JSON)")
-    sub.add_argument("--envelope", default=None, help="write the result envelope here")
-    sub.add_argument("--workers", type=int, default=None, help="parallel worker count")
+    for flag in _COMMON_FLAGS + tuple(flags):
+        field, options = _FLAGS[flag]
+        sub.add_argument(flag, dest=field, default=None, **options)
 
 
 def build_parser():
@@ -684,50 +755,11 @@ def build_parser():
         description="Collision experiments for random walks on finite conductance networks",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("gen", help="materialize a model as network JSON plus sidecar")
-    _add_common(p)
-
-    p = subs.add_parser("collide", help="Monte Carlo collision-count growth")
-    _add_common(p)
-    p.add_argument("--horizons", default=None, help="comma-separated horizons")
-    p.add_argument("--replicas", type=int, default=None)
-    p.add_argument("--dump-trajectories", default=None, help="also write sample trajectories CSV")
-    p.add_argument("--dump-limit", type=int, default=None, help="replicas to dump")
-
-    p = subs.add_parser("identity", help="exact last-collision partition total")
-    _add_common(p)
-    p.add_argument("--N", dest="n_steps", type=int, default=None, help="window length")
-
-    p = subs.add_parser("mtp", help="mass-transport principle check")
-    _add_common(p)
-    p.add_argument("--transport", default=None, help="adjacency | leaf_adjacency | qlast:<n>:<N>")
-    p.add_argument("--root-law", dest="root_law", default=None, help="uniform | biased")
-    p.add_argument("--tolerance", type=float, default=None)
-
-    p = subs.add_parser("voter", help="voter-model consensus runs")
-    _add_common(p)
-    p.add_argument("--replicas", type=int, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--initial", default=None, help="zeros | ones | single:<v> | vertices:<v,..>")
-
-    p = subs.add_parser("ctcollide", help="continuous-time collision measure runs")
-    _add_common(p)
-    p.add_argument("--replicas", type=int, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None, help="offsets for the discretization integral")
-
+    for kind, (help_text, flags) in _SUBCOMMANDS.items():
+        _add_flags(subs.add_parser(kind, help=help_text), flags)
     p = subs.add_parser("validate", help="check a config without running it")
-    _add_common(p)
+    _add_flags(p, dict.fromkeys(f for _, flags in _SUBCOMMANDS.values() for f in flags))
     p.add_argument("--kind", default=None, help="experiment kind when not in the config file")
-    p.add_argument("--horizons", default=None)
-    p.add_argument("--replicas", type=int, default=None)
-    p.add_argument("--N", dest="n_steps", type=int, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--transport", default=None)
-    p.add_argument("--root-law", dest="root_law", default=None)
-    p.add_argument("--initial", default=None)
     return parser
 
 
@@ -751,13 +783,11 @@ def _parse_model_flags(name, params):
 def config_from_args(args):
     """Merge defaults, config file, environment seed, and flags (in that order)."""
     doc = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             doc.update(json.load(fh))
 
-    kind = args.command if args.command != "validate" else (
-        getattr(args, "kind", None) or doc.get("kind")
-    )
+    kind = args.command if args.command != "validate" else (args.kind or doc.get("kind"))
     if kind is None:
         raise ConfigError("kind: missing experiment kind (use --kind or the config file)")
     doc["kind"] = kind
@@ -769,31 +799,18 @@ def config_from_args(args):
         except ValueError:
             raise ConfigError(f"master_seed: {SEED_ENV_VAR} must be an integer")
 
-    if getattr(args, "seed", None) is not None:
-        doc["master_seed"] = args.seed
-    if getattr(args, "model", None) is not None:
-        doc["model"] = _parse_model_flags(args.model, getattr(args, "model_param", None))
-    elif getattr(args, "model_param", None):
+    if args.model is not None:
+        doc["model"] = _parse_model_flags(args.model, args.model_param)
+    elif args.model_param:
         base = dict(doc.get("model") or {})
         if "name" not in base:
             raise ConfigError("model: --model-param needs --model or a model in the config")
         doc["model"] = {**base, **_parse_model_flags(base["name"], args.model_param)}
-    if getattr(args, "network", None) is not None:
-        doc["network_file"] = args.network
 
-    direct = (
-        "start", "replicas", "n_steps", "t_max", "grid", "transport",
-        "root_law", "initial", "tolerance", "output", "workers",
-        "dump_trajectories", "dump_limit",
-    )
-    for name in direct:
-        value = getattr(args, name, None)
+    for field, _ in _FLAGS.values():
+        value = getattr(args, field, None)
         if value is not None:
-            doc[name] = value
-    if getattr(args, "envelope", None) is not None:
-        doc["envelope_path"] = args.envelope
-    if getattr(args, "horizons", None) is not None:
-        doc["horizons"] = [int(tok) for tok in str(args.horizons).split(",") if tok]
+            doc[field] = value
     return config_from_dict(doc)
 
 

@@ -299,3 +299,27 @@ def stationary_distribution(net):
     if total == 0.0:
         return np.ones(net.vertex_count) / net.vertex_count
     return net.vertex_conductance / total
+
+
+class UnionFind:
+    """Union-find over 0 .. n-1 with path halving; the minimal member is the root."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        """Merge the sets of ``a`` and ``b``; returns the merged set's root."""
+        ra, rb = self.find(a), self.find(b)
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return ra

@@ -22,6 +22,7 @@ import numpy as np
 
 from ._parallel import TAG_CTCOLLIDE, TAG_VOTER, chunk_sizes, run_chunked
 from .errors import HorizonMismatchError
+from .graph_core import UnionFind
 from .walk_engine import (
     CSRSampler,
     JumpTrajectory,
@@ -249,31 +250,6 @@ def dual_walker_positions(net, start, t, replicas, seed):
 # ---------------------------------------------------------------------------
 
 
-class _WalkerUnionFind:
-    """Union-find over walker ids; the minimal id is always the root."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return ra
-
-
 @dataclass(frozen=True)
 class CoalescingResult:
     """Partition of walkers into coalesced groups and their positions at t_max."""
@@ -293,7 +269,7 @@ def coalescing_walks(net, starts, t_max, seed):
     k = len(starts)
     if k == 0:
         raise ValueError("at least one walker is required")
-    uf = _WalkerUnionFind(k)
+    uf = UnionFind(k)
     occupied = {}
     for i, s in enumerate(starts):
         if s in occupied:

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificateViolationError, ResourceLimitError
-from .graph_core import Network, build_network
+from .graph_core import Network, UnionFind, build_network
 
 # Largest vertex count a generator will materialize explicitly.
 MATERIALIZE_CAP = 5_000_000
@@ -194,27 +194,6 @@ def gen_torus(side):
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def gen_percolation_cluster(n, p=CRITICAL_BOND_P, seed=0):
     """Largest open cluster of bond percolation on the (n+1) x (n+1) box.
 
@@ -233,7 +212,7 @@ def gen_percolation_cluster(n, p=CRITICAL_BOND_P, seed=0):
     rng = np.random.default_rng(seed)
     keep = rng.random(a.size) < p
 
-    uf = _UnionFind(sites)
+    uf = UnionFind(sites)
     for u, v in zip(a[keep].tolist(), b[keep].tolist()):
         uf.union(u, v)
     roots = np.fromiter((uf.find(s) for s in range(sites)), dtype=np.int64, count=sites)
@@ -406,10 +385,3 @@ class CombLattice(_CoordinateWalker):
         move += r >= 0.5
         move += r >= 2 / 3
         state += _COMB_MOVES[move]
-
-
-LATTICE_WALKERS = {
-    "path": PathLattice,
-    "grid": GridLattice,
-    "comb": CombLattice,
-}

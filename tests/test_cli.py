@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -13,11 +14,13 @@ from collisionlab import (
 )
 from collisionlab.experiment_cli import (
     DEFAULT_MASTER_SEED,
+    MODELS,
     ExperimentConfig,
     build_parser,
     config_from_args,
     config_from_dict,
     main,
+    resolve_graph,
     run,
     validate,
 )
@@ -86,6 +89,36 @@ class TestValidate:
         with pytest.raises(ResourceLimitError, match="800140006 vertices"):
             run(cfg)
         assert not (tmp_path / "walks.csv").exists()
+
+    def test_ust_torus_dense_cap_fails_before_generating(self, monkeypatch):
+        # side^2 = 22500 vertices are known before Wilson's algorithm runs
+        def generate(*args, **kwargs):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr("collisionlab.experiment_cli.gen_wilson_ust", generate)
+        cfg = _cfg(kind="identity", model={"name": "ust_torus", "side": 150}, n_steps=4)
+        assert any("dense kernel cap" in p for p in validate(cfg))
+        with pytest.raises(ResourceLimitError, match="22500 vertices"):
+            run(cfg)
+
+    @pytest.mark.parametrize("model,field", [
+        ({"name": "path", "R": "abc"}, "model.R"),
+        ({"name": "percolation", "n": "abc"}, "model.n"),
+        ({"name": "torus", "side": 2.7}, "model.side"),
+        ({"name": "path", "R": 5, "Q": 3}, "model.Q"),
+        ({"name": "percolation", "n": 4, "p": 1.5}, "model.p"),
+    ])
+    def test_malformed_model_param_named(self, model, field, capsys):
+        cfg = _cfg(kind="identity", model=model, n_steps=2)
+        assert any(p.startswith(field + ":") for p in validate(cfg))
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            run(cfg)
+        argv = ["validate", "--kind", "identity", "--model", model["name"], "--N", "2"]
+        for key, value in model.items():
+            if key != "name":
+                argv += ["--model-param", f"{key}={value}"]
+        assert main(argv) == 2
+        assert any(p.startswith(field + ":") for p in json.loads(capsys.readouterr().out))
 
     def test_run_raises_typed_errors(self):
         with pytest.raises(CertificateViolationError):
@@ -247,6 +280,29 @@ class TestPinnedEnvelopes:
         )
 
 
+class TestRegistry:
+    @pytest.mark.parametrize("name", [n for n, m in MODELS.items() if m.vertex_count])
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_known_vertex_count_matches_built_model(self, name, extra):
+        model = MODELS[name]
+        params = {k: p.minimum + extra for k, p in model.params.items() if p.kind is int}
+        cfg = _cfg(kind="gen", model={"name": name, **params})
+        built = resolve_graph(cfg).model().network.vertex_count
+        assert model.vertex_count(params) == built
+
+    def test_validate_parses_every_run_flag(self):
+        parser = build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for kind, sub in subs.choices.items():
+            for action in sub._actions:
+                if kind == "validate" or not action.option_strings or action.nargs == 0:
+                    continue
+                flag = action.option_strings[0]
+                expected = getattr(parser.parse_args([kind, flag, "1"]), action.dest)
+                got = getattr(parser.parse_args(["validate", flag, "1"]), action.dest)
+                assert got == expected, (kind, flag)
+
+
 class TestConfigDict:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError):
@@ -307,6 +363,22 @@ class TestCommandLine:
         rc = main(["validate", "--kind", "collide", "--model", "path",
                    "--model-param", "R=2", "--horizons", "100"])
         assert rc == 2
+
+    def test_main_validate_names_oversized_dump(self, tmp_path, capsys):
+        dump = tmp_path / "x.csv"
+        rc = main(["validate", "--kind", "collide", "--model", "comb",
+                   "--model-param", "R=20001", "--horizons", "10",
+                   "--dump-trajectories", str(dump), "--dump-limit", "2"])
+        assert rc == 2
+        problems = json.loads(capsys.readouterr().out)
+        assert any(p.startswith("dump_trajectories:") for p in problems)
+        assert not dump.exists()
+
+    def test_main_validate_takes_tolerance(self, capsys):
+        rc = main(["validate", "--kind", "mtp", "--model", "path", "--model-param", "R=2",
+                   "--transport", "adjacency", "--tolerance", "1e-6"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out) == []
 
     def test_main_runs_identity(self, capsys):
         rc = main(["identity", "--model", "path", "--model-param", "R=2", "--N", "4"])
