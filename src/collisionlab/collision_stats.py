@@ -12,7 +12,11 @@ ordered vertex pairs with the diagonal as taboo set:
 
 q0 for every start comes from one backward taboo recursion on V x V matrices,
 h_0 = 1 and h_m = P (h_{m-1} off the diagonal) P^T with q0(v, m) = h_m[v, v]:
-O(N V^3) time and O(V^2) memory for all starts together.
+O(N V^3) time and O(V^2) memory for all starts together.  The p_n side of
+every identity comes from ``graph_core.kernel_powers``, and qlast for a start
+is computed in one place, :func:`horizon_estimates`.  The module-level
+``PAIR_STATE_CAP`` (with ``graph_core.DENSE_VERTEX_CAP``) is the only size
+limit; no function takes a per-call cap.
 
 Monte Carlo collision counting runs replicas in fixed chunks with per-chunk
 seed streams, so the per-replica counts are independent of the worker count.
@@ -30,8 +34,8 @@ import numpy as np
 
 from ._parallel import TAG_GROWTH, chunk_sizes, run_chunked
 from .errors import LengthMismatchError, ResourceLimitError
-from .graph_core import Network, is_bipartite
-from .walk_engine import NetworkStepper, Trajectory, _check_start, substream_rng
+from .graph_core import Network, check_vertex, is_bipartite, kernel_powers
+from .walk_engine import NetworkStepper, Trajectory, substream_rng
 
 # Largest |V|^2 for exact pair-chain computations.
 PAIR_STATE_CAP = 250_000
@@ -64,15 +68,7 @@ def count_collisions(trajectory_x, trajectory_y):
     )
 
 
-def _check_pair_cap(net, cap):
-    states = net.vertex_count**2
-    if states > cap:
-        raise ResourceLimitError(
-            f"pair chain needs {states} states but the cap is {cap}"
-        )
-
-
-def q0_profile_all(net, N, cap=PAIR_STATE_CAP):
+def q0_profile_all(net, N):
     """Matrix of q0(v, m) with shape (N + 1, V), all starts at once.
 
     Backward taboo recursion over pairs of starts: h_0 = 1 and
@@ -82,7 +78,11 @@ def q0_profile_all(net, N, cap=PAIR_STATE_CAP):
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    _check_pair_cap(net, cap)
+    states = net.vertex_count**2
+    if states > PAIR_STATE_CAP:
+        raise ResourceLimitError(
+            f"pair chain needs {states} states but the cap is {PAIR_STATE_CAP}"
+        )
     P = net.one_step_matrix()
     n = net.vertex_count
     out = np.empty((N + 1, n))
@@ -95,59 +95,15 @@ def q0_profile_all(net, N, cap=PAIR_STATE_CAP):
     return out
 
 
-def q0_profile(net, v, N, cap=PAIR_STATE_CAP):
+def q0_profile(net, v, N):
     """Array q0(v, m) for m = 0..N; a column of :func:`q0_profile_all`."""
-    return q0_profile_all(net, N, cap=cap)[:, v]
+    v = check_vertex(net, v, "vertex")
+    return q0_profile_all(net, N)[:, v]
 
 
-def q0_exact(net, v, m, cap=PAIR_STATE_CAP):
+def q0_exact(net, v, m):
     """Probability two independent walks from v never meet at steps 1..m."""
-    return float(q0_profile_all(net, m, cap=cap)[m, v])
-
-
-def qlast_horizon(net, u, v, n, N, cap=PAIR_STATE_CAP):
-    """Probability the last meeting in [0, N] is at time n at vertex v.
-
-    Both walks start at u; the value is p_n(u, v)^2 * q0(v, N - n).
-    """
-    if not 0 <= n <= N:
-        raise ValueError("need 0 <= n <= N")
-    _check_pair_cap(net, cap)
-    P = net.one_step_matrix()
-    pn = np.linalg.matrix_power(P, n)[u, v]
-    return float(pn * pn * q0_profile_all(net, N - n, cap=cap)[N - n, v])
-
-
-def last_collision_identity_all(net, N, cap=PAIR_STATE_CAP):
-    """Vector over starts u of sum_{n<=N} sum_v p_n(u,v)^2 q0(v, N-n).
-
-    Decomposing by the time and place of the last meeting partitions the
-    pair-path space, so every entry equals 1 up to floating-point error.
-    """
-    prof = q0_profile_all(net, N, cap=cap)
-    P = net.one_step_matrix()
-    n_v = net.vertex_count
-    total = np.zeros(n_v)
-    Pn = np.eye(n_v)
-    for n in range(N + 1):
-        total += (Pn * Pn) @ prof[N - n]
-        if n < N:
-            Pn = Pn @ P
-    return total
-
-
-def last_collision_identity(net, u, N, cap=PAIR_STATE_CAP):
-    """The last-collision partition total for a single start vertex."""
-    prof = q0_profile_all(net, N, cap=cap)
-    P = net.one_step_matrix()
-    row = np.zeros(net.vertex_count)
-    row[u] = 1.0
-    total = 0.0
-    for n in range(N + 1):
-        total += float((row * row) @ prof[N - n])
-        if n < N:
-            row = row @ P
-    return total
+    return float(q0_profile(net, v, m)[m])
 
 
 @dataclass(frozen=True)
@@ -165,25 +121,52 @@ class HorizonEstimates:
     identity_total: float
 
 
-def horizon_estimates(net, u, N, cap=PAIR_STATE_CAP):
-    """Bundle q0 profiles and the last-meeting table for walks from ``u``."""
-    prof = q0_profile_all(net, N, cap=cap)
-    P = net.one_step_matrix()
-    n_v = net.vertex_count
-    qlast = np.empty((N + 1, n_v))
-    row = np.zeros(n_v)
-    row[u] = 1.0
-    for n in range(N + 1):
-        qlast[n] = (row * row) * prof[N - n]
-        if n < N:
-            row = row @ P
+def horizon_estimates(net, u, N):
+    """Bundle q0 profiles and the last-meeting table for walks from ``u``.
+
+    ``qlast[n] = p_n(u, .)^2 * q0(., N - n)``; ``identity_total`` adds one
+    dot product per n, in n order.
+    """
+    rows = kernel_powers(net, N, start=u)
+    prof = q0_profile_all(net, N)
+    qlast = np.empty((N + 1, net.vertex_count))
+    total = 0.0
+    for n, row in enumerate(rows):
+        squared = row * row
+        qlast[n] = squared * prof[N - n]
+        total += float(squared @ prof[N - n])
     return HorizonEstimates(
-        start=int(u),
-        horizon=int(N),
-        q0=prof,
-        qlast=qlast,
-        identity_total=float(qlast.sum()),
+        start=int(u), horizon=int(N), q0=prof, qlast=qlast, identity_total=total
     )
+
+
+def qlast_horizon(net, u, v, n, N):
+    """Probability the last meeting in [0, N] is at time n at vertex v.
+
+    Both walks start at u; the value is p_n(u, v)^2 * q0(v, N - n).
+    """
+    if not 0 <= n <= N:
+        raise ValueError("need 0 <= n <= N")
+    v = check_vertex(net, v, "vertex")
+    return float(horizon_estimates(net, u, N).qlast[n, v])
+
+
+def last_collision_identity(net, u, N):
+    """The last-collision partition total for a single start vertex."""
+    return horizon_estimates(net, u, N).identity_total
+
+
+def last_collision_identity_all(net, N):
+    """Vector over starts u of sum_{n<=N} sum_v p_n(u,v)^2 q0(v, N-n).
+
+    Decomposing by the time and place of the last meeting partitions the
+    pair-path space, so every entry equals 1 up to floating-point error.
+    """
+    prof = q0_profile_all(net, N)
+    total = np.zeros(net.vertex_count)
+    for n, Pn in enumerate(kernel_powers(net, N)):
+        total += (Pn * Pn) @ prof[N - n]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +225,7 @@ def _resolve_pair(graph, start):
             raise ValueError("start vertex is required for an explicit network")
         sx, sy = start if isinstance(start, tuple) else (start, start)
         stepper = NetworkStepper(graph, sx)  # steppers keep no walk state
-        return stepper, np.array([stepper.start, _check_start(graph, sy)])
+        return stepper, np.array([stepper.start, check_vertex(graph, sy)])
     if hasattr(graph, "advance") and hasattr(graph, "new_state"):
         if start is not None:
             raise ValueError(

@@ -8,13 +8,17 @@ proportional to that edge's conductance, so the one-step law is
 edges joining ``u`` and ``v`` and ``c(u)`` sums the conductances incident to
 ``u`` (a self-loop counts once in both, giving ``p(u, u) = w / c(u)``).
 
-Exact kernel computations are dense and deliberately capped in size; large
-graphs are handled by the Monte Carlo machinery instead.
+Exact kernels are dense.  Every power of the one-step matrix comes from
+:func:`kernel_powers` (P^0 .. P^N, whole or as the rows of one start) or,
+for a single n, from :func:`n_step_kernel`.  The module-level
+``DENSE_VERTEX_CAP`` is the one size limit for dense matrices; large graphs
+are handled by the Monte Carlo machinery instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -178,23 +182,18 @@ class Network:
             return float(self._weights[lo + i])
         return 0.0
 
-    def one_step_matrix(self, cap=DENSE_VERTEX_CAP):
+    def one_step_matrix(self):
         """Dense one-step transition matrix (cached)."""
         if self._dense is None:
             n = self.vertex_count
-            if n > cap:
+            if n > DENSE_VERTEX_CAP:
                 raise ResourceLimitError(
-                    f"dense kernel needs {n} vertices but the cap is {cap}"
+                    f"dense kernel needs {n} vertices but the cap is {DENSE_VERTEX_CAP}"
                 )
-            P = np.zeros((n, n))
-            for u in range(n):
-                lo, hi = self._offsets[u], self._offsets[u + 1]
-                if hi > lo:
-                    P[u, self._targets[lo:hi]] = (
-                        self._weights[lo:hi] / self.vertex_conductance[u]
-                    )
-                else:
-                    P[u, u] = 1.0  # isolated vertex: constant chain
+            # an isolated vertex (only in the single-vertex network) is a constant chain
+            P = np.diag((self.vertex_conductance == 0.0).astype(float))
+            rows = np.repeat(np.arange(n), np.diff(self._offsets))
+            P[rows, self._targets] = self._weights / self.vertex_conductance[rows]
             self._dense = P
         return self._dense
 
@@ -246,6 +245,14 @@ class TransitionKernel:
         return float(self.matrix[u, v])
 
 
+def check_vertex(net, v, role="start vertex"):
+    """``v`` as an int; ValueError when it is not a vertex of ``net``."""
+    v = int(v)
+    if not 0 <= v < net.vertex_count:
+        raise ValueError(f"{role} {v} is outside [0, {net.vertex_count})")
+    return v
+
+
 def transition_prob(net, u, v):
     """One-step probability p(u, v) = c(u, v) / c(u)."""
     cu = net.vertex_conductance[u]
@@ -254,12 +261,28 @@ def transition_prob(net, u, v):
     return net.conductance_between(u, v) / cu
 
 
-def n_step_kernel(net, n, cap=DENSE_VERTEX_CAP):
+def n_step_kernel(net, n):
     """n-step transition kernel as a dense matrix power; n = 0 is the identity."""
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    P = net.one_step_matrix(cap=cap)
-    return TransitionKernel(np.linalg.matrix_power(P, n), steps=n)
+    return TransitionKernel(np.linalg.matrix_power(net.one_step_matrix(), n), steps=n)
+
+
+def kernel_powers(net, N, start=None):
+    """Iterator over P^0 .. P^N by repeated right-multiplication.
+
+    Yields full V x V matrices, or with ``start`` the rows P^n[start].  The
+    arguments and the dense cap are checked on the call, before iteration.
+    """
+    if N < 0:
+        raise ValueError("N must be nonnegative")
+    P = net.one_step_matrix()
+    if start is None:
+        first = np.eye(net.vertex_count)
+    else:
+        first = np.zeros(net.vertex_count)
+        first[check_vertex(net, start)] = 1.0
+    return accumulate(repeat(P, N), np.matmul, initial=first)
 
 
 def is_bipartite(net):

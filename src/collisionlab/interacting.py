@@ -22,12 +22,11 @@ import numpy as np
 
 from ._parallel import TAG_CTCOLLIDE, TAG_VOTER, chunk_sizes, run_chunked
 from .errors import HorizonMismatchError
-from .graph_core import UnionFind
+from .graph_core import UnionFind, check_vertex
 from .walk_engine import (
     CSRSampler,
     JumpTrajectory,
     _as_rng,
-    _check_start,
     _sampling_tables,
     sample_step,
     substream_rng,
@@ -126,23 +125,11 @@ def voter_simulate(net, initial, t_max, seed):
     Returns (final configuration, consensus time or None).  The consensus
     time is 0.0 when the initial configuration is already constant.
     """
-    ops = _initial_opinions(net, initial).copy()
-    V = net.vertex_count
-    ones = int(ops.sum())
-    if ones in (0, V):
-        return VoterConfiguration(ops, 0.0), 0.0
-    rng = _as_rng(seed)
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / V)
-        if t > t_max:
-            return VoterConfiguration(ops, float(t_max)), None
-        u = int(rng.integers(V))
-        v = sample_step(net, u, rng)
-        ones += int(ops[v]) - int(ops[u])
-        ops[u] = ops[v]
-        if ones in (0, V):
-            return VoterConfiguration(ops, float(t)), float(t)
+    ops = _initial_opinions(net, initial)
+    opinions, _, when = _voter_batch(net, ops, t_max, 1, _as_rng(seed))
+    if np.isnan(when[0]):
+        return VoterConfiguration(opinions[0], float(t_max)), None
+    return VoterConfiguration(opinions[0], float(when[0])), float(when[0])
 
 
 def _voter_batch(net, initial, t_max, size, rng):
@@ -233,7 +220,7 @@ def dual_walker_positions(net, start, t, replicas, seed):
     vertex holds opinion 1 at time t equals the chance that this walk sits on
     an initially-1 vertex at time t.  Jump counts are Poisson(t).
     """
-    start = _check_start(net, start)
+    start = check_vertex(net, start)
     rng = _as_rng(seed)
     sampler = CSRSampler(_sampling_tables(net))
     jumps = rng.poisson(t, replicas)

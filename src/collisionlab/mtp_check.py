@@ -21,7 +21,7 @@ import numpy as np
 
 from .collision_stats import q0_profile_all
 from .errors import TransportCapExceededError
-from .graph_core import Network
+from .graph_core import Network, check_vertex, kernel_powers, n_step_kernel
 
 TRANSPORT_VALUE_CAP = 1e12
 
@@ -55,10 +55,9 @@ def adjacency_transport():
 
     def build(net):
         n = net.vertex_count
+        offsets, targets, _ = net.adjacency_csr()  # both directions of every edge
         F = np.zeros((n, n))
-        for a, b, _ in net.edges:
-            F[a, b] = 1.0
-            F[b, a] = 1.0
+        F[np.repeat(np.arange(n), np.diff(offsets)), targets] = 1.0
         return F
 
     return MassTransport("adjacency", build)
@@ -80,8 +79,7 @@ def qlast_transport(n, N):
         raise ValueError(f"qlast transport needs 0 <= n <= N, got n={n}, N={N}")
 
     def build(net):
-        P = net.one_step_matrix()
-        Pn = np.linalg.matrix_power(P, n)
+        Pn = n_step_kernel(net, n).matrix
         prof = q0_profile_all(net, N - n)[N - n]
         return net.vertex_conductance[:, None] * (Pn * Pn) * prof[None, :]
 
@@ -179,7 +177,7 @@ def check_mtp(dist, transport, tolerance=1e-9):
 
 def check_detailed_balance_n(net, n):
     """Max over (u, v) of |c(u) p_n(u, v) - c(v) p_n(v, u)|."""
-    P = np.linalg.matrix_power(net.one_step_matrix(), n)
+    P = n_step_kernel(net, n).matrix
     flow = net.vertex_conductance[:, None] * P
     return float(np.abs(flow - flow.T).max())
 
@@ -190,22 +188,18 @@ def received_mass_identity_all(net, N):
     Returns (lhs, rhs) arrays of shape (N + 1, V); the two agree because the
     conductance-weighted kernel is symmetric in its endpoints.
     """
-    P = net.one_step_matrix()
     c = net.vertex_conductance
-    n_v = net.vertex_count
-    lhs = np.empty((N + 1, n_v))
-    rhs = np.empty((N + 1, n_v))
-    Pn = np.eye(n_v)
-    for n in range(N + 1):
+    lhs = np.empty((N + 1, net.vertex_count))
+    rhs = np.empty_like(lhs)
+    for n, Pn in enumerate(kernel_powers(net, N)):
         lhs[n] = c @ (Pn * Pn)
         rhs[n] = c * np.einsum("uv,vu->u", Pn, Pn)
-        if n < N:
-            Pn = Pn @ P
     return lhs, rhs
 
 
 def received_mass_identity(net, v, N):
     """Single-vertex view of :func:`received_mass_identity_all`."""
+    v = check_vertex(net, v, "vertex")
     lhs, rhs = received_mass_identity_all(net, N)
     return lhs[:, v], rhs[:, v]
 
@@ -216,6 +210,6 @@ def check_reversibility_labeled(net, root_law, n):
     The conductance-biased root law makes the joint law exchangeable in
     (a, b); the uniform root law generally does not on irregular graphs.
     """
-    P = np.linalg.matrix_power(net.one_step_matrix(), n)
+    P = n_step_kernel(net, n).matrix
     joint = root_law.probabilities[:, None] * P
     return float(np.abs(joint - joint.T).max())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Network
+from .graph_core import Network, check_vertex
 
 
 @dataclass(frozen=True)
@@ -183,13 +183,6 @@ class CSRSampler:
         return self.targets[pos + 1]
 
 
-def _check_start(net, start):
-    start = int(start)
-    if not 0 <= start < net.vertex_count:
-        raise ValueError(f"start vertex {start} is outside [0, {net.vertex_count})")
-    return start
-
-
 def sample_step(net, u, rng):
     """One transition of the conductance-weighted walk from ``u``.
 
@@ -213,7 +206,7 @@ class NetworkStepper:
 
     def __init__(self, net: Network, start=0):
         self.sampler = CSRSampler(_sampling_tables(net))
-        self.start = _check_start(net, start)
+        self.start = check_vertex(net, start)
 
     def new_state(self, m):
         return np.full(m, self.start, dtype=np.int64)
@@ -230,7 +223,7 @@ def walk_discrete(net, start, T, seed):
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    u = _check_start(net, start)
+    u = check_vertex(net, start)
     rng = _as_rng(seed)
     out = np.empty(T + 1, dtype=np.int64)
     out[0] = u
@@ -250,7 +243,7 @@ def walk_continuous(net, start, t_max, seed):
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    u = _check_start(net, start)
+    u = check_vertex(net, start)
     rng = _as_rng(seed)
     rates = net.vertex_conductance
     verts = [u]

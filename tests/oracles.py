@@ -8,7 +8,9 @@ the exception: :class:`PaddedSampler` reads the aggregated CSR adjacency, as
 the package's sampler does, and applies the padded-table rule the package
 used before its CSR binary search, so the two must agree bit for bit.
 :func:`percolation_cluster` is the per-bond loop version of the percolation
-generator, which must return the same cluster edge for edge.
+generator, which must return the same cluster edge for edge, and
+:func:`one_step_rows` and :func:`adjacency_edges` are the loop versions of
+the two dense builders, which must return the same matrices bit for bit.
 """
 
 import itertools
@@ -34,6 +36,28 @@ def neighbor_probs(net):
         else:
             probs[u] = [(v, wv / cu) for v, wv in sorted(row.items())]
     return probs
+
+
+def one_step_rows(net):
+    """Dense one-step matrix filled row by row from the CSR adjacency."""
+    offsets, targets, weights = net.adjacency_csr()
+    P = np.zeros((net.vertex_count, net.vertex_count))
+    for u in range(net.vertex_count):
+        lo, hi = offsets[u], offsets[u + 1]
+        if hi > lo:
+            P[u, targets[lo:hi]] = weights[lo:hi] / net.vertex_conductance[u]
+        else:
+            P[u, u] = 1.0  # isolated vertex: constant chain
+    return P
+
+
+def adjacency_edges(net):
+    """0/1 matrix with both orientations of every edge set, by an edge loop."""
+    F = np.zeros((net.vertex_count, net.vertex_count))
+    for a, b, _ in net.edges:
+        F[a, b] = 1.0
+        F[b, a] = 1.0
+    return F
 
 
 def walk_distribution(net, start, n):

@@ -272,6 +272,23 @@ class TestPinnedEnvelopes:
             "91e54e59ffd36a7b7fea6ce1db42f858e78a5e7c74bec77fd3b538079934c37c"
         )
 
+    def test_identity_torus(self):
+        cfg = _cfg(kind="identity", model={"name": "torus", "side": 10}, n_steps=20)
+        assert self._sha(cfg) == (
+            "453db4bf2077fd137a25c6b685c85e164b34f4ad6460c2a62cc95b34ee5e032d"
+        )
+
+    @pytest.mark.parametrize("transport,root_law,sha", [
+        ("qlast:10:20", "uniform",
+         "9572dc694329365f6a47e014366e38ca12242e72a448821ebaf5a64e7df52c92"),
+        ("adjacency", "biased",
+         "5504ca1e04da80947a39df8ca2c76303794d19cbca42ed1366459de26e9ee894"),
+    ])
+    def test_mtp_grid(self, transport, root_law, sha):
+        cfg = _cfg(kind="mtp", model={"name": "grid", "R": 5}, transport=transport,
+                   root_law=root_law)
+        assert self._sha(cfg) == sha
+
     def test_ctcollide_torus(self):
         cfg = _cfg(kind="ctcollide", model={"name": "torus", "side": 4},
                    replicas=40, t_max=4.0, grid=16, master_seed=13)

@@ -22,6 +22,7 @@ from collisionlab import (
     qlast_horizon,
     walk_pair,
 )
+from collisionlab import collision_stats
 from collisionlab.collision_stats import NetworkStepper
 from collisionlab.models import PathLattice, gen_torus
 
@@ -150,6 +151,42 @@ class TestHorizonEstimates:
         assert est.identity_total == pytest.approx(1.0, abs=1e-12)
         assert est.qlast[0, 0] == pytest.approx(q0_exact(net, 0, 6), abs=1e-14)
         assert est.qlast.shape == (7, 3)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_total_is_the_identity_and_qlast_the_horizon(self, seed):
+        net = nets.random_connected_network(seed, max_vertices=12)
+        est = horizon_estimates(net, 1, 8)
+        assert est.identity_total == last_collision_identity(net, 1, 8)
+        for n in (0, 3, 8):
+            for v in range(net.vertex_count):
+                assert qlast_horizon(net, 1, v, n, 8) == est.qlast[n, v]
+
+
+class TestVertexRange:
+    """Out-of-range vertices are refused before the q0 recursion runs."""
+
+    @pytest.fixture(autouse=True)
+    def _no_recursion(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("q0 recursion ran before the vertex check")
+
+        monkeypatch.setattr(collision_stats, "q0_profile_all", refuse)
+
+    @pytest.mark.parametrize("call", [
+        lambda net: horizon_estimates(net, -1, 4),
+        lambda net: horizon_estimates(net, 3, 4),
+        lambda net: last_collision_identity(net, 3, 4),
+        lambda net: last_collision_identity(net, -1, 4),
+        lambda net: q0_profile(net, -1, 3),
+        lambda net: q0_profile(net, 3, 3),
+        lambda net: q0_exact(net, 3, 3),
+        lambda net: qlast_horizon(net, 0, -1, 1, 3),
+        lambda net: qlast_horizon(net, 0, 3, 1, 3),
+        lambda net: qlast_horizon(net, -1, 0, 1, 3),
+    ])
+    def test_rejected(self, call):
+        with pytest.raises(ValueError, match=r"is outside \[0, 3\)"):
+            call(nets.p3())
 
 
 class TestOracleAgreement:

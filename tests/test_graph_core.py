@@ -12,6 +12,7 @@ from collisionlab import (
     ResourceLimitError,
     build_network,
     is_bipartite,
+    kernel_powers,
     n_step_kernel,
     network_from_json,
     stationary_distribution,
@@ -63,6 +64,11 @@ class TestBuildNetwork:
         assert net.conductance_between(0, 0) == 2.0
         assert transition_prob(net, 0, 0) == pytest.approx(2.0 / 3.0)
 
+    def test_one_step_matrix_matches_row_loop(self):
+        singles = [build_network(1, []), build_network(1, [(0, 0, 2.0)])]
+        for net in nets.battery() + [n for _, n in nets.small_named()] + singles:
+            assert np.array_equal(net.one_step_matrix(), oracles.one_step_rows(net))
+
     def test_single_vertex_no_edges(self):
         net = build_network(1, [])
         assert net.one_step_matrix().tolist() == [[1.0]]
@@ -111,6 +117,32 @@ class TestNStepKernel:
             row = n_step_kernel(net, n).matrix[0]
             for v in range(3):
                 assert row[v] == pytest.approx(dist.get(v, 0.0), abs=1e-12)
+
+
+class TestKernelPowers:
+    @pytest.mark.parametrize("name,net", nets.small_named())
+    def test_matches_n_step_kernel(self, name, net):
+        rows = kernel_powers(net, 6, start=0)
+        for n, (Pn, row) in enumerate(zip(kernel_powers(net, 6), rows)):
+            assert np.abs(Pn - n_step_kernel(net, n).matrix).max() < 1e-14
+            assert np.abs(row - Pn[0]).max() < 1e-14
+
+    def test_yields_zero_through_N(self):
+        assert len(list(kernel_powers(nets.p3(), 4))) == 5
+        assert np.array_equal(next(kernel_powers(nets.p3(), 0, start=2)), [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("start", [-1, 3])
+    def test_out_of_range_start_raises_on_call(self, start):
+        with pytest.raises(ValueError, match="start vertex"):
+            kernel_powers(nets.p3(), 4, start=start)  # not iterated
+
+    def test_negative_N_rejected(self):
+        with pytest.raises(ValueError):
+            kernel_powers(nets.p3(), -1)
+
+    def test_dense_cap_checked_on_call(self):
+        with pytest.raises(ResourceLimitError):
+            kernel_powers(nets.path_n(600), 2)
 
 
 class TestKernelInvariants:

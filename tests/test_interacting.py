@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,22 @@ class TestVoterSimulate:
         cfg0 = VoterConfiguration(np.array([1, 0, 0], dtype=np.int8), 0.0)
         cfg, t = voter_simulate(nets.p3(), cfg0, 400.0, seed=4)
         assert t is not None
+
+    def test_pinned_battery(self):
+        """sha256 of outcomes over 1,500 runs, fixed while voter_simulate still
+        had its own scalar loop: one replica of the batched run draws the same."""
+        h = hashlib.sha256()
+        for net in (nets.p3(), nets.weighted_triangle(), nets.loop_triangle(),
+                    nets.cycle(5), nets.star(4)):
+            initial = np.arange(net.vertex_count) % 2
+            for seed in range(100):
+                for t_max in (0.3, 2.0, 1e9):
+                    cfg, t = voter_simulate(net, initial, t_max, seed)
+                    h.update(cfg.opinions.tobytes())
+                    h.update(repr((str(cfg.opinions.dtype), cfg.time, t)).encode())
+        assert h.hexdigest() == (
+            "ea8d6d9fe0cf432aae5868d43ff2642826ac363be29d5f6a6f9bf0f5760066fc"
+        )
 
     def test_single_edge_symmetric_consensus(self):
         wins = 0

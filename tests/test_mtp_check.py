@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nets
+import oracles
 from collisionlab import (
     MtpVerdict,
     RootedDistribution,
@@ -136,6 +137,12 @@ class TestTransportRegistry:
         with pytest.raises(ValueError):
             transport_by_name(spec)
 
+    def test_adjacency_matches_edge_loop(self):
+        singles = [build_network(1, []), build_network(1, [(0, 0, 2.0)])]
+        for net in nets.battery() + [n for _, n in nets.small_named()] + singles:
+            F = adjacency_transport().matrix(net)
+            assert np.array_equal(F, oracles.adjacency_edges(net))
+
     def test_random_transport_reproducible(self):
         net = nets.weighted_triangle()
         a = random_transport(5).matrix(net)
@@ -194,6 +201,11 @@ class TestReceivedMass:
         net = nets.random_connected_network(seed, max_vertices=16)
         lhs, rhs = received_mass_identity_all(net, 16)
         assert np.abs(lhs - rhs).max() < 1e-10
+
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_out_of_range_vertex_rejected(self, v):
+        with pytest.raises(ValueError, match="outside"):
+            received_mass_identity(nets.p3(), v, 2)
 
 
 class TestReversibility:
