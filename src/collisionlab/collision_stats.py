@@ -303,6 +303,7 @@ def parity_feasibility(net, u, v):
     so starts in different classes can never meet; every other case is
     feasible.
     """
+    u, v = check_vertex(net, u, "vertex"), check_vertex(net, v, "vertex")
     bip, colors = is_bipartite(net)
     if bip and colors[u] != colors[v]:
         return ParityFeasibility.ALWAYS_INFEASIBLE

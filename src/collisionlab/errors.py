@@ -10,7 +10,7 @@ class DisconnectedGraphError(CollisionLabError):
 
 
 class NonpositiveConductanceError(CollisionLabError):
-    """An edge carries a conductance that is not strictly positive."""
+    """An edge carries a conductance that is not finite and strictly positive."""
 
 
 class EndpointOutOfRangeError(CollisionLabError):

@@ -240,8 +240,11 @@ def _resolve(config):
             return None, [Violation("model", "a model or network file is required", "config")]
 
         def load():
-            with open(config.network_file) as fh:
-                return RootedModel(network_from_json(json.load(fh)), start=0)
+            try:
+                with open(config.network_file) as fh:
+                    return RootedModel(network_from_json(json.load(fh)), start=0)
+            except (OSError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"network_file: no network read ({type(exc).__name__}: {exc})")
 
         return ResolvedGraph(_materialize=load), []
     name = config.model.get("name")

@@ -8,6 +8,13 @@ proportional to that edge's conductance, so the one-step law is
 edges joining ``u`` and ``v`` and ``c(u)`` sums the conductances incident to
 ``u`` (a self-loop counts once in both, giving ``p(u, u) = w / c(u)``).
 
+A :class:`Network` holds its edges as arrays (``ends``, ``conductances``),
+checked with numpy, and the aggregated adjacency in CSR form.  Connectivity
+questions all go through :func:`component_labels`, one hooking and pointer
+jumping routine: the connectivity check on construction, the two-coloring
+of :func:`is_bipartite` (on the bipartite double cover) and the clusters of
+the percolation generator.
+
 Exact kernels are dense.  Every power of the one-step matrix comes from
 :func:`kernel_powers` (P^0 .. P^N, whole or as the rows of one start) or,
 for a single n, from :func:`n_step_kernel`.  The module-level
@@ -41,18 +48,22 @@ class Network:
     Immutable after construction and safe to share across parallel workers.
     A single-vertex network with no edges is permitted (it arises naturally
     as a degenerate percolation cluster); its walk is the constant chain.
+    The edges are kept as arrays in input order: ``ends`` (m x 2 ints) and
+    ``conductances`` (m floats).
 
     Parameters
     ----------
     vertex_count : int
         Number of vertices, at least 1.
-    edges : iterable of (a, b) or (a, b, conductance)
-        Undirected edges; conductance defaults to 1.0.
+    edges : sequence or array of (a, b) pairs or of (a, b, conductance) triples
+        Undirected edges, all pairs (conductance 1.0) or all triples;
+        ValueError when they mix or have another length.
     """
 
     __slots__ = (
         "vertex_count",
-        "edges",
+        "ends",
+        "conductances",
         "vertex_conductance",
         "degrees",
         "_offsets",
@@ -66,26 +77,35 @@ class Network:
         if vertex_count < 1:
             raise EndpointOutOfRangeError("vertex_count must be at least 1")
         vertex_count = int(vertex_count)
-        normalized = []
-        for e in edges:
-            if len(e) == 2:
-                a, b = e
-                w = 1.0
-            else:
-                a, b, w = e
-            a, b, w = int(a), int(b), float(w)
-            if not (0 <= a < vertex_count and 0 <= b < vertex_count):
+        try:
+            arr = np.asarray(edges, dtype=float)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is not None and arr.shape[:1] == (0,):
+            arr = np.zeros((0, 3))
+        if arr is None or arr.ndim != 2 or arr.shape[1] not in (2, 3):
+            raise ValueError("edges must be all (a, b) pairs or all (a, b, conductance) triples")
+        w = arr[:, 2] if arr.shape[1] == 3 else np.ones(len(arr))
+        # NaN fails both comparisons; a fraction truncates below as int() does
+        bad_end = ~((arr[:, :2] >= 0) & (arr[:, :2] < vertex_count)).all(axis=1)
+        bad = np.flatnonzero(bad_end | ~(np.isfinite(w) & (w > 0.0)))
+        if bad.size:
+            i = bad[0]
+            a, b = (np.format_float_positional(x, trim="-") for x in arr[i, :2])
+            if bad_end[i]:
                 raise EndpointOutOfRangeError(
                     f"edge ({a}, {b}) has an endpoint outside [0, {vertex_count})"
                 )
-            if not w > 0.0:
-                raise NonpositiveConductanceError(
-                    f"edge ({a}, {b}) has conductance {w}; conductances must be > 0"
-                )
-            normalized.append((a, b, w))
+            raise NonpositiveConductanceError(
+                f"edge ({a}, {b}) has conductance {w[i]}; conductances must be finite and > 0"
+            )
+        ends = arr[:, :2].astype(np.int64)
 
         self.vertex_count = vertex_count
-        self.edges = tuple(normalized)
+        self.ends = ends
+        self.conductances = np.ascontiguousarray(w)
+        ends.flags.writeable = False
+        self.conductances.flags.writeable = False
         self._build_adjacency()
         self._check_connected()
         self._dense = None
@@ -93,36 +113,24 @@ class Network:
 
     def _build_adjacency(self):
         n = self.vertex_count
-        if self.edges:
-            arr = np.asarray(self.edges, dtype=float)
-            a = arr[:, 0].astype(np.int64)
-            b = arr[:, 1].astype(np.int64)
-            w = arr[:, 2]
-            loop = a == b
-            # each non-loop edge appears in both directions; a loop appears once
-            src = np.concatenate([a, b[~loop]])
-            dst = np.concatenate([b, a[~loop]])
-            ww = np.concatenate([w, w[~loop]])
-        else:
-            src = dst = np.zeros(0, dtype=np.int64)
-            ww = np.zeros(0)
+        a, b = self.ends.T
+        w = self.conductances
+        loop = a == b
+        # each non-loop edge appears in both directions; a loop appears once
+        src = np.concatenate([a, b[~loop]])
+        dst = np.concatenate([b, a[~loop]])
+        ww = np.concatenate([w, w[~loop]])
         # edge ends per vertex, a self-loop counted once
         self.degrees = np.bincount(src, minlength=n)
 
         order = np.lexsort((dst, src))
         src, dst, ww = src[order], dst[order], ww[order]
-        if src.size:
-            new_group = np.empty(src.size, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-            starts = np.flatnonzero(new_group)
-            targets = dst[starts]
-            weights = np.add.reduceat(ww, starts)
-            rows = src[starts]
-        else:
-            targets = np.zeros(0, dtype=np.int64)
-            weights = np.zeros(0)
-            rows = np.zeros(0, dtype=np.int64)
+        new_group = np.ones(src.size, dtype=bool)
+        new_group[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        starts = np.flatnonzero(new_group)
+        targets = dst[starts]
+        weights = np.add.reduceat(ww, starts) if starts.size else np.zeros(0)
+        rows = src[starts]
 
         counts = np.bincount(rows, minlength=n)
         offsets = np.zeros(n + 1, dtype=np.int64)
@@ -136,39 +144,27 @@ class Network:
         self.vertex_conductance = strength
 
     def _check_connected(self):
-        n = self.vertex_count
-        if n == 1:
-            return
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            lo, hi = self._offsets[u], self._offsets[u + 1]
-            for v in self._targets[lo:hi]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        if not seen.all():
-            missing = int(np.flatnonzero(~seen)[0])
+        unreached = np.flatnonzero(component_labels(self.vertex_count, *self.ends.T))
+        if unreached.size:
             raise DisconnectedGraphError(
-                f"graph is not connected; vertex {missing} is unreachable from 0"
+                f"graph is not connected; vertex {unreached[0]} is unreachable from 0"
             )
 
     # -- read-only views ---------------------------------------------------
 
     @property
+    def edges(self):
+        """The edges as a tuple of (a, b, conductance) in input order."""
+        a, b = self.ends.T
+        return tuple(zip(a.tolist(), b.tolist(), self.conductances.tolist()))
+
+    @property
     def edge_count(self):
-        return len(self.edges)
+        return len(self.ends)
 
     @property
     def total_conductance(self):
         return float(self.vertex_conductance.sum())
-
-    def neighbors(self, u):
-        """Distinct neighbors of ``u`` and the aggregated conductance to each."""
-        lo, hi = self._offsets[u], self._offsets[u + 1]
-        return self._targets[lo:hi], self._weights[lo:hi]
 
     def adjacency_csr(self):
         """Aggregated adjacency as (offsets, targets, weights) arrays."""
@@ -205,7 +201,7 @@ class Network:
         }
 
     def __repr__(self):
-        return f"Network(vertices={self.vertex_count}, edges={len(self.edges)})"
+        return f"Network(vertices={self.vertex_count}, edges={self.edge_count})"
 
 
 def build_network(vertex_count, edge_list):
@@ -214,13 +210,15 @@ def build_network(vertex_count, edge_list):
     Raises
     ------
     EndpointOutOfRangeError, NonpositiveConductanceError, DisconnectedGraphError
+    ValueError
+        When the edges are not all (a, b) pairs or all (a, b, conductance) triples.
     """
     return Network(vertex_count, edge_list)
 
 
 def network_from_json(obj):
     """Rebuild a network from its interchange dict."""
-    return Network(obj["vertices"], [tuple(e) for e in obj["edges"]])
+    return Network(obj["vertices"], obj["edges"])
 
 
 @dataclass(frozen=True)
@@ -255,6 +253,7 @@ def check_vertex(net, v, role="start vertex"):
 
 def transition_prob(net, u, v):
     """One-step probability p(u, v) = c(u, v) / c(u)."""
+    u, v = check_vertex(net, u, "vertex"), check_vertex(net, v, "vertex")
     cu = net.vertex_conductance[u]
     if cu == 0.0:
         return 1.0 if u == v else 0.0
@@ -285,35 +284,52 @@ def kernel_powers(net, N, start=None):
     return accumulate(repeat(P, N), np.matmul, initial=first)
 
 
+def component_labels(n, a, b):
+    """Smallest vertex of each vertex's component in the graph on 0 .. n-1
+    with edges (a[i], b[i]).
+
+    Hooking and pointer jumping (Shiloach and Vishkin 1982): each round hooks
+    every label onto the smallest label across its edges, then flattens the
+    pointers to roots.  A label never exceeds its vertex, so the roots are
+    the components' smallest vertices.  Within two rounds every tree that
+    still has an outside edge merges, so there are O(log n) rounds.
+    """
+    label = np.arange(n)
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    while True:
+        la, lb = label[a], label[b]
+        live = la != lb
+        if not live.any():
+            return label
+        a, b, la, lb = a[live], b[live], la[live], lb[live]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
 def is_bipartite(net):
     """Two-color the graph if possible.
+
+    Vertex v has copies 2v and 2v + 1 in the bipartite double cover, whose
+    arcs run 2u - 2v+1 and 2u+1 - 2v for every edge; the graph has no odd
+    cycle exactly when no vertex has both copies in one component.
 
     Returns
     -------
     (bool, ndarray or None)
         ``(True, colors)`` with ``colors[v]`` in {0, 1} when the graph has no
-        odd cycle, else ``(False, None)``.  Self-loops are odd cycles.
+        odd cycle, else ``(False, None)``.  Self-loops are odd cycles.  Each
+        component's smallest vertex has color 0.
     """
-    n = net.vertex_count
-    colors = np.full(n, -1, dtype=np.int8)
-    offsets, targets, _ = net.adjacency_csr()
-    for root in range(n):
-        if colors[root] != -1:
-            continue
-        colors[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            lo, hi = offsets[u], offsets[u + 1]
-            for v in targets[lo:hi]:
-                if v == u:
-                    return False, None
-                if colors[v] == -1:
-                    colors[v] = colors[u] ^ 1
-                    stack.append(int(v))
-                elif colors[v] == colors[u]:
-                    return False, None
-    return True, colors
+    a, b = 2 * net.ends.T
+    cover = np.concatenate([a, a + 1]), np.concatenate([b + 1, b])
+    label = component_labels(2 * net.vertex_count, *cover)
+    if (label[0::2] == label[1::2]).any():
+        return False, None
+    return True, (label[0::2] & 1).astype(np.int8)
 
 
 def stationary_distribution(net):
@@ -322,27 +338,3 @@ def stationary_distribution(net):
     if total == 0.0:
         return np.ones(net.vertex_count) / net.vertex_count
     return net.vertex_conductance / total
-
-
-class UnionFind:
-    """Union-find over 0 .. n-1 with path halving; the minimal member is the root."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        """Merge the sets of ``a`` and ``b``; returns the merged set's root."""
-        ra, rb = self.find(a), self.find(b)
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return ra

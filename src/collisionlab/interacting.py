@@ -22,7 +22,7 @@ import numpy as np
 
 from ._parallel import TAG_CTCOLLIDE, TAG_VOTER, chunk_sizes, run_chunked
 from .errors import HorizonMismatchError
-from .graph_core import UnionFind, check_vertex
+from .graph_core import check_vertex
 from .walk_engine import (
     CSRSampler,
     JumpTrajectory,
@@ -256,14 +256,11 @@ def coalescing_walks(net, starts, t_max, seed):
     k = len(starts)
     if k == 0:
         raise ValueError("at least one walker is required")
-    uf = UnionFind(k)
+    label = np.arange(k)  # smallest walker id of each walker's cluster
     occupied = {}
     for i, s in enumerate(starts):
-        if s in occupied:
-            uf.union(occupied[s], i)
-        else:
-            occupied[s] = i
-    positions = {uf.find(i): starts[i] for i in range(k)}
+        label[i] = occupied.setdefault(s, i)
+    positions = {i: s for s, i in occupied.items()}
     roots = sorted(positions)
     rng = _as_rng(seed)
     t = 0.0
@@ -279,9 +276,8 @@ def coalescing_walks(net, starts, t_max, seed):
             continue
         del occupied[old]
         if v in occupied:
-            other = occupied[v]
-            keep = uf.union(root, other)
-            drop = other if keep == root else root
+            keep, drop = sorted((root, occupied[v]))
+            label[label == drop] = keep
             positions.pop(drop)
             positions[keep] = v
             occupied[v] = keep
@@ -289,11 +285,8 @@ def coalescing_walks(net, starts, t_max, seed):
         else:
             occupied[v] = root
             positions[root] = v
-    groups = {}
-    for i in range(k):
-        groups.setdefault(uf.find(i), []).append(i)
-    partition = tuple(tuple(groups[r]) for r in sorted(groups))
-    pos = tuple(positions[uf.find(i)] for i in range(k))
+    partition = tuple(tuple(np.flatnonzero(label == r).tolist()) for r in roots)
+    pos = tuple(positions[r] for r in label.tolist())
     return CoalescingResult(partition=partition, positions=pos, t_max=float(t_max))
 
 

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificateViolationError, ResourceLimitError
-from .graph_core import Network, UnionFind, build_network
+from .graph_core import Network, build_network, component_labels
 
 # Largest vertex count a generator will materialize explicitly.
 MATERIALIZE_CAP = 5_000_000
@@ -117,38 +117,45 @@ def gen_path_segment(R):
     if R < 1:
         raise ValueError("R must be at least 1")
     n = 2 * R + 1
-    edges = [(i, i + 1, 1.0) for i in range(n - 1)]
+    bonds = _box_bonds(n, 1)  # site x + R is x
     cert = TruncationCertificate(horizon=R - 1, safety_radius=R, start_vertex=R)
     coords = tuple(range(-R, R + 1))
-    return RootedModel(build_network(n, edges), start=R, certificate=cert, coords=coords)
+    return RootedModel(build_network(n, bonds), start=R, certificate=cert, coords=coords)
 
 
-def gen_grid_box(R, cap=MATERIALIZE_CAP):
+def gen_grid_box(R):
     """(2R+1) x (2R+1) box of the square lattice with unit nearest-neighbor edges."""
     if R < 1:
         raise ValueError("R must be at least 1")
     side = 2 * R + 1
     n = side * side
-    if n > cap:
-        raise ResourceLimitError(f"grid box would have {n} vertices; cap is {cap}")
-    a, b = _box_bonds(side)  # site (x + R) * side + (y + R) is (x, y)
-    edges = [(u, v, 1.0) for u, v in zip(a.tolist(), b.tolist())]
+    if n > MATERIALIZE_CAP:
+        raise ResourceLimitError(f"grid box would have {n} vertices; cap is {MATERIALIZE_CAP}")
+    bonds = _box_bonds(side, side)  # site (x + R) * side + (y + R) is (x, y)
     center = R * side + R
     cert = TruncationCertificate(horizon=R - 1, safety_radius=R, start_vertex=center)
     coords = tuple((x, y) for x in range(-R, R + 1) for y in range(-R, R + 1))
-    return RootedModel(build_network(n, edges), start=center, certificate=cert, coords=coords)
+    return RootedModel(build_network(n, bonds), start=center, certificate=cert, coords=coords)
 
 
-def _box_bonds(side):
-    """Bond ends (a, b) of a side x side box: site x * side + y to x + 1, then y + 1."""
-    x, y = np.divmod(np.arange(side * side), side)
-    a = np.repeat(np.arange(side * side), 2)
-    b = a + np.tile([side, 1], side * side)
-    exists = np.stack([x < side - 1, y < side - 1], axis=1).ravel()
-    return a[exists], b[exists]
+def _box_bonds(cols, rows, spine=False, wrap=False):
+    """Bond ends (m x 2) of a cols x rows box: site x * rows + y to x + 1, then to y + 1.
+
+    ``spine`` keeps the x-bonds of row 0 only (the comb); ``wrap`` joins the
+    last column and row to the first (the torus).
+    """
+    site = np.arange(cols * rows)
+    x, y = np.divmod(site, rows)
+    to_x = np.where(x < cols - 1, site + rows, site - x * rows)
+    to_y = np.where(y < rows - 1, site + 1, site - y)
+    exists = np.stack([(x < cols - 1) | wrap, (y < rows - 1) | wrap], axis=1)
+    if spine:
+        exists[:, 0] &= y == 0
+    ends = np.stack([np.repeat(site, 2), np.stack([to_x, to_y], axis=1).ravel()], axis=1)
+    return ends[exists.ravel()]
 
 
-def gen_comb(R, cap=MATERIALIZE_CAP):
+def gen_comb(R):
     """Comb truncation: spine {-R..R} x {0} with a tooth {x} x {1..R} at every spine vertex.
 
     Tooth height equals spine radius so a single parameter certifies the
@@ -159,34 +166,22 @@ def gen_comb(R, cap=MATERIALIZE_CAP):
     cols = 2 * R + 1
     height = R + 1
     n = cols * height
-    if n > cap:
-        raise ResourceLimitError(f"comb would have {n} vertices; cap is {cap}")
-    idx = lambda x, y: (x + R) * height + y
-    edges = []
-    for x in range(-R, R + 1):
-        if x < R:
-            edges.append((idx(x, 0), idx(x + 1, 0), 1.0))
-        for y in range(R):
-            edges.append((idx(x, y), idx(x, y + 1), 1.0))
-    cert = TruncationCertificate(horizon=R - 1, safety_radius=R, start_vertex=idx(0, 0))
+    if n > MATERIALIZE_CAP:
+        raise ResourceLimitError(f"comb would have {n} vertices; cap is {MATERIALIZE_CAP}")
+    bonds = _box_bonds(cols, height, spine=True)  # site (x + R) * height + y is (x, y)
+    origin = R * height
+    cert = TruncationCertificate(horizon=R - 1, safety_radius=R, start_vertex=origin)
     coords = tuple((x, y) for x in range(-R, R + 1) for y in range(height))
-    return RootedModel(
-        build_network(n, edges), start=idx(0, 0), certificate=cert, coords=coords
-    )
+    return RootedModel(build_network(n, bonds), start=origin, certificate=cert, coords=coords)
 
 
 def gen_torus(side):
     """side x side square torus with unit conductances (wrap-around grid)."""
     if side < 2:
         raise ValueError("side must be at least 2")
-    idx = lambda x, y: x * side + y
-    edges = []
-    for x in range(side):
-        for y in range(side):
-            edges.append((idx(x, y), idx((x + 1) % side, y), 1.0))
-            edges.append((idx(x, y), idx(x, (y + 1) % side), 1.0))
+    bonds = _box_bonds(side, side, wrap=True)
     coords = tuple((x, y) for x in range(side) for y in range(side))
-    return RootedModel(build_network(side * side, edges), start=0, coords=coords)
+    return RootedModel(build_network(side * side, bonds), start=0, coords=coords)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +203,12 @@ def gen_percolation_cluster(n, p=CRITICAL_BOND_P, seed=0):
         raise ValueError("p must lie in [0, 1]")
     side = n + 1
     sites = side * side
-    a, b = _box_bonds(side)
+    bonds = _box_bonds(side, side)
+    a, b = bonds.T
     rng = np.random.default_rng(seed)
     keep = rng.random(a.size) < p
 
-    uf = UnionFind(sites)
-    for u, v in zip(a[keep].tolist(), b[keep].tolist()):
-        uf.union(u, v)
-    roots = np.fromiter((uf.find(s) for s in range(sites)), dtype=np.int64, count=sites)
+    roots = component_labels(sites, a[keep], b[keep])
     sizes = np.bincount(roots, minlength=sites)
     best_root = int(np.flatnonzero(sizes == sizes.max())[0])
     # roots are minimal members of their components, so the first maximal root
@@ -224,9 +217,7 @@ def gen_percolation_cluster(n, p=CRITICAL_BOND_P, seed=0):
     relabel = np.full(sites, -1)
     relabel[members] = np.arange(members.size)
     inside = keep & (roots[a] == best_root)  # a kept bond lies in one cluster
-    ends = zip(relabel[a[inside]].tolist(), relabel[b[inside]].tolist())
-    edges = [(u, v, 1.0) for u, v in ends]
-    net = build_network(len(members), edges)
+    net = build_network(len(members), relabel[bonds[inside]])
     coords = tuple(zip((members // side).tolist(), (members % side).tolist()))
     return RootedModel(
         net,

@@ -11,6 +11,8 @@ used before its CSR binary search, so the two must agree bit for bit.
 generator, which must return the same cluster edge for edge, and
 :func:`one_step_rows` and :func:`adjacency_edges` are the loop versions of
 the two dense builders, which must return the same matrices bit for bit.
+:func:`bipartite_dfs` is the depth-first two-coloring that ``is_bipartite``
+replaced, which must return the same verdict and colors.
 """
 
 import itertools
@@ -58,6 +60,33 @@ def adjacency_edges(net):
         F[a, b] = 1.0
         F[b, a] = 1.0
     return F
+
+
+def bipartite_dfs(net):
+    """(True, colors) or (False, None) by depth-first search over the CSR.
+
+    Vertices are taken as roots in increasing order, so each component's
+    smallest vertex has color 0; a self-loop is an odd cycle.
+    """
+    n = net.vertex_count
+    colors = np.full(n, -1, dtype=np.int8)
+    offsets, targets, _ = net.adjacency_csr()
+    for root in range(n):
+        if colors[root] != -1:
+            continue
+        colors[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in targets[offsets[u]:offsets[u + 1]]:
+                if v == u:
+                    return False, None
+                if colors[v] == -1:
+                    colors[v] = colors[u] ^ 1
+                    stack.append(int(v))
+                elif colors[v] == colors[u]:
+                    return False, None
+    return True, colors
 
 
 def walk_distribution(net, start, n):

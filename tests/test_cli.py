@@ -409,6 +409,29 @@ class TestCommandLine:
         assert rc == 1
         assert "certified horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        # json accepts Infinity; a non-finite conductance is refused by name
+        ('{"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, Infinity]]}', "conductance inf"),
+        ('{"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, NaN]]}', "conductance nan"),
+        ('{"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0, 4]]}', "network_file"),
+        ('{"vertices": 3, "edges": [[0, 1, 1.0], [1]]}', "network_file"),
+        ('{"vertices": 3}', "network_file"),
+        ('{"edges": [[0, 1, 1.0], [1, 2, 1.0]]}', "network_file"),
+        ('{"vertices": 3, "edges": [[0, 1, 1.0], [1, 2', "network_file"),
+    ])
+    def test_main_rejects_malformed_network_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        rc = main(["identity", "--network", str(path), "--N", "4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_main_rejects_missing_network_file(self, tmp_path, capsys):
+        rc = main(["identity", "--network", str(tmp_path / "absent.json"), "--N", "4"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: network_file:")
+
     def test_dump_trajectories(self, tmp_path):
         dump = tmp_path / "walks.csv"
         rc = main(["collide", "--model", "path", "--model-param", "R=21",

@@ -304,6 +304,12 @@ class TestParity:
     def test_same_vertex_feasible(self):
         assert parity_feasibility(nets.cycle(4), 2, 2) is ParityFeasibility.FEASIBLE
 
+    @pytest.mark.parametrize("u,v", [(0, -1), (-1, 0), (0, 4), (4, 0)])
+    def test_out_of_range_vertex_rejected(self, u, v):
+        # -1 must not read vertex 3's color
+        with pytest.raises(ValueError, match="vertex"):
+            parity_feasibility(nets.cycle(4), u, v)
+
     def test_non_bipartite_always_feasible(self):
         tri = nets.triangle()
         for u in range(3):

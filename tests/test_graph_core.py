@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 import nets
 import oracles
@@ -11,6 +13,10 @@ from collisionlab import (
     NonpositiveConductanceError,
     ResourceLimitError,
     build_network,
+    component_labels,
+    gen_comb,
+    gen_grid_box,
+    gen_torus,
     is_bipartite,
     kernel_powers,
     n_step_kernel,
@@ -53,6 +59,57 @@ class TestBuildNetwork:
         with pytest.raises(EndpointOutOfRangeError):
             build_network(2, [(0, 2, 1.0)])
 
+    @pytest.mark.parametrize("w", [float("inf"), float("-inf"), float("nan")])
+    def test_nonfinite_conductance_rejected(self, w):
+        with pytest.raises(NonpositiveConductanceError, match="finite"):
+            build_network(3, [(0, 1, 1.0), (1, 2, w)])
+
+    @pytest.mark.parametrize("end", [float("nan"), float("inf"), -1.0, 3.0])
+    def test_nonfinite_or_outside_endpoint_rejected(self, end):
+        with pytest.raises(EndpointOutOfRangeError):
+            build_network(3, [(0, 1, 1.0), (1, end, 1.0)])
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2, 1.0)],  # pairs mixed with triples
+        [(0, 1, 1.0), (1, 2, 1.0, 5.0)],
+        [(0, 1, 1.0, 5.0), (1, 2, 1.0, 5.0)],
+        [(0,), (1,)],
+        [(0, "one", 1.0)],
+        (0, 1, 1.0),
+    ])
+    def test_malformed_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match="pairs"):
+            build_network(3, edges)
+
+    def test_first_bad_edge_is_reported(self):
+        # an edge list is checked in order, whatever is wrong with each edge
+        with pytest.raises(NonpositiveConductanceError):
+            build_network(3, [(0, 1, 0.0), (1, 5, 1.0)])
+        with pytest.raises(EndpointOutOfRangeError, match=r"\(1, 5\)"):
+            build_network(3, [(0, 1, 1.0), (1, 5, 1.0), (1, 2, 0.0)])
+
+    def test_edges_keep_input_order_and_types(self):
+        net = build_network(3, [(2, 1), (0, 1), (1, 1)])
+        assert net.edges == ((2, 1, 1.0), (0, 1, 1.0), (1, 1, 1.0))
+        assert [type(x) for x in net.edges[0]] == [int, int, float]
+        assert net.edge_count == 3
+        assert net.ends.shape == (3, 2) and net.conductances.shape == (3,)
+
+    def test_edge_arrays_read_only(self):
+        net = nets.weighted_triangle()
+        with pytest.raises(ValueError):
+            net.ends[0, 0] = 2
+        with pytest.raises(ValueError):
+            net.conductances[0] = 5.0
+
+    def test_array_input_matches_tuple_list(self):
+        for net in nets.battery() + [n for _, n in nets.small_named()]:
+            table = np.column_stack([net.ends, net.conductances])
+            again = build_network(net.vertex_count, table)
+            assert again.edges == net.edges
+            for x, y in zip(again.adjacency_csr(), net.adjacency_csr()):
+                assert np.array_equal(x, y)
+
     def test_parallel_edges_aggregate(self):
         net = nets.two_vertex_multi()
         assert net.conductance_between(0, 1) == 4.0
@@ -90,6 +147,59 @@ class TestTransitionProb:
 
     def test_parallel_edges_all_mass_across(self):
         assert transition_prob(nets.two_vertex_multi(), 0, 1) == 1.0
+
+    @pytest.mark.parametrize("u,v", [(-1, 1), (3, 1), (1, -1), (1, 3)])
+    def test_out_of_range_vertex_rejected(self, u, v):
+        # p(2, 1) = 1, so a wrapped -1 would not answer 0.0 either
+        with pytest.raises(ValueError, match="vertex"):
+            transition_prob(nets.p3(), u, v)
+
+
+def _random_multigraph(rng):
+    """Vertices 0 .. n-1 with random edges: isolated vertices, self-loops
+    and parallel edges all occur, and some graphs have no edges."""
+    n = int(rng.integers(1, 60))
+    m = int(rng.integers(0, 2 * n)) if rng.random() < 0.9 else 0
+    a, b = rng.integers(0, n, m), rng.integers(0, n, m)
+    loops = rng.random(m) < 0.1
+    b[loops] = a[loops]
+    dup = rng.integers(0, max(m, 1), m // 4)
+    return n, np.concatenate([a, a[dup]]), np.concatenate([b, b[dup]])
+
+
+def _smallest_member_labels(n, a, b):
+    """Each vertex's component's smallest vertex, from scipy's labels."""
+    graph = coo_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+    count, comp = connected_components(graph, directed=False)
+    smallest = np.full(count, n)
+    np.minimum.at(smallest, comp, np.arange(n))
+    return smallest[comp]
+
+
+class TestComponentLabels:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_scipy(self, seed):
+        n, a, b = _random_multigraph(np.random.default_rng(seed))
+        assert np.array_equal(component_labels(n, a, b), _smallest_member_labels(n, a, b))
+
+    def test_no_edges(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert component_labels(5, empty, empty).tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_path_and_box(self, seed):
+        # deep hook chains: a path and a box with randomly permuted labels
+        rng = np.random.default_rng(seed)
+        n = 3000
+        perm = rng.permutation(n)
+        a, b = perm[:-1], perm[1:]
+        assert np.array_equal(component_labels(n, a, b), np.zeros(n, dtype=np.int64))
+        ends = gen_grid_box(20).network.ends
+        perm = rng.permutation(41 * 41)
+        keep = rng.random(len(ends)) < 0.5
+        a, b = perm[ends[keep, 0]], perm[ends[keep, 1]]
+        want = _smallest_member_labels(41 * 41, a, b)
+        assert np.array_equal(component_labels(41 * 41, a, b), want)
 
 
 class TestNStepKernel:
@@ -215,6 +325,22 @@ class TestBipartite:
         ok, colors = is_bipartite(nets.single_edge())
         assert ok
         assert sorted(colors.tolist()) == [0, 1]
+
+    @pytest.mark.parametrize("name,net", nets.small_named() + [
+        *((f"battery{i}", net) for i, net in enumerate(nets.battery())),
+        *((f"cycle{n}", nets.cycle(n)) for n in range(2, 31)),
+        ("comb4", gen_comb(4).network), ("grid3", gen_grid_box(3).network),
+        ("torus3", gen_torus(3).network), ("torus4", gen_torus(4).network),
+    ])
+    def test_matches_dfs_oracle(self, name, net):
+        ok, colors = is_bipartite(net)
+        want_ok, want_colors = oracles.bipartite_dfs(net)
+        assert ok == want_ok
+        if ok:
+            assert colors.dtype == want_colors.dtype
+            assert np.array_equal(colors, want_colors)
+        else:
+            assert colors is None
 
     def test_self_loop_is_odd_cycle(self):
         assert is_bipartite(nets.loop_triangle())[0] is False

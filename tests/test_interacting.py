@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -217,6 +218,20 @@ class TestCoalescing:
         res = coalescing_walks(nets.triangle(), [0, 1, 2], 100.0, seed=4)
         assert res.partition == ((0, 1, 2),)
         assert len(set(res.positions)) == 1
+
+    def test_pinned_battery(self):
+        # 480 runs on four nets (shared starts included), hashed on the
+        # union-find version; the draws and the merges must not move
+        runs = [(nets.cycle(5), [0, 1, 2, 3]), (nets.k4(), [0, 0, 1, 3]),
+                (nets.star(4), [1, 2, 3, 4, 0]),
+                (nets.random_connected_network(2), [0, 1, 2, 3, 1])]
+        h = hashlib.sha256()
+        for net, starts in runs:
+            for t_max in (0.3, 2.0, 20.0):
+                for seed in range(40):
+                    res = coalescing_walks(net, starts, t_max, seed=seed)
+                    h.update(json.dumps([res.partition, res.positions]).encode())
+        assert h.hexdigest() == "29ac140bab9a4dd70d37a16bebd0475af14b3b3cb144b5ea67ce062b3b3c697f"
 
     def test_partition_coarsens_with_horizon(self):
         net = nets.cycle(5)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,8 @@ from collisionlab import (
     is_bipartite,
     n_step_kernel,
 )
-from collisionlab.models import CombLattice, GridLattice, PathLattice
+from collisionlab.models import CombLattice, GridLattice, PathLattice, RootedModel
+from collisionlab.walk_engine import _sampling_tables
 
 
 class TestPathSegment:
@@ -62,7 +66,7 @@ class TestGridBox:
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
-            gen_grid_box(300, cap=100_000)
+            gen_grid_box(1200)  # 2401^2 = 5.76M vertices, refused before building
 
 
 class TestComb:
@@ -233,3 +237,61 @@ class TestRootLaw:
     def test_fixed(self):
         law = apply_root_law(nets.p3(), "fixed", vertex=2)
         assert law.probabilities.tolist() == [0.0, 0.0, 1.0]
+
+
+def _model_digest(model):
+    """sha256 over a model's interchange form, coords, start, two-coloring,
+    CSR adjacency, degrees, vertex conductances and sampling tables."""
+    net = model.network
+    ok, colors = is_bipartite(net)
+    colors = None if colors is None else colors.tolist()
+    doc = [net.to_json_dict(), model.coords, model.start, ok, colors]
+    h = hashlib.sha256(json.dumps(doc).encode())
+    for arr in (*net.adjacency_csr(), net.degrees, net.vertex_conductance, *_sampling_tables(net)):
+        h.update(str(arr.dtype).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+_PINNED_MODELS = {
+    "path-1": lambda: gen_path_segment(1),
+    "path-9": lambda: gen_path_segment(9),
+    "grid-1": lambda: gen_grid_box(1),
+    "grid-7": lambda: gen_grid_box(7),
+    "comb-1": lambda: gen_comb(1),
+    "comb-6": lambda: gen_comb(6),
+    "torus-2": lambda: gen_torus(2),
+    "torus-3": lambda: gen_torus(3),
+    "torus-9": lambda: gen_torus(9),
+    "percolation-20-0": lambda: gen_percolation_cluster(20, 0.0, seed=4),
+    "percolation-20-0.5": lambda: gen_percolation_cluster(20, 0.5, seed=4),
+    "percolation-20-1": lambda: gen_percolation_cluster(20, 1.0, seed=4),
+    "percolation-60-0.5": lambda: gen_percolation_cluster(60, 0.5, seed=13),
+    "wilson-torus-7": lambda: RootedModel(gen_wilson_ust(gen_torus(7).network, seed=2)),
+    "wilson-weighted": lambda: RootedModel(
+        gen_wilson_ust(nets.random_connected_network(5), seed=3)
+    ),
+}
+
+
+@pytest.mark.parametrize("name,sha", [
+    ("path-1", "bef3aeb0c83deaff8775125cf1d4e8249f29c00a38d916b15b0a263519b96b4a"),
+    ("path-9", "2ed0b5428eb7ac24a04c9e8d75481c7786326ac8313eb4ebb19ed31e33c2c0bc"),
+    ("grid-1", "afb1dc8a5385c320847c1490b1fcaf058061dc22f003c383dbb843b57a7f5334"),
+    ("grid-7", "e52b3233a042179712bfffeeef66dc01bccf74523e11b339cbdbf3cd67b9f5d3"),
+    ("comb-1", "bddb7ecafca1eefbe9b0d79f5e566fe64d43888c8f91092a6aaf4890cce20031"),
+    ("comb-6", "c6301d2e45d902c689e1ab1a1638c3e6908f46d8e787bcde2c7dd9d5ca2fb486"),
+    ("torus-2", "f598e2ac084ab7627695ee0d8302717ea364b3238648aa5de028e421e4af707a"),
+    ("torus-3", "d381a81a544842fc2cef88067d3abfcf36fd6233f495eea09fb811ebb43c7b15"),
+    ("torus-9", "3c56c18148e2f63cdd50f843795523b7160a4596055b4bfa84fb5c98114b855f"),
+    ("percolation-20-0", "3d3dd8e0fa655b085756b9e0bcfb7a6176d5fb2b86f99d7aee5bcc924da89546"),
+    ("percolation-20-0.5", "f008ae9ddff66d2a85cecfa3c378706c459561f487c5ad69c4b625ce538aa981"),
+    ("percolation-20-1", "151329d21747831667f1b65e349bfb5979b4eeea55a7332e7ab502320a1b7005"),
+    ("percolation-60-0.5", "2d6173219ec7b1a4dcd4f8db4e80326d755cdc7ccb1c912173f96ae2356fd806"),
+    ("wilson-torus-7", "22a276c37b5b60dd7afbc2b19716e8d466f42164e92570ae402696b1ca6af317"),
+    ("wilson-weighted", "23ab336383e7e2f8d6dd0ae22e2b1ffca5319c63bf141bbf3f2646e3f84ea752"),
+])
+def test_generator_output_pinned(name, sha):
+    # the hashes were taken from the per-edge loop generators and the
+    # Python union-find and depth-first searches they used
+    assert _model_digest(_PINNED_MODELS[name]()) == sha
