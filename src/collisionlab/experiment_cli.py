@@ -374,11 +374,14 @@ def _violations(config):
         out.extend(_kernel_cap_violations(vertices, pair_chain))
 
     if config.kind in ("voter", "ctcollide"):
-        if config.t_max is not None and config.t_max <= 0:
+        if config.t_max is not None and not config.t_max > 0:
             out.append(Violation("t_max", "must be positive", "config"))
     if config.kind == "ctcollide":
         if config.grid < 1:
             out.append(Violation("grid", "must be at least 1", "config"))
+        elif config.grid * _ct_t_max(config) >= 2**53:
+            # grid ticks are counted in float64, exact below 2**53
+            out.append(Violation("grid", "grid * t_max must be below 2**53", "config"))
     return out
 
 
@@ -609,11 +612,15 @@ def _run_voter(config, resolved):
     return payload, csv_text
 
 
+def _ct_t_max(config):
+    return config.t_max if config.t_max is not None else 5.0
+
+
 def _run_ctcollide(config, resolved):
     model = resolved.model()
     net = model.network
     start = _effective_start(config, model)
-    t_max = config.t_max if config.t_max is not None else 5.0
+    t_max = _ct_t_max(config)
     table = continuous_collision_ensemble(
         net,
         start,

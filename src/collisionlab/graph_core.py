@@ -172,6 +172,7 @@ class Network:
 
     def conductance_between(self, u, v):
         """Total conductance c(u, v) of the edges joining ``u`` and ``v``."""
+        u, v = check_vertex(self, u, "vertex"), check_vertex(self, v, "vertex")
         lo, hi = self._offsets[u], self._offsets[u + 1]
         i = np.searchsorted(self._targets[lo:hi], v)
         if i < hi - lo and self._targets[lo + i] == v:

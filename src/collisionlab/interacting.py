@@ -2,7 +2,11 @@
 
 The collision measure of two continuous-time trajectories is the Lebesgue
 measure of the set of times at which they occupy the same vertex, computed
-exactly by intersecting their holding segments.
+exactly by intersecting their holding segments.  Replicated runs
+(:func:`continuous_collision_ensemble`) never build the trajectories: each
+chunk steps its pairs as one pair chain, with the next event at rate
+c(x) + c(y), adding the holding time and the grid points it covers while
+x == y.
 
 The voter model here rings each vertex at rate 1; on a ring the vertex
 adopts the opinion of a neighbor chosen with probability proportional to
@@ -30,8 +34,8 @@ from .walk_engine import (
     _sampling_tables,
     sample_step,
     substream_rng,
-    walk_continuous,
 )
+from .walk_engine import walk_continuous  # noqa: F401  perfbench traces it here
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +302,68 @@ def coalescing_walks(net, starts, t_max, seed):
 def _ct_chunk(payload):
     net, start, t_max, grid, seed, chunk_index, size = payload
     rng = substream_rng(seed, TAG_CTCOLLIDE, chunk_index)
-    rows = np.empty((size, 2))
-    for i in range(size):
-        jx = walk_continuous(net, start, t_max, rng)
-        jy = walk_continuous(net, start, t_max, rng)
-        rows[i, 0] = collision_measure(jx, jy).total
-        rows[i, 1] = discretization_integral(jx, jy, grid)
-    return rows
+    rates = net.vertex_conductance
+    last_tick = np.floor(t_max * grid) + 1  # the grid includes t_max itself
+    if rates[start] == 0.0:  # a single vertex with no edges: the pair never moves
+        return np.tile([t_max, last_tick / grid], (size, 1))
+    sampler = CSRSampler(_sampling_tables(net))
+    measure = np.zeros(size)
+    ticks = np.zeros(size)
+    # the replicas still running, with their pair state and clock
+    idx = np.arange(size)
+    x = np.full(size, start, dtype=np.int64)
+    y = x.copy()
+    t = np.zeros(size)
+    while idx.size:
+        cx = rates[x]
+        total = cx + rates[y]
+        e = t + rng.exponential(1.0 / total)
+        r = rng.random((2, idx.size))
+        done = e >= t_max
+        meet = x == y
+        if meet.any():
+            i, s = idx[meet], t[meet]
+            end = np.where(done[meet], t_max, e[meet])
+            measure[i] += end - s
+            hi = np.where(done[meet], last_tick, np.ceil(end * grid))
+            ticks[i] += hi - np.ceil(s * grid)
+        if done.any():
+            live = ~done
+            idx, x, y, e, cx, total, r = (
+                idx[live], x[live], y[live], e[live], cx[live], total[live], r[:, live]
+            )
+        x_moves = r[0] * total < cx
+        target = sampler.draw(np.where(x_moves, x, y), r[1])
+        x = np.where(x_moves, target, x)
+        y = np.where(x_moves, y, target)
+        t = e
+    return np.column_stack([measure, ticks / grid])
 
 
 def continuous_collision_ensemble(net, start, t_max, grid, replicas, seed, workers=1):
-    """Per-replica (exact measure, grid integral) for pairs of rate-c walks."""
+    """Per-replica (exact measure, grid integral) for pairs of rate-c walks.
+
+    Each chunk runs one pair chain over its replicas (Gillespie): the pair
+    (x, y) waits an Exponential(c(x) + c(y)) time, then x jumps with
+    probability c(x) / (c(x) + c(y)) and y otherwise, by one sampler draw.
+    By memorylessness this is the law of two independent walks that hold at
+    ``u`` for an Exponential(c(u)) time, as :func:`walk_continuous` samples
+    them.  While x == y the holding time adds to the measure, and the grid
+    points k / ``grid`` inside it (t_max included) are counted in O(1), so
+    row i holds what :func:`collision_measure` and
+    :func:`discretization_integral` give for the pair's two trajectories.
+    Tick counts stay exact while ``grid * t_max < 2**53``.
+    """
+    start = check_vertex(net, start)
+    if not t_max > 0:
+        raise ValueError("t_max must be positive")
+    if grid < 1:
+        raise ValueError("grid must be at least 1")
+    if grid * t_max >= 2**53:
+        raise ValueError("grid * t_max must be below 2**53")
     sizes = chunk_sizes(replicas)
     payloads = [
-        (net, int(start), float(t_max), int(grid), int(seed), i, size)
+        (net, start, float(t_max), int(grid), int(seed), i, size)
         for i, size in enumerate(sizes)
     ]
     pieces = run_chunked(_ct_chunk, payloads, workers=workers)

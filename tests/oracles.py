@@ -13,6 +13,9 @@ generator, which must return the same cluster edge for edge, and
 the two dense builders, which must return the same matrices bit for bit.
 :func:`bipartite_dfs` is the depth-first two-coloring that ``is_bipartite``
 replaced, which must return the same verdict and colors.
+:func:`ct_chunk_scalar` is the per-replica continuous-time chunk that the
+batched pair chain replaced, and :func:`ct_pair_scalar` runs that pair chain
+one event at a time and returns both trajectories.
 """
 
 import itertools
@@ -20,6 +23,10 @@ from collections import defaultdict
 
 import numpy as np
 from scipy.linalg import expm
+
+from collisionlab._parallel import TAG_CTCOLLIDE
+from collisionlab.interacting import collision_measure, discretization_integral
+from collisionlab.walk_engine import JumpTrajectory, substream_rng, walk_continuous
 
 
 def neighbor_probs(net):
@@ -304,3 +311,58 @@ def voter_consensus_ones_exact(net, initial):
     b = -Q[np.ix_(transient, [ones])].ravel()
     h = np.linalg.solve(A, b)
     return float(h[transient.index(start)])
+
+
+# ---------------------------------------------------------------------------
+# Continuous-time collision pairs
+# ---------------------------------------------------------------------------
+
+
+def ct_chunk_scalar(payload):
+    """The per-replica chunk that ``interacting._ct_chunk`` replaced.
+
+    Two scalar ``walk_continuous`` calls per replica from the chunk's stream,
+    then ``collision_measure`` and ``discretization_integral``.  Swapped in
+    for ``_ct_chunk`` it reproduces the envelopes pinned before the pair chain.
+    """
+    net, start, t_max, grid, seed, chunk_index, size = payload
+    rng = substream_rng(seed, TAG_CTCOLLIDE, chunk_index)
+    rows = np.empty((size, 2))
+    for i in range(size):
+        jx = walk_continuous(net, start, t_max, rng)
+        jy = walk_continuous(net, start, t_max, rng)
+        rows[i, 0] = collision_measure(jx, jy).total
+        rows[i, 1] = discretization_integral(jx, jy, grid)
+    return rows
+
+
+def ct_pair_scalar(net, start, t_max, rng):
+    """Both trajectories of one pair chain, drawn one event at a time.
+
+    Makes the draws of a one-replica ``_ct_chunk`` round by round: the event
+    time at rate c(x) + c(y), then two uniforms, the first choosing the mover
+    and the second its :class:`PaddedSampler` step.  Jumps onto the mover's
+    own vertex extend its segment, as in ``walk_continuous``.
+    """
+    rates = net.vertex_conductance
+    sampler = PaddedSampler(net)
+    pos = [start, start]
+    paths = [([start], [0.0]), ([start], [0.0])]
+    t = 0.0
+    while rates[pos[0]] + rates[pos[1]] > 0.0:
+        total = rates[pos[0]] + rates[pos[1]]
+        e = t + rng.exponential(1.0 / total)
+        r = rng.random(2)
+        if e >= t_max:
+            break
+        w = 0 if r[0] * total < rates[pos[0]] else 1
+        v = sampler.draw(pos[w], r[1])
+        if v != pos[w]:
+            pos[w] = v
+            paths[w][0].append(v)
+            paths[w][1].append(e)
+        t = e
+    return tuple(
+        JumpTrajectory(np.array(verts, dtype=np.int64), np.array(times), float(t_max))
+        for verts, times in paths
+    )

@@ -6,10 +6,12 @@ import json
 import pytest
 
 import nets
+import oracles
 from collisionlab import (
     CertificateViolationError,
     ConfigError,
     ResourceLimitError,
+    interacting,
     network_from_json,
 )
 from collisionlab.experiment_cli import (
@@ -69,6 +71,22 @@ class TestValidate:
             run(cfg)
         ok = _cfg(kind="mtp", model={"name": "path", "R": 250}, transport="adjacency")
         assert validate(ok) == []
+
+    @pytest.mark.parametrize("t_max,grid", [(3.0, 2**52), (None, 2**51), (float("inf"), 1)])
+    def test_ctcollide_grid_beyond_exact_ticks_named(self, t_max, grid):
+        # grid ticks are float64 counts, exact only while grid * t_max < 2**53
+        cfg = _cfg(kind="ctcollide", model={"name": "torus", "side": 4}, t_max=t_max,
+                   grid=grid, replicas=4)
+        assert any(p.startswith("grid") for p in validate(cfg))
+        with pytest.raises(ConfigError):
+            run(cfg)
+        ok = _cfg(kind="ctcollide", model={"name": "torus", "side": 4}, t_max=3.0,
+                  grid=10**12, replicas=4)
+        assert validate(ok) == []
+
+    def test_nan_t_max_named(self):
+        cfg = _cfg(kind="ctcollide", model={"name": "torus", "side": 4}, t_max=float("nan"))
+        assert any(p.startswith("t_max") for p in validate(cfg))
 
     @pytest.mark.parametrize("name", ["grid", "comb"])
     def test_radius_beyond_code_range_named(self, name):
@@ -290,6 +308,18 @@ class TestPinnedEnvelopes:
         assert self._sha(cfg) == sha
 
     def test_ctcollide_torus(self):
+        # re-pinned when the pair chain replaced two walks per replica; the
+        # next test checks the old pin against the replaced chunk
+        cfg = _cfg(kind="ctcollide", model={"name": "torus", "side": 4},
+                   replicas=40, t_max=4.0, grid=16, master_seed=13)
+        assert self._sha(cfg) == (
+            "5a9984ebc032b3708170066a61c0ecf8abc22292368d6705f613afaa997e3c7c"
+        )
+
+    def test_ctcollide_torus_scalar_chunk_keeps_old_pin(self, monkeypatch):
+        # the per-replica chunk the pair chain replaced, through the same
+        # chunking, still gives the bytes pinned before the pair chain
+        monkeypatch.setattr(interacting, "_ct_chunk", oracles.ct_chunk_scalar)
         cfg = _cfg(kind="ctcollide", model={"name": "torus", "side": 4},
                    replicas=40, t_max=4.0, grid=16, master_seed=13)
         assert self._sha(cfg) == (

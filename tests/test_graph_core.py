@@ -115,6 +115,12 @@ class TestBuildNetwork:
         assert net.conductance_between(0, 1) == 4.0
         assert net.vertex_conductance[0] == 4.0
 
+    @pytest.mark.parametrize("u,v", [(-1, 1), (1, 3), (3, 1), (1, -1)])
+    def test_conductance_between_rejects_outside_vertex(self, u, v):
+        # c(2, 1) = 1, so a wrapped -1 would not answer 0.0 either
+        with pytest.raises(ValueError, match="vertex"):
+            nets.p3().conductance_between(u, v)
+
     def test_self_loop_counts_once(self):
         net = build_network(2, [(0, 1, 1.0), (0, 0, 2.0)])
         assert net.vertex_conductance[0] == 3.0

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from collisionlab import (
     voter_simulate,
     walk_continuous,
 )
-from collisionlab.interacting import VoterConfiguration
-from collisionlab.walk_engine import JumpTrajectory
+from collisionlab import build_network, gen_torus
+from collisionlab._parallel import TAG_CTCOLLIDE, chunk_sizes
+from collisionlab.interacting import VoterConfiguration, _ct_chunk
+from collisionlab.walk_engine import JumpTrajectory, substream_rng
 
 
 def _jump(vertices, times, t_max):
@@ -93,6 +96,56 @@ class TestDiscretizationIntegral:
             est = discretization_integral(j, k, grid)
             bound = (2 * 5.0 + len(m.intervals) + 3) / grid
             assert abs(est - m.total) <= bound
+
+
+class TestPairChain:
+    """The batched continuous-time pair chain behind continuous_collision_ensemble."""
+
+    @pytest.mark.parametrize("name,net", [
+        ("torus4", gen_torus(4).network),
+        ("weighted_triangle", nets.weighted_triangle()),
+        ("two_vertex", nets.two_vertex(1.0)),
+    ])
+    @pytest.mark.parametrize("t_max,grid", [(4.0, 16), (2.5, 50)])
+    def test_rows_match_rebuilt_trajectories(self, name, net, t_max, grid):
+        # one-replica chunks: the scalar chain on the same substream makes the
+        # same draws, and its trajectories give the row bit for bit
+        for i in range(50):
+            row = _ct_chunk((net, 0, t_max, grid, 31, i, 1))[0]
+            rng = substream_rng(31, TAG_CTCOLLIDE, i)
+            jx, jy = oracles.ct_pair_scalar(net, 0, t_max, rng)
+            assert row[0] == collision_measure(jx, jy).total
+            assert row[1] == discretization_integral(jx, jy, grid)
+
+    def test_mean_matches_scalar_chunk(self):
+        net, t_max, grid, n = gen_torus(4).network, 4.0, 16, 2000
+        batched = continuous_collision_ensemble(net, 0, t_max, grid, n, seed=41)
+        scalar = np.concatenate([oracles.ct_chunk_scalar((net, 0, t_max, grid, 42, i, size))
+                                 for i, size in enumerate(chunk_sizes(n))])
+        for col in range(2):
+            a, b = batched[:, col], scalar[:, col]
+            se = np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+            assert abs(a.mean() - b.mean()) < 4 * se
+
+    def test_single_vertex_holds_until_t_max(self):
+        table = continuous_collision_ensemble(build_network(1, []), 0, 2.0, 50, 600, seed=3)
+        assert table.shape == (600, 2)
+        assert (table == [2.0, 2.02]).all()
+
+    def test_fine_grid_needs_no_buffer(self):
+        # no per-replica buffer: grid * (t_max + 2) floats would not fit in memory
+        t0 = time.perf_counter()
+        table = continuous_collision_ensemble(gen_torus(4).network, 0, 3.0, 10**12, 40, seed=5)
+        assert time.perf_counter() - t0 < 1.0
+        assert np.abs(table[:, 1] - table[:, 0]).max() < 1e-9
+
+    @pytest.mark.parametrize("start,t_max,grid", [
+        (16, 1.0, 8), (-1, 1.0, 8), (0, 0.0, 8), (0, float("nan"), 8), (0, 1.0, 0),
+        (0, 3.0, 2**52),
+    ])
+    def test_rejects_bad_arguments(self, start, t_max, grid):
+        with pytest.raises(ValueError):
+            continuous_collision_ensemble(gen_torus(4).network, start, t_max, grid, 4, seed=1)
 
 
 class TestVoterSimulate:
