@@ -13,10 +13,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 REPLICA_CHUNK = 512
 
-# stream namespace tags, one per replica-chunked experiment family
+# stream namespace tags, one per replica-chunked experiment family, and the
+# tag of walk_pair's per-replica walker streams
 TAG_GROWTH = 101
 TAG_VOTER = 102
 TAG_CTCOLLIDE = 103
+TAG_PAIR = 104
 
 
 def chunk_sizes(replicas, chunk=REPLICA_CHUNK):

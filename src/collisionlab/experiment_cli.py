@@ -64,7 +64,7 @@ from .models import (
     gen_wilson_ust,
 )
 from .mtp_check import RootedDistribution, check_mtp, transport_by_name
-from .walk_engine import SeedSpec, walk_pair, write_trajectory_csv
+from .walk_engine import walk_pair, write_trajectory_csv
 
 DEFAULT_MASTER_SEED = 1729
 SEED_ENV_VAR = "COLLISIONLAB_SEED"
@@ -337,6 +337,9 @@ def _violations(config):
             out.append(Violation("replicas", f"must be at least 1 (got {config.replicas})", "config"))
 
     if config.kind == "collide":
+        if config.dump_limit < 0:
+            message = f"must be nonnegative (got {config.dump_limit})"
+            out.append(Violation("dump_limit", message, "config"))
         if not config.horizons:
             out.append(Violation("horizons", "at least one horizon is required", "config"))
         else:
@@ -370,8 +373,17 @@ def _violations(config):
                 out.append(Violation("transport", str(exc), "config"))
         if config.root_law not in ("uniform", "biased", "conductance_biased"):
             out.append(Violation("root_law", f"unknown root law {config.root_law!r}", "config"))
+        if not config.tolerance >= 0:
+            message = f"must be nonnegative (got {config.tolerance})"
+            out.append(Violation("tolerance", message, "config"))
         pair_chain = (config.transport or "").startswith("qlast:")
         out.extend(_kernel_cap_violations(vertices, pair_chain))
+
+    if config.kind == "voter" and config.initial is not None:
+        try:
+            _initial_ones(config.initial, vertices)
+        except ValueError as exc:
+            out.append(Violation("initial", str(exc), "config"))
 
     if config.kind in ("voter", "ctcollide"):
         if config.t_max is not None and not config.t_max > 0:
@@ -515,10 +527,9 @@ def _dump_sample_trajectories(config, resolved):
     model = resolved.model()
     net, start = model.network, _effective_start(config, model)
     T = max(config.horizons)
-    seed = SeedSpec(config.master_seed)
     items = []
     for replica in range(min(config.dump_limit, config.replicas)):
-        tx, ty = walk_pair(net, start, start, T, seed, replica=replica)
+        tx, ty = walk_pair(net, start, start, T, config.master_seed, replica=replica)
         items.append((replica, 0, tx))
         items.append((replica, 1, ty))
     write_trajectory_csv(config.dump_trajectories, items)
@@ -548,29 +559,36 @@ def _run_mtp(config, resolved):
     }, None
 
 
+def _initial_ones(spec, V):
+    """Index of the vertices that an ``initial`` spec starts at opinion 1.
+
+    ValueError for a malformed spec, or for a vertex outside [0, V) when the
+    vertex count ``V`` is known (not None).
+    """
+    if spec in ("zeros", "ones"):
+        return slice(None) if spec == "ones" else []
+    kind, _, listed = str(spec).partition(":")
+    try:
+        ones = [int(tok) for tok in listed.split(",")]
+    except ValueError:
+        ones = []
+    if not ((kind == "vertices" and ones) or (kind == "single" and len(ones) == 1)):
+        raise ValueError(f"cannot parse {spec!r}")
+    for v in ones:
+        if V is not None and not 0 <= v < V:
+            raise ValueError(f"vertex {v} is outside [0, {V})")
+    return ones
+
+
 def _parse_initial(spec, net, start):
     V = net.vertex_count
+    try:
+        ones = _initial_ones(f"single:{start}" if spec is None else spec, V)
+    except ValueError as exc:
+        raise ConfigError(f"initial: {exc}")
     ops = np.zeros(V, dtype=np.int8)
-    if spec is None:
-        spec = f"single:{start}"
-    if spec == "zeros":
-        return ops
-    if spec == "ones":
-        return ops + 1
-    if spec.startswith("single:"):
-        v = int(spec.split(":", 1)[1])
-        if not 0 <= v < V:
-            raise ConfigError(f"initial: vertex {v} out of range")
-        ops[v] = 1
-        return ops
-    if spec.startswith("vertices:"):
-        for tok in spec.split(":", 1)[1].split(","):
-            v = int(tok)
-            if not 0 <= v < V:
-                raise ConfigError(f"initial: vertex {v} out of range")
-            ops[v] = 1
-        return ops
-    raise ConfigError(f"initial: cannot parse {spec!r}")
+    ops[ones] = 1
+    return ops
 
 
 def _run_voter(config, resolved):

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import CertificateViolationError, ResourceLimitError
 from .graph_core import Network, build_network, component_labels
+from .walk_engine import sample_step
 
 # Largest vertex count a generator will materialize explicitly.
 MATERIALIZE_CAP = 5_000_000
@@ -233,54 +234,41 @@ def gen_percolation_cluster(n, p=CRITICAL_BOND_P, seed=0):
 
 
 def gen_wilson_ust(base, seed=0):
-    """Uniformly random spanning tree of ``base`` via loop-erased random walks.
+    """Random spanning tree of ``base`` by loop-erased random walks (Wilson 1996).
 
-    With non-unit conductances the tree is weighted-uniform (probability
-    proportional to the product of its edge conductances).  The sweep is
-    rooted at vertex 0; the resulting law does not depend on that choice.
-    Deterministic given ``seed``.
+    The tree has probability proportional to the product of its edge
+    conductances (uniform for unit conductances).  The walks step through
+    :func:`~collisionlab.walk_engine.sample_step`, the network sampler, and
+    the sweep is rooted at vertex 0; the law does not depend on that choice.
+    The edges are (u, parent[u]) for u = 1..V-1.  On a multigraph a tree edge
+    carries the aggregated c(u, v) of all the edges joining u and v, not the
+    conductance of one parallel edge, so the tree is the weighted uniform
+    spanning tree of the aggregated network.  Deterministic given ``seed``.
     """
     n = base.vertex_count
     if n == 1:
         return Network(1, [])
-    # incident edge instances per vertex (self-loops listed once; walking one
-    # returns to the same vertex and is immediately loop-erased)
-    inc = [[] for _ in range(n)]
-    for a, b, w in base.edges:
-        inc[a].append((b, w))
-        if b != a:
-            inc[b].append((a, w))
-    cum = []
-    targets = []
-    for u in range(n):
-        ws = np.array([w for _, w in inc[u]])
-        c = np.cumsum(ws)
-        c /= c[-1]
-        c[-1] = 1.0
-        cum.append(c)
-        targets.append([v for v, _ in inc[u]])
-
     rng = np.random.default_rng(seed)
-    in_tree = np.zeros(n, dtype=bool)
+    in_tree = [False] * n
     in_tree[0] = True
-    next_hop = [None] * n  # (target, weight) chosen on the last visit
+    parent = [0] * n  # the exit taken on the last visit
     for start in range(1, n):
-        if in_tree[start]:
-            continue
         u = start
         while not in_tree[u]:
-            i = int(np.searchsorted(cum[u], rng.random(), side="right"))
-            v = targets[u][i]
-            next_hop[u] = (v, inc[u][i][1])
+            v = sample_step(base, u, rng)
+            parent[u] = v
             u = v
+        # the last exits from ``start`` trace the loop-erased path into the tree
         u = start
         while not in_tree[u]:
             in_tree[u] = True
-            u = next_hop[u][0]
-    # every vertex except the sweep root ends in the tree, and its last
-    # recorded hop is its parent on the loop-erased path that committed it
-    edges = [(u, hop[0], hop[1]) for u, hop in enumerate(next_hop) if u != 0]
-    return build_network(n, edges)
+            u = parent[u]
+    u, v = np.arange(1, n), np.array(parent[1:])
+    # CSR rows are sorted by target, so row * n + target is sorted throughout
+    offsets, targets, weights = base.adjacency_csr()
+    keys = np.repeat(np.arange(n), np.diff(offsets)) * n + targets
+    w = weights[np.searchsorted(keys, u * n + v)]
+    return build_network(n, np.column_stack([u, v, w]))
 
 
 # ---------------------------------------------------------------------------

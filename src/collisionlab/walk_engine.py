@@ -1,9 +1,9 @@
 """Trajectory sampling for discrete- and continuous-time walks.
 
-All sampling is reproducible: randomness flows from a :class:`SeedSpec`,
-and independent streams are derived by hashing a path of integers into the
-seed sequence, so replicas can run in any order (or in parallel) without
-sharing generator state.
+All sampling is reproducible: randomness flows from :func:`substream_rng`,
+which hashes a master seed and a path of integers into a seed sequence, so
+replicas can run in any order (or in parallel) without sharing generator
+state.
 
 Every one-step draw goes through one sampler over the network's CSR
 adjacency: per-row cumulative conductances in O(E) memory, searched with a
@@ -21,51 +21,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import TAG_PAIR
 from .graph_core import Network, check_vertex
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Master seed plus a derived stream identifier."""
+def substream_rng(master_seed, *path):
+    """Generator for the stream (master_seed, *path), the one seed scheme.
 
-    master_seed: int
-    stream_id: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must be a 64-bit nonnegative integer")
-        if not 0 <= self.stream_id < 2**64:
-            raise ValueError("stream_id must be a 64-bit nonnegative integer")
-
-    def generator(self):
-        return np.random.default_rng(
-            np.random.SeedSequence((self.master_seed, self.stream_id))
-        )
-
-    def stream(self, *path):
-        """Derive an independent child stream from a path of integers."""
-        mix = np.random.SeedSequence(
-            (self.master_seed, self.stream_id) + tuple(int(p) for p in path)
-        )
-        child = int(mix.generate_state(1, np.uint64)[0])
-        return SeedSpec(self.master_seed, child)
-
-
-def _as_seed(seed):
-    return seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
+    Each caller names its stream by a path of nonnegative integers: replica
+    chunks by (tag, chunk index), walk pairs by (``TAG_PAIR``, replica,
+    walker) and single runs by (0,).  ``master_seed`` must lie in [0, 2**64).
+    """
+    master_seed = int(master_seed)
+    if not 0 <= master_seed < 2**64:
+        raise ValueError("master_seed must be a 64-bit nonnegative integer")
+    return np.random.default_rng(
+        np.random.SeedSequence((master_seed,) + tuple(int(p) for p in path))
+    )
 
 
 def _as_rng(seed):
+    """A Generator passes through; an integer seed becomes its stream (seed, 0)."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return _as_seed(seed).generator()
-
-
-def substream_rng(master_seed, *path):
-    """Generator for a (master seed, path) stream; used by replica chunking."""
-    return np.random.default_rng(
-        np.random.SeedSequence((int(master_seed),) + tuple(int(p) for p in path))
-    )
+    return substream_rng(seed, 0)
 
 
 @dataclass(frozen=True)
@@ -219,7 +198,7 @@ class NetworkStepper:
 def walk_discrete(net, start, T, seed):
     """Sample X_0..X_T for the conductance-weighted walk from ``start``.
 
-    ``seed`` may be a :class:`SeedSpec`, a bare integer, or a numpy Generator.
+    ``seed`` may be an integer in [0, 2**64) or a numpy Generator.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -267,10 +246,13 @@ def walk_continuous(net, start, t_max, seed):
 
 
 def walk_pair(net, start_x, start_y, T, seed, replica=0):
-    """Two independent discrete walks from derived substreams of ``seed``."""
-    base = _as_seed(seed)
-    tx = walk_discrete(net, start_x, T, base.stream(replica, 0))
-    ty = walk_discrete(net, start_y, T, base.stream(replica, 1))
+    """Two independent discrete walks of one replica.
+
+    Walker w (0 for x, 1 for y) draws from the stream
+    (seed, ``TAG_PAIR``, replica, w) of :func:`substream_rng`.
+    """
+    tx = walk_discrete(net, start_x, T, substream_rng(seed, TAG_PAIR, replica, 0))
+    ty = walk_discrete(net, start_y, T, substream_rng(seed, TAG_PAIR, replica, 1))
     return tx, ty
 
 

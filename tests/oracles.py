@@ -16,6 +16,10 @@ replaced, which must return the same verdict and colors.
 :func:`ct_chunk_scalar` is the per-replica continuous-time chunk that the
 batched pair chain replaced, and :func:`ct_pair_scalar` runs that pair chain
 one event at a time and returns both trajectories.
+:func:`wilson_incidence` is Wilson's algorithm over per-vertex incidence
+lists, as ``gen_wilson_ust`` ran before it stepped through the CSR sampler;
+it still gives the trees pinned then, and :func:`spanning_tree_law` is the
+exact weighted spanning-tree law by enumeration.
 """
 
 import itertools
@@ -25,6 +29,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from collisionlab._parallel import TAG_CTCOLLIDE
+from collisionlab.graph_core import build_network
 from collisionlab.interacting import collision_measure, discretization_integral
 from collisionlab.walk_engine import JumpTrajectory, substream_rng, walk_continuous
 
@@ -366,3 +371,80 @@ def ct_pair_scalar(net, start, t_max, rng):
         JumpTrajectory(np.array(verts, dtype=np.int64), np.array(times), float(t_max))
         for verts, times in paths
     )
+
+
+# ---------------------------------------------------------------------------
+# Spanning trees
+# ---------------------------------------------------------------------------
+
+
+def wilson_incidence(base, seed=0):
+    """Wilson's algorithm stepping over incident edge instances.
+
+    Each vertex lists its incident edges (a self-loop once) with a cumulative
+    conductance table searched by ``np.searchsorted``; a tree edge carries the
+    conductance of the parallel edge that was drawn.
+    """
+    n = base.vertex_count
+    if n == 1:
+        return build_network(1, [])
+    inc = [[] for _ in range(n)]
+    for a, b, w in base.edges:
+        inc[a].append((b, w))
+        if b != a:
+            inc[b].append((a, w))
+    cum = []
+    targets = []
+    for u in range(n):
+        ws = np.array([w for _, w in inc[u]])
+        c = np.cumsum(ws)
+        c /= c[-1]
+        c[-1] = 1.0
+        cum.append(c)
+        targets.append([v for v, _ in inc[u]])
+
+    rng = np.random.default_rng(seed)
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    next_hop = [None] * n
+    for start in range(1, n):
+        if in_tree[start]:
+            continue
+        u = start
+        while not in_tree[u]:
+            i = int(np.searchsorted(cum[u], rng.random(), side="right"))
+            v = targets[u][i]
+            next_hop[u] = (v, inc[u][i][1])
+            u = v
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = True
+            u = next_hop[u][0]
+    edges = [(u, hop[0], hop[1]) for u, hop in enumerate(next_hop) if u != 0]
+    return build_network(n, edges)
+
+
+def spanning_tree_law(net):
+    """{frozenset of vertex pairs: probability} of the weighted spanning tree.
+
+    Enumerates every (V - 1)-subset of the vertex pairs joined by a non-loop
+    edge, keeps the acyclic ones and weights each by the product of its
+    aggregated conductances c(u, v).
+    """
+    c = defaultdict(float)
+    for a, b, w in net.edges:
+        if a != b:
+            c[(min(a, b), max(a, b))] += w
+    n = net.vertex_count
+    weights = {}
+    for pairs in itertools.combinations(sorted(c), n - 1):
+        label = list(range(n))  # component of each vertex
+        for a, b in pairs:
+            la, lb = label[a], label[b]
+            if la == lb:
+                break  # the pair closes a cycle
+            label = [la if x == lb else x for x in label]
+        else:
+            weights[frozenset(pairs)] = float(np.prod([c[p] for p in pairs]))
+    total = sum(weights.values())
+    return {tree: w / total for tree, w in weights.items()}

@@ -88,6 +88,61 @@ class TestValidate:
         cfg = _cfg(kind="ctcollide", model={"name": "torus", "side": 4}, t_max=float("nan"))
         assert any(p.startswith("t_max") for p in validate(cfg))
 
+    @pytest.mark.parametrize("initial,message", [
+        ("single:abc", "cannot parse"),
+        ("vertices:", "cannot parse"),
+        ("vertices:1,,2", "cannot parse"),
+        ("single:1,2", "cannot parse"),
+        ("half", "cannot parse"),
+        ("single:99", "vertex 99 is outside [0, 16)"),
+        ("vertices:3,-1", "vertex -1 is outside [0, 16)"),
+    ])
+    def test_bad_initial_named(self, initial, message, capsys):
+        cfg = _cfg(kind="voter", model={"name": "torus", "side": 4}, initial=initial,
+                   replicas=2)
+        assert any(p.startswith("initial:") and message in p for p in validate(cfg))
+        with pytest.raises(ConfigError, match="^initial:"):
+            run(cfg)
+        rc = main(["voter", "--model", "torus", "--model-param", "side=4",
+                   "--initial", initial, "--replicas", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: initial:")
+
+    def test_initial_checked_after_build_when_vertex_count_unknown(self, tmp_path):
+        path = tmp_path / "p3.json"
+        path.write_text(json.dumps(nets.p3().to_json_dict()))
+        cfg = _cfg(kind="voter", network_file=str(path), initial="single:3", replicas=2)
+        assert validate(cfg) == []
+        with pytest.raises(ConfigError, match="^initial: vertex 3 is outside"):
+            run(cfg)
+
+    @pytest.mark.parametrize("initial", ["zeros", "ones", "single:15", "vertices:0,4,4"])
+    def test_good_initial_accepted(self, initial):
+        cfg = _cfg(kind="voter", model={"name": "torus", "side": 4}, initial=initial,
+                   replicas=2, t_max=1.0)
+        assert validate(cfg) == []
+        assert run(cfg).payload["replicas"] == 2
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1e-9])
+    def test_bad_tolerance_named(self, tolerance):
+        cfg = _cfg(kind="mtp", model={"name": "torus", "side": 3}, transport="adjacency",
+                   tolerance=tolerance)
+        assert any(p.startswith("tolerance:") for p in validate(cfg))
+        with pytest.raises(ConfigError, match="^tolerance:"):
+            run(cfg)
+        ok = _cfg(kind="mtp", model={"name": "torus", "side": 3}, transport="adjacency",
+                  tolerance=0.0)
+        assert validate(ok) == []
+
+    def test_negative_dump_limit_named(self, tmp_path):
+        dump = tmp_path / "walks.csv"
+        cfg = _cfg(kind="collide", model={"name": "path", "R": 5}, horizons=(4,), replicas=4,
+                   dump_trajectories=str(dump), dump_limit=-3)
+        assert any(p.startswith("dump_limit:") for p in validate(cfg))
+        with pytest.raises(ConfigError, match="^dump_limit:"):
+            run(cfg)
+        assert not dump.exists()
+
     @pytest.mark.parametrize("name", ["grid", "comb"])
     def test_radius_beyond_code_range_named(self, name):
         cfg = _cfg(kind="collide", model={"name": name, "R": 2**31}, horizons=(4,))

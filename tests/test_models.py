@@ -11,6 +11,7 @@ from collisionlab import (
     CertificateViolationError,
     ResourceLimitError,
     apply_root_law,
+    build_network,
     gen_comb,
     gen_grid_box,
     gen_path_segment,
@@ -218,6 +219,25 @@ class TestWilson:
         for k, n in freq.items():
             assert abs(n / samples - 1 / count) < 3 * sigma + 1e-9
 
+    @pytest.mark.parametrize("base", [
+        build_network(4, [(a, b, 1.0 + a + 2.0 * b) for a in range(4) for b in range(a + 1, 4)]),
+        nets.two_vertex_multi(),
+        nets.loop_triangle(),
+    ], ids=["weighted_k4", "two_vertex_multi", "loop_triangle"])
+    def test_weighted_law_exact(self, base):
+        # tree frequencies against the enumerated law P(T) ~ prod c(u, v); each
+        # tree edge carries the aggregated conductance of its vertex pair
+        law = oracles.spanning_tree_law(base)
+        trees = list(law)
+        counts = np.zeros(len(trees))
+        samples = 4000
+        for s in range(samples):
+            tree = gen_wilson_ust(base, seed=s)
+            for a, b, w in tree.edges:
+                assert w == base.conductance_between(a, b)
+            counts[trees.index(self._tree_key(tree))] += 1
+        assert chisquare_pvalue(counts, [law[t] for t in trees], samples) > 0.01
+
 
 class TestRootLaw:
     def test_uniform(self):
@@ -274,6 +294,17 @@ _PINNED_MODELS = {
 }
 
 
+@pytest.mark.parametrize("base,seed,sha", [
+    (lambda: gen_torus(7).network, 2,
+     "22a276c37b5b60dd7afbc2b19716e8d466f42164e92570ae402696b1ca6af317"),
+    (lambda: nets.random_connected_network(5), 3,
+     "23ab336383e7e2f8d6dd0ae22e2b1ffca5319c63bf141bbf3f2646e3f84ea752"),
+], ids=["wilson-torus-7", "wilson-weighted"])
+def test_incidence_wilson_keeps_old_pins(base, seed, sha):
+    # the Wilson pins were taken from the incidence-list walk
+    assert _model_digest(RootedModel(oracles.wilson_incidence(base(), seed))) == sha
+
+
 @pytest.mark.parametrize("name,sha", [
     ("path-1", "bef3aeb0c83deaff8775125cf1d4e8249f29c00a38d916b15b0a263519b96b4a"),
     ("path-9", "2ed0b5428eb7ac24a04c9e8d75481c7786326ac8313eb4ebb19ed31e33c2c0bc"),
@@ -288,10 +319,11 @@ _PINNED_MODELS = {
     ("percolation-20-0.5", "f008ae9ddff66d2a85cecfa3c378706c459561f487c5ad69c4b625ce538aa981"),
     ("percolation-20-1", "151329d21747831667f1b65e349bfb5979b4eeea55a7332e7ab502320a1b7005"),
     ("percolation-60-0.5", "2d6173219ec7b1a4dcd4f8db4e80326d755cdc7ccb1c912173f96ae2356fd806"),
-    ("wilson-torus-7", "22a276c37b5b60dd7afbc2b19716e8d466f42164e92570ae402696b1ca6af317"),
-    ("wilson-weighted", "23ab336383e7e2f8d6dd0ae22e2b1ffca5319c63bf141bbf3f2646e3f84ea752"),
+    ("wilson-torus-7", "2b956ee496b0e9f60168412fa617fb9bf708830250dc4ff4255e1e352a0a619f"),
+    ("wilson-weighted", "b1a3a73111c8b5c36b057f0c06bfac8e56ec984f4d50faad725dbac068cbb620"),
 ])
 def test_generator_output_pinned(name, sha):
     # the hashes were taken from the per-edge loop generators and the
-    # Python union-find and depth-first searches they used
+    # Python union-find and depth-first searches they used; the Wilson trees
+    # are those of the walk through the CSR sampler
     assert _model_digest(_PINNED_MODELS[name]()) == sha

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import pickle
 
 import numpy as np
@@ -8,13 +9,14 @@ import nets
 import oracles
 from conftest import chisquare_pvalue
 from collisionlab import (
-    SeedSpec,
     build_network,
     n_step_kernel,
+    substream_rng,
     walk_continuous,
     walk_discrete,
     walk_pair,
 )
+from collisionlab._parallel import TAG_PAIR
 from collisionlab.walk_engine import (
     CSRSampler,
     NetworkStepper,
@@ -105,18 +107,51 @@ class TestStartRange:
             walk_continuous(net, start, 1.0, seed=1)
 
 
-class TestSeedSpec:
+class TestSubstreamRng:
     def test_streams_differ(self):
-        base = SeedSpec(42)
-        assert base.stream(0).stream_id != base.stream(1).stream_id
-        assert base.stream(1, 0).stream_id != base.stream(1, 1).stream_id
+        assert substream_rng(42, 0).random() != substream_rng(42, 1).random()
+        assert substream_rng(42, 1, 0).random() != substream_rng(42, 1, 1).random()
 
     def test_stream_derivation_stable(self):
-        assert SeedSpec(42).stream(3, 1) == SeedSpec(42).stream(3, 1)
+        assert substream_rng(42, 3, 1).random(4).tolist() == substream_rng(42, 3, 1).random(4).tolist()
+
+    def test_walk_pair_streams_per_replica_and_walker(self):
+        net = nets.triangle()
+        walks = {}
+        for replica in range(3):
+            tx, ty = walk_pair(net, 0, 0, 30, seed=42, replica=replica)
+            again = walk_pair(net, 0, 0, 30, seed=42, replica=replica)
+            assert np.array_equal(tx.steps, again[0].steps)
+            assert np.array_equal(ty.steps, again[1].steps)
+            for walker, traj in enumerate((tx, ty)):
+                rng = substream_rng(42, TAG_PAIR, replica, walker)
+                assert np.array_equal(traj.steps, walk_discrete(net, 0, 30, rng).steps)
+                walks[replica, walker] = tuple(traj.steps.tolist())
+        assert len(set(walks.values())) == len(walks)
+
+    def test_int_seed_draws_pinned(self):
+        # an int seed is the stream (seed, 0); the hash was taken when it was
+        # SeedSpec(seed).generator(), the same SeedSequence((seed, 0))
+        h = hashlib.sha256()
+        for net in (nets.weighted_triangle(), nets.loop_triangle(), nets.random_connected_network(3)):
+            for seed in (0, 5, 2**64 - 1):
+                h.update(walk_discrete(net, 0, 200, seed).steps.astype("<i8").tobytes())
+                j = walk_continuous(net, 0, 20.0, seed)
+                h.update(j.vertices.astype("<i8").tobytes())
+                h.update(j.entry_times.astype("<f8").tobytes())
+        assert h.hexdigest() == "e7737da7eb6ed760462282f09821512d35e2ab7abc43bcdc9e84264de9cbca04"
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SeedSpec(-1)
+        net = nets.triangle()
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="master_seed"):
+                substream_rng(seed, 0)
+            with pytest.raises(ValueError, match="master_seed"):
+                walk_discrete(net, 0, 3, seed)
+            with pytest.raises(ValueError, match="master_seed"):
+                walk_continuous(net, 0, 1.0, seed)
+            with pytest.raises(ValueError, match="master_seed"):
+                walk_pair(net, 0, 0, 3, seed)
 
 
 class TestWalkDiscrete:
@@ -129,8 +164,8 @@ class TestWalkDiscrete:
         assert t.steps.tolist() == [2]
 
     def test_reproducible(self):
-        a = walk_discrete(nets.weighted_triangle(), 0, 50, seed=SeedSpec(9, 4))
-        b = walk_discrete(nets.weighted_triangle(), 0, 50, seed=SeedSpec(9, 4))
+        a = walk_discrete(nets.weighted_triangle(), 0, 50, seed=substream_rng(9, 4))
+        b = walk_discrete(nets.weighted_triangle(), 0, 50, seed=substream_rng(9, 4))
         assert np.array_equal(a.steps, b.steps)
 
     def test_steps_follow_edges(self):
