@@ -14,9 +14,10 @@ q0 for every start comes from one backward taboo recursion on V x V matrices,
 h_0 = 1 and h_m = P (h_{m-1} off the diagonal) P^T with q0(v, m) = h_m[v, v]:
 O(N V^3) time and O(V^2) memory for all starts together.  The p_n side of
 every identity comes from ``graph_core.kernel_powers``, and qlast for a start
-is computed in one place, :func:`horizon_estimates`.  The module-level
-``PAIR_STATE_CAP`` (with ``graph_core.DENSE_VERTEX_CAP``) is the only size
-limit; no function takes a per-call cap.
+is computed in one place, :func:`horizon_estimates`.  The one size limit is
+``graph_core.MEMORY_BUDGET``: :func:`q0_profile_all` checks
+``graph_core.dense_bytes`` for its window before any array exists, and no
+function takes a per-call cap.
 
 Monte Carlo collision counting runs replicas in fixed chunks with per-chunk
 seed streams, so the per-replica counts are independent of the worker count.
@@ -33,12 +34,10 @@ from enum import Enum
 import numpy as np
 
 from ._parallel import TAG_GROWTH, chunk_sizes, run_chunked
-from .errors import LengthMismatchError, ResourceLimitError
-from .graph_core import Network, check_vertex, is_bipartite, kernel_powers
+from .errors import LengthMismatchError
+from .graph_core import (Network, check_vertex, dense_bytes, is_bipartite, kernel_powers,
+                         require_memory)
 from .walk_engine import NetworkStepper, Trajectory, substream_rng
-
-# Largest |V|^2 for exact pair-chain computations.
-PAIR_STATE_CAP = 250_000
 
 
 @dataclass(frozen=True)
@@ -78,13 +77,9 @@ def q0_profile_all(net, N):
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    states = net.vertex_count**2
-    if states > PAIR_STATE_CAP:
-        raise ResourceLimitError(
-            f"pair chain needs {states} states but the cap is {PAIR_STATE_CAP}"
-        )
-    P = net.one_step_matrix()
     n = net.vertex_count
+    require_memory(dense_bytes(n, N), f"the dense kernels on {n} vertices")
+    P = net.one_step_matrix()
     out = np.empty((N + 1, n))
     out[0] = 1.0
     h = np.ones((n, n))

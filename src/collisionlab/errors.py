@@ -18,7 +18,7 @@ class EndpointOutOfRangeError(CollisionLabError):
 
 
 class ResourceLimitError(CollisionLabError):
-    """A computation would exceed a configured size cap."""
+    """A computation would exceed the memory cap."""
 
 
 class CertificateViolationError(CollisionLabError):

@@ -10,10 +10,15 @@ Models are described once, in :data:`MODELS`: each entry lists its
 parameters (type, range, default), its vertex count when that is known before
 building, its builder ``(params, master_seed) -> RootedModel`` and its lattice
 coordinate walker class, if it has one.  Resolution, validation (parameter
-checks, certified horizons, size caps) and the ``--model`` help all read that
-table.  Flags are described once too: ``_FLAGS`` maps each flag to the config
-field it sets, ``_SUBCOMMANDS`` lists the flags of each run subcommand, and
-``validate`` takes all of them, so it checks any run's command line.
+checks, certified horizons, the memory cap) and the ``--model`` help all read
+that table.  The numeric config fields are checked by the same :class:`Param`
+type, from :data:`_FIELDS`, and a run uses the checked values.  Validation
+refuses a run whose arrays would exceed ``graph_core.MEMORY_BUDGET``: the
+model's box, the dense kernels when the vertex count is known beforehand, the
+per-replica results and the dump.  Flags are described once too: ``_FLAGS``
+maps each flag to the config field it sets, ``_SUBCOMMANDS`` lists the flags
+of each run subcommand, and ``validate`` takes all of them, so it checks any
+run's command line.
 
 Results are wrapped in a :class:`ResultEnvelope` whose deterministic body
 (version, canonical config echo, payload) is byte-identical across runs and
@@ -32,28 +37,23 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__
-from .collision_stats import (
-    PAIR_STATE_CAP,
-    collision_growth,
-    last_collision_identity,
-)
+from .collision_stats import GrowthStatistics, collision_growth, last_collision_identity
 from .errors import (
     CertificateViolationError,
     CollisionLabError,
     ConfigError,
     ResourceLimitError,
 )
-from .graph_core import DENSE_VERTEX_CAP, network_from_json
+from .graph_core import dense_bytes, network_from_json, require_memory
 from .interacting import continuous_collision_ensemble, voter_ensemble
 from .models import (
     CRITICAL_BOND_P,
-    MATERIALIZE_CAP,
     CombLattice,
     GridLattice,
     PathLattice,
@@ -62,6 +62,7 @@ from .models import (
     gen_percolation_cluster,
     gen_torus,
     gen_wilson_ust,
+    require_sites,
 )
 from .mtp_check import RootedDistribution, check_mtp, transport_by_name
 from .walk_engine import walk_pair, write_trajectory_csv
@@ -117,8 +118,8 @@ def config_from_dict(doc):
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     doc = dict(doc)
-    if "horizons" in doc and doc["horizons"] is not None:
-        doc["horizons"] = tuple(int(h) for h in doc["horizons"])
+    if isinstance(doc.get("horizons"), list):
+        doc["horizons"] = tuple(doc["horizons"])
     if "kind" not in doc:
         raise ConfigError("kind: missing experiment kind")
     return ExperimentConfig(**doc)
@@ -189,6 +190,7 @@ class Model:
     build: Callable  # (params, master_seed) -> RootedModel
     vertex_count: Optional[Callable] = None  # params -> int, when known before building
     walker: Optional[type] = None  # lattice coordinate walker, constructed from R
+    sites: Optional[Callable] = None  # params -> sites of the box built, if not vertex_count
 
 
 def _lattice(walker, vertex_count):
@@ -212,6 +214,7 @@ MODELS = {
          "seed": Param(int, 0, None)},
         lambda p, master_seed: gen_percolation_cluster(
             p["n"], p["p"], p.get("seed", master_seed)),
+        sites=lambda p: (p["n"] + 1) ** 2,
     ),
     "torus": Model({"side": Param(int, 2)}, lambda p, _: gen_torus(p["side"]),
                    lambda p: p["side"] ** 2),
@@ -224,6 +227,7 @@ MODELS = {
 class ResolvedGraph:
     walker: object = None  # lattice coordinate walker, when available
     vertex_count: Optional[int] = None  # when known before building
+    sites: Optional[int] = None  # bound on the vertex count, when known before building
     _materialize: object = None
     _model: Optional[RootedModel] = None
 
@@ -272,9 +276,11 @@ def _resolve(config):
             walker = entry.walker(params["R"])
         except ValueError as exc:
             return None, [Violation("model.R", str(exc), "config")]
+    vertices = entry.vertex_count(params) if entry.vertex_count else None
     return ResolvedGraph(
         walker=walker,
-        vertex_count=entry.vertex_count(params) if entry.vertex_count else None,
+        vertex_count=vertices,
+        sites=entry.sites(params) if entry.sites else vertices,
         _materialize=lambda: entry.build(params, config.master_seed),
     ), []
 
@@ -291,10 +297,10 @@ def _effective_start(config, model):
     """The run's start vertex, checked against the built model's network."""
     if config.start is None:
         return model.start if model.start is not None else 0
-    start, V = int(config.start), model.network.vertex_count
-    if not 0 <= start < V:
-        raise ConfigError(f"start: vertex {start} is outside [0, {V})")
-    return start
+    V = model.network.vertex_count
+    if config.start >= V:
+        raise ConfigError(f"start: vertex {config.start} is outside [0, {V})")
+    return config.start
 
 
 # ---------------------------------------------------------------------------
@@ -312,123 +318,133 @@ class Violation:
         return f"{self.field}: {self.message}"
 
 
+# numeric config fields, checked whenever they are set
+_FIELDS = {
+    "start": Param(int, 0),
+    "replicas": Param(int, 1),
+    "n_steps": Param(int, 0),
+    "t_max": Param(float, math.ulp(0.0)),
+    "grid": Param(int, 1),
+    "tolerance": Param(float, 0.0),
+    "master_seed": Param(int, 0, maximum=2**64 - 1),
+    "workers": Param(int, 1),
+    "dump_limit": Param(int, 0),
+}
+_HORIZON = Param(int, 0)
+
+
+def _check_fields(config):
+    """(config with its numeric fields as checked, violations)."""
+    values, out = {}, []
+
+    def check(name, param, raw):
+        try:
+            return param.check(raw)
+        except ValueError as exc:
+            out.append(Violation(name, str(exc), "config"))
+
+    for name, param in _FIELDS.items():
+        if getattr(config, name) is not None:
+            values[name] = check(name, param, getattr(config, name))
+    horizons = config.horizons
+    if horizons is not None:
+        horizons = horizons if isinstance(horizons, (list, tuple)) else (horizons,)
+        values["horizons"] = tuple(
+            check(f"horizons[{i}]", _HORIZON, h) for i, h in enumerate(horizons)
+        )
+    return replace(config, **values), out
+
+
 def _violations(config):
-    out = []
+    """(violations, the config with its numeric fields checked)."""
     if config.kind not in _RUNNERS:
-        out.append(Violation("kind", f"unknown experiment kind {config.kind!r}", "config"))
-        return out
-    if not 0 <= config.master_seed < 2**64:
-        out.append(Violation("master_seed", "must be a 64-bit nonnegative integer", "config"))
-    if config.workers < 1:
-        out.append(Violation("workers", "must be at least 1", "config"))
+        return [Violation("kind", f"unknown experiment kind {config.kind!r}", "config")], config
+    config, out = _check_fields(config)
+    if out:
+        return out, config  # the checks below read these fields
 
-    resolved, problems = _resolve(config)
-    out.extend(problems)
-    walker, vertices = (resolved.walker, resolved.vertex_count) if resolved else (None, None)
-    if (config.kind == "collide" and config.dump_trajectories
-            and walker is not None and vertices > MATERIALIZE_CAP):
-        # the dump walks the materialized truncation: fail before sampling
-        name = config.model["name"]
-        message = f"the dump materializes {name} with {vertices} vertices; cap is {MATERIALIZE_CAP}"
-        out.append(Violation("dump_trajectories", message, "resource"))
-
-    if config.kind in ("collide", "voter", "ctcollide"):
-        if config.replicas < 1:
-            out.append(Violation("replicas", f"must be at least 1 (got {config.replicas})", "config"))
-
+    resolved, out = _resolve(config)
+    walker = resolved.walker if resolved else None
+    window = config.n_steps or 0
     if config.kind == "collide":
-        if config.dump_limit < 0:
-            message = f"must be nonnegative (got {config.dump_limit})"
-            out.append(Violation("dump_limit", message, "config"))
         if not config.horizons:
             out.append(Violation("horizons", "at least one horizon is required", "config"))
-        else:
-            if any(h < 0 for h in config.horizons):
-                out.append(Violation("horizons", "horizons must be nonnegative", "config"))
+        elif walker is not None and config.start is None:
             # an explicit start makes the run a finite-network one, not a truncation
-            if walker is not None and config.start is None:
-                cert_horizon = walker.certificate.horizon
-                for i, h in enumerate(config.horizons):
-                    if h > cert_horizon:
-                        out.append(
-                            Violation(
-                                f"horizons[{i}]",
-                                f"horizon {h} exceeds the certified horizon {cert_horizon}",
-                                "certificate",
-                            )
-                        )
+            cert_horizon = walker.certificate.horizon
+            for i, h in enumerate(config.horizons):
+                if h > cert_horizon:
+                    message = f"horizon {h} exceeds the certified horizon {cert_horizon}"
+                    out.append(Violation(f"horizons[{i}]", message, "certificate"))
 
-    if config.kind == "identity":
-        if config.n_steps is None or config.n_steps < 0:
-            out.append(Violation("n_steps", "window N must be a nonnegative integer", "config"))
-        out.extend(_kernel_cap_violations(vertices, pair_chain=True))
+    if config.kind == "identity" and config.n_steps is None:
+        out.append(Violation("n_steps", "window N is required", "config"))
 
     if config.kind == "mtp":
         if config.transport is None:
             out.append(Violation("transport", "a transport name is required", "config"))
         else:
             try:
-                transport_by_name(config.transport)
+                window = transport_by_name(config.transport).window
             except ValueError as exc:
                 out.append(Violation("transport", str(exc), "config"))
         if config.root_law not in ("uniform", "biased", "conductance_biased"):
             out.append(Violation("root_law", f"unknown root law {config.root_law!r}", "config"))
-        if not config.tolerance >= 0:
-            message = f"must be nonnegative (got {config.tolerance})"
-            out.append(Violation("tolerance", message, "config"))
-        pair_chain = (config.transport or "").startswith("qlast:")
-        out.extend(_kernel_cap_violations(vertices, pair_chain))
 
     if config.kind == "voter" and config.initial is not None:
         try:
-            _initial_ones(config.initial, vertices)
+            _initial_ones(config.initial, resolved and resolved.vertex_count)
         except ValueError as exc:
             out.append(Violation("initial", str(exc), "config"))
 
-    if config.kind in ("voter", "ctcollide"):
-        if config.t_max is not None and not config.t_max > 0:
-            out.append(Violation("t_max", "must be positive", "config"))
-    if config.kind == "ctcollide":
-        if config.grid < 1:
-            out.append(Violation("grid", "must be at least 1", "config"))
-        elif config.grid * _ct_t_max(config) >= 2**53:
-            # grid ticks are counted in float64, exact below 2**53
-            out.append(Violation("grid", "grid * t_max must be below 2**53", "config"))
+    # grid ticks are counted in float64, exact below 2**53
+    if config.kind == "ctcollide" and config.grid * _ct_t_max(config) >= 2**53:
+        out.append(Violation("grid", "grid * t_max must be below 2**53", "config"))
+    if resolved is not None:
+        out.extend(_memory_violations(config, resolved, window))
+    return out, config
+
+
+def _memory_violations(config, resolved, window):
+    """The run's arrays against the memory cap, from what is known before building."""
+    out = []
+
+    def require(field, estimate, *args):
+        try:
+            estimate(*args)
+        except ResourceLimitError as exc:
+            out.append(Violation(field, str(exc), "resource"))
+
+    V, sites, replicas = resolved.vertex_count, resolved.sites, config.replicas
+    builds = config.kind != "collide" or resolved.walker is None or config.start is not None
+    if sites is not None and (builds or config.dump_trajectories):
+        # the dump walks the materialized model: fail before sampling
+        require("model" if builds else "dump_trajectories", require_sites, sites)
+    if config.kind in ("identity", "mtp") and V is not None:
+        require("model", require_memory, dense_bytes(V, window),
+                f"the dense kernels on {V} vertices")
+    per_replica = {"collide": 8 * len(config.horizons or ()), "voter": (sites or 0) + 17,
+                   "ctcollide": 16}.get(config.kind, 0)
+    require("replicas", require_memory, per_replica * replicas,
+            f"the results of {replicas} replicas")
+    if config.kind == "collide" and config.dump_trajectories and config.horizons:
+        walks = 2 * min(config.dump_limit, replicas)
+        steps = walks * (max(config.horizons) + 1)
+        require("dump_trajectories", require_memory, 8 * steps,
+                f"the {walks} dumped walks of {steps} steps")
     return out
-
-
-def _kernel_cap_violations(v, pair_chain):
-    """Dense-kernel cap on ``v`` known vertices, and the pair-chain cap when the run needs q0."""
-    if v is None:
-        return []
-    if v > DENSE_VERTEX_CAP:
-        return [
-            Violation(
-                "model",
-                f"{v} vertices exceed the dense kernel cap {DENSE_VERTEX_CAP}",
-                "resource",
-            )
-        ]
-    if pair_chain and v * v > PAIR_STATE_CAP:
-        return [
-            Violation(
-                "model",
-                f"{v}^2 pair states exceed the pair-chain cap {PAIR_STATE_CAP}",
-                "resource",
-            )
-        ]
-    return []
 
 
 def validate(config):
     """All certificate and cap checks, without running; returns message strings."""
-    return [str(v) for v in _violations(config)]
+    return [str(v) for v in _violations(config)[0]]
 
 
 def _raise_violations(config):
-    problems = _violations(config)
+    """The config with its numeric fields checked, or the typed error of its violations."""
+    problems, config = _violations(config)
     if not problems:
-        return
+        return config
     first = problems[0]
     message = "; ".join(str(p) for p in problems)
     if first.category == "certificate":
@@ -462,30 +478,18 @@ def _run_gen(config, resolved):
         "model": config.model or {"name": "network"},
         "start": model.start,
         "root_law": model.root_law.kind if model.root_law else None,
-        "certificate": (
-            {
-                "horizon": model.certificate.horizon,
-                "safety_radius": model.certificate.safety_radius,
-                "start_vertex": model.certificate.start_vertex,
-            }
-            if model.certificate
-            else None
-        ),
+        "certificate": asdict(model.certificate) if model.certificate else None,
     }
-    payload = {
-        "network": net.to_json_dict(),
-        "sidecar": sidecar,
-    }
-    return payload, None
+    return {"network": net.to_json_dict(), "sidecar": sidecar}, None
 
 
 def _run_collide(config, resolved):
     if resolved.walker is not None and config.start is None:
         graph, start = resolved.walker, None
     else:
-        # an explicit start materializes the graph (caps apply) and makes this
-        # a finite-network experiment; the center-based certificate no longer
-        # constrains the horizon
+        # an explicit start materializes the graph (the memory cap applies) and
+        # makes this a finite-network experiment; the center-based certificate
+        # no longer constrains the horizon
         model = resolved.model()
         graph, start = model.network, _effective_start(config, model)
     result = collision_growth(
@@ -496,26 +500,10 @@ def _run_collide(config, resolved):
         config.master_seed,
         workers=config.workers,
     )
-    rows = [
-        [s.horizon, s.mean, s.median, s.q10, s.q90, s.replicas, s.seed]
-        for s in result.stats
-    ]
-    csv_text = _csv_text(
-        ["horizon", "mean", "median", "q10", "q90", "replicas", "seed"], rows
-    )
+    header = [f.name for f in fields(GrowthStatistics)]
+    csv_text = _csv_text(header, [astuple(s) for s in result.stats])
     payload = {
-        "stats": [
-            {
-                "horizon": s.horizon,
-                "mean": s.mean,
-                "median": s.median,
-                "q10": s.q10,
-                "q90": s.q90,
-                "replicas": s.replicas,
-                "seed": s.seed,
-            }
-            for s in result.stats
-        ],
+        "stats": [asdict(s) for s in result.stats],
         "counts_sha256": _sha256_array(result.counts.astype("<i8")),
     }
     if config.dump_trajectories:
@@ -539,8 +527,8 @@ def _run_identity(config, resolved):
     model = resolved.model()
     net = model.network
     u = _effective_start(config, model)
-    total = last_collision_identity(net, u, int(config.n_steps))
-    return {"u": u, "N": int(config.n_steps), "total": total}, None
+    total = last_collision_identity(net, u, config.n_steps)
+    return {"u": u, "N": config.n_steps, "total": total}, None
 
 
 def _run_mtp(config, resolved):
@@ -600,17 +588,9 @@ def _run_voter(config, resolved):
     ens = voter_ensemble(
         net, initial, t_max, config.replicas, config.master_seed, workers=config.workers
     )
-    rows = []
-    for i in range(ens.replicas):
-        val = int(ens.consensus_value[i])
-        reached = val >= 0
-        rows.append(
-            [
-                i,
-                val if reached else "",
-                repr(float(ens.consensus_time[i])) if reached else "",
-            ]
-        )
+    times = ens.consensus_time.tolist()
+    rows = [[i, v, repr(times[i])] if v >= 0 else [i, "", ""]
+            for i, v in enumerate(ens.consensus_value.tolist())]
     csv_text = _csv_text(["replica", "consensus_value", "consensus_time"], rows)
     reached = ens.consensus_value >= 0
     payload = {
@@ -621,11 +601,8 @@ def _run_voter(config, resolved):
         "mean_consensus_time": (
             float(ens.consensus_time[reached].mean()) if reached.any() else None
         ),
-        "rows_sha256": _sha256_array(
-            np.column_stack(
-                [ens.consensus_value.astype("<i8"), ens.consensus_time.astype("<f8")]
-            )
-        ),
+        "rows_sha256": _sha256_array(np.column_stack(
+            [ens.consensus_value.astype("<i8"), ens.consensus_time.astype("<f8")])),
     }
     return payload, csv_text
 
@@ -677,17 +654,20 @@ _RUNNERS = {
 
 
 def run(config):
-    """Validate, dispatch, and wrap the named experiment in an envelope."""
-    _raise_violations(config)
-    resolved = resolve_graph(config)
+    """Validate, dispatch, and wrap the named experiment in an envelope.
+
+    The runner gets the checked numbers; the envelope echoes the config as given.
+    """
+    checked = _raise_violations(config)
+    resolved = resolve_graph(checked)
     t0 = time.perf_counter()
-    payload, csv_text = _RUNNERS[config.kind](config, resolved)
+    payload, csv_text = _RUNNERS[config.kind](checked, resolved)
     wall = time.perf_counter() - t0
     envelope = ResultEnvelope(
         version=__version__,
         config=config.canonical(),
         payload=payload,
-        meta={"wall_clock_s": wall, "workers": config.workers},
+        meta={"wall_clock_s": wall, "workers": checked.workers},
     )
     _write_outputs(config, envelope, csv_text)
     return envelope

@@ -17,13 +17,16 @@ the percolation generator.
 
 Exact kernels are dense.  Every power of the one-step matrix comes from
 :func:`kernel_powers` (P^0 .. P^N, whole or as the rows of one start) or,
-for a single n, from :func:`n_step_kernel`.  The module-level
-``DENSE_VERTEX_CAP`` is the one size limit for dense matrices; large graphs
-are handled by the Monte Carlo machinery instead.
+for a single n, from :func:`n_step_kernel`.  ``MEMORY_BUDGET`` is the one
+size policy of the package: :func:`require_memory` refuses any estimate above
+it, here the dense kernels' :func:`dense_bytes` before their first array, and
+in ``models`` and ``experiment_cli`` the generators and a run's results.
+Large graphs are handled by the Monte Carlo machinery instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 
@@ -36,8 +39,8 @@ from .errors import (
     ResourceLimitError,
 )
 
-# Largest vertex count for which dense kernel matrices are built.
-DENSE_VERTEX_CAP = 512
+# Bytes of arrays that one run may hold; every size estimate is checked against it.
+MEMORY_BUDGET = 2**31
 
 ROW_SUM_TOL = 1e-12
 
@@ -183,10 +186,7 @@ class Network:
         """Dense one-step transition matrix (cached)."""
         if self._dense is None:
             n = self.vertex_count
-            if n > DENSE_VERTEX_CAP:
-                raise ResourceLimitError(
-                    f"dense kernel needs {n} vertices but the cap is {DENSE_VERTEX_CAP}"
-                )
+            require_memory(dense_bytes(n), f"the dense kernels on {n} vertices")
             # an isolated vertex (only in the single-vertex network) is a constant chain
             P = np.diag((self.vertex_conductance == 0.0).astype(float))
             rows = np.repeat(np.arange(n), np.diff(self._offsets))
@@ -244,6 +244,26 @@ class TransitionKernel:
         return float(self.matrix[u, v])
 
 
+def require_memory(nbytes, what):
+    """ResourceLimitError naming ``what`` when ``nbytes`` exceed ``MEMORY_BUDGET``."""
+    if nbytes > MEMORY_BUDGET:
+        scale = min(int(math.log10(nbytes)) // 3, 6)
+        size = f"{nbytes / 1000**scale:.1f} {'B kB MB GB TB PB EB'.split()[scale]}"
+        raise ResourceLimitError(
+            f"{what} need {size}; the memory cap is {MEMORY_BUDGET / 2**30:g} GiB"
+        )
+
+
+def dense_bytes(V, N=0):
+    """Peak bytes of the dense kernels on V vertices over a window of N steps.
+
+    Seven V x V float arrays bound the largest set alive at once (measured
+    at V = 1,600: 4.3 for the identities, 6.3 for the qlast transport), plus
+    the (N + 1) x V tables of q0 and qlast.
+    """
+    return 8 * (7 * V * V + 2 * (N + 1) * V)
+
+
 def check_vertex(net, v, role="start vertex"):
     """``v`` as an int; ValueError when it is not a vertex of ``net``."""
     v = int(v)
@@ -272,7 +292,7 @@ def kernel_powers(net, N, start=None):
     """Iterator over P^0 .. P^N by repeated right-multiplication.
 
     Yields full V x V matrices, or with ``start`` the rows P^n[start].  The
-    arguments and the dense cap are checked on the call, before iteration.
+    arguments and the memory cap are checked on the call, before iteration.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")

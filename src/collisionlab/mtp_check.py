@@ -33,6 +33,7 @@ class MassTransport:
     name: str
     builder: Callable[[Network], np.ndarray]
     value_cap: float = TRANSPORT_VALUE_CAP
+    window: int = 0  # window N of the q0 and qlast tables the builder needs
 
     def matrix(self, net):
         F = np.asarray(self.builder(net), dtype=float)
@@ -83,7 +84,7 @@ def qlast_transport(n, N):
         prof = q0_profile_all(net, N - n)[N - n]
         return net.vertex_conductance[:, None] * (Pn * Pn) * prof[None, :]
 
-    return MassTransport(f"qlast:{n}:{N}", build)
+    return MassTransport(f"qlast:{n}:{N}", build, window=N)
 
 
 def random_transport(seed, max_value=10.0):

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -63,13 +64,14 @@ class TestValidate:
             run(cfg)
 
     def test_mtp_qlast_pair_cap_named(self):
-        # 501 vertices fit the dense kernel, but 501^2 pair states do not
-        cfg = _cfg(kind="mtp", model={"name": "path", "R": 250}, transport="qlast:1:4")
+        # 6001 vertices fit the dense kernel, but not with the q0 and qlast
+        # tables of a 2000-step window
+        cfg = _cfg(kind="mtp", model={"name": "path", "R": 3000}, transport="qlast:1:2000")
         problems = validate(cfg)
-        assert any("pair-chain cap" in p for p in problems)
+        assert any("memory cap" in p for p in problems)
         with pytest.raises(ResourceLimitError):
             run(cfg)
-        ok = _cfg(kind="mtp", model={"name": "path", "R": 250}, transport="adjacency")
+        ok = _cfg(kind="mtp", model={"name": "path", "R": 3000}, transport="adjacency")
         assert validate(ok) == []
 
     @pytest.mark.parametrize("t_max,grid", [(3.0, 2**52), (None, 2**51), (float("inf"), 1)])
@@ -159,7 +161,7 @@ class TestValidate:
         cfg = _cfg(kind="collide", model={"name": "comb", "R": 20001}, horizons=(100,),
                    replicas=8, dump_trajectories=str(tmp_path / "walks.csv"))
         assert any(p.startswith("dump_trajectories") for p in validate(cfg))
-        with pytest.raises(ResourceLimitError, match="800140006 vertices"):
+        with pytest.raises(ResourceLimitError, match="800140006 lattice sites"):
             run(cfg)
         assert not (tmp_path / "walks.csv").exists()
 
@@ -170,9 +172,89 @@ class TestValidate:
 
         monkeypatch.setattr("collisionlab.experiment_cli.gen_wilson_ust", generate)
         cfg = _cfg(kind="identity", model={"name": "ust_torus", "side": 150}, n_steps=4)
-        assert any("dense kernel cap" in p for p in validate(cfg))
+        assert any("memory cap" in p for p in validate(cfg))
         with pytest.raises(ResourceLimitError, match="22500 vertices"):
             run(cfg)
+
+    @pytest.mark.parametrize("kind,model,extra", [
+        ("gen", {"name": "path", "R": 10**9}, {}),
+        ("gen", {"name": "torus", "side": 10**5}, {}),
+        ("gen", {"name": "ust_torus", "side": 5000}, {}),
+        ("gen", {"name": "percolation", "n": 10**5}, {}),
+        ("gen", {"name": "grid", "R": 1200}, {}),
+        ("identity", {"name": "torus", "side": 4}, {"n_steps": 10**10}),
+    ])
+    def test_over_memory_cap_fails_before_generating(self, kind, model, extra, monkeypatch):
+        def generate(*args, **kwargs):
+            raise AssertionError("generation started")
+
+        # every generator starts by laying out its box
+        monkeypatch.setattr("collisionlab.models._box_bonds", generate)
+        cfg = _cfg(kind=kind, model=model, **extra)
+        assert any(p.startswith("model:") and "memory cap" in p for p in validate(cfg))
+        with pytest.raises(ResourceLimitError, match="memory cap"):
+            run(cfg)
+
+    @pytest.mark.parametrize("kind,fields,sampler", [
+        ("voter", {"model": {"name": "torus", "side": 64}, "replicas": 10**7},
+         "voter_ensemble"),
+        ("collide", {"model": {"name": "path", "R": 10**6}, "replicas": 10**9,
+                     "horizons": tuple(range(1, 101))}, "collision_growth"),
+        ("ctcollide", {"model": {"name": "torus", "side": 4}, "replicas": 10**9},
+         "continuous_collision_ensemble"),
+    ])
+    def test_replica_results_over_memory_cap_fail_before_sampling(
+            self, kind, fields, sampler, monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(f"collisionlab.experiment_cli.{sampler}", sample)
+        cfg = _cfg(kind=kind, **fields)
+        assert any(p.startswith("replicas:") and "memory cap" in p for p in validate(cfg))
+        with pytest.raises(ResourceLimitError, match="replicas need"):
+            run(cfg)
+
+    def test_dumped_walks_over_memory_cap_named(self, tmp_path):
+        # 2 x 2000 walks of 100001 steps need 3.2 GB, though the path fits
+        cfg = _cfg(kind="collide", model={"name": "path", "R": 10**6}, horizons=(10**5,),
+                   replicas=2000, dump_limit=2000, dump_trajectories=str(tmp_path / "w.csv"))
+        assert [p.split(":")[0] for p in validate(cfg)] == ["dump_trajectories"]
+
+    def test_percolation_dense_cap_checked_after_build(self):
+        # the cluster's vertex count is unknown until it is built
+        cfg = _cfg(kind="identity", model={"name": "percolation", "n": 200, "seed": 0},
+                   n_steps=4)
+        assert validate(cfg) == []
+        with pytest.raises(ResourceLimitError, match="dense kernels on 13507 vertices"):
+            run(cfg)
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("replicas", "2", "replicas"), ("replicas", True, "replicas"),
+        ("replicas", 2.5, "replicas"), ("tolerance", "1e-3", "tolerance"),
+        ("dump_limit", "2", "dump_limit"), ("workers", 0, "workers"),
+        ("master_seed", 2**64, "master_seed"), ("n_steps", 2.5, "n_steps"),
+        ("grid", "8", "grid"), ("t_max", 0.0, "t_max"), ("start", "0", "start"),
+        ("horizons", ["abc"], "horizons[0]"), ("horizons", [4, 2.7], "horizons[1]"),
+        ("horizons", "4", "horizons[0]"),
+    ])
+    def test_mistyped_field_named(self, field, value, named, tmp_path):
+        doc = {"kind": "collide", "model": {"name": "path", "R": 5}, "horizons": [4],
+               "replicas": 4, field: value}
+        cfg = config_from_dict(doc)
+        assert [p.split(":")[0] for p in validate(cfg)] == [named]
+        with pytest.raises(ConfigError, match="^" + re.escape(named + ":")):
+            run(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == 2
+
+    def test_integral_floats_run_as_integers(self):
+        doc = {"kind": "collide", "model": {"name": "path", "R": 5}, "horizons": [4.0],
+               "replicas": 4.0}
+        env = run(config_from_dict(doc))
+        assert env.payload["stats"][0]["horizon"] == 4
+        assert env.payload["stats"][0]["replicas"] == 4
+        assert env.config["horizons"] == [4.0]  # the echo is the config as given
 
     @pytest.mark.parametrize("model,field", [
         ({"name": "path", "R": "abc"}, "model.R"),

@@ -24,7 +24,7 @@ from collisionlab import (
 )
 from collisionlab import collision_stats
 from collisionlab.collision_stats import NetworkStepper
-from collisionlab.models import PathLattice, gen_torus
+from collisionlab.models import PathLattice, gen_percolation_cluster, gen_torus
 
 
 class TestCountCollisions:
@@ -97,9 +97,16 @@ class TestQ0Exact:
             q0_profile_all(nets.triangle(), -1)
 
     def test_pair_cap(self):
-        net = nets.path_n(520)
+        net = nets.path_n(7000)
         with pytest.raises(ResourceLimitError):
             q0_exact(net, 0, 1)
+
+    def test_identity_all_on_critical_cluster(self):
+        # a critical percolation cluster, the stand-in for the IIC, at a
+        # paper-scale 1,380 vertices: well inside the memory cap
+        net = gen_percolation_cluster(60, 0.5, seed=0).network
+        assert net.vertex_count == 1380
+        assert np.abs(last_collision_identity_all(net, 4) - 1.0).max() <= 1e-9
 
 
 class TestQlastHorizon:

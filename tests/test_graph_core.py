@@ -222,7 +222,7 @@ class TestNStepKernel:
             assert K.entry(v, v) == pytest.approx(0.5)
 
     def test_dense_cap(self):
-        net = nets.path_n(600)
+        net = nets.path_n(7000)
         with pytest.raises(ResourceLimitError):
             n_step_kernel(net, 1)
 
@@ -258,7 +258,7 @@ class TestKernelPowers:
 
     def test_dense_cap_checked_on_call(self):
         with pytest.raises(ResourceLimitError):
-            kernel_powers(nets.path_n(600), 2)
+            kernel_powers(nets.path_n(7000), 2)
 
 
 class TestKernelInvariants:

@@ -21,6 +21,7 @@ from collisionlab import (
     received_mass_identity_all,
     transport_by_name,
 )
+from collisionlab.models import gen_percolation_cluster
 from collisionlab.mtp_check import MassTransport
 
 
@@ -240,3 +241,12 @@ def test_qlast_transport_mtp_uniform_root():
         for n, N in ((0, 4), (2, 8)):
             result = check_mtp(d, qlast_transport(n, N), tolerance=1e-9)
             assert result.verdict is MtpVerdict.HOLDS
+
+
+def test_qlast_transport_mtp_on_critical_cluster():
+    # the same balance on a critical percolation cluster of 1,380 vertices,
+    # the paper's scale for the stand-in of the IIC
+    net = gen_percolation_cluster(60, 0.5, seed=0).network
+    assert net.vertex_count == 1380
+    result = check_mtp(_uniform_dist(net), transport_by_name("qlast:5:10"))
+    assert result.verdict is MtpVerdict.HOLDS
