@@ -21,9 +21,11 @@ function takes a per-call cap.
 
 Monte Carlo collision counting runs replicas in fixed chunks with per-chunk
 seed streams, so the per-replica counts are independent of the worker count.
-A chunk of m pairs steps one flat state of 2m walkers, walk x in the first
-half and walk y in the second, with one ``advance`` (its 2m uniforms are the
-x draw followed by the y draw) and counts a collision wherever x == y.
+A worker steps a group of contiguous chunks (``_parallel.ChunkGroup``) as
+one (2, n) pair state of its n pairs, the x row before the y row, with one
+``advance`` on the flat state per step, and counts a collision wherever
+x == y.  Chunk c of m pairs fills its slice of the x row of the uniforms and
+then of the y row, which is the 2m draw it would make alone.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from enum import Enum
 
 import numpy as np
 
-from ._parallel import TAG_GROWTH, chunk_sizes, run_chunked
+from ._parallel import TAG_GROWTH, ChunkGroup, chunk_groups, run_chunked
 from .errors import LengthMismatchError
 from .graph_core import (Network, check_vertex, dense_bytes, is_bipartite, kernel_powers,
                          require_memory)
-from .walk_engine import NetworkStepper, Trajectory, substream_rng
+from .walk_engine import NetworkStepper, Trajectory
 
 
 @dataclass(frozen=True)
@@ -196,17 +198,19 @@ class GrowthResult:
 
 
 def _growth_chunk(payload):
-    """Collision counts at each horizon for one chunk, stepping the pair state."""
-    stepper, origin, horizons, seed, chunk_index, size = payload
-    rng = substream_rng(seed, TAG_GROWTH, chunk_index)
+    """Collision counts at each horizon for one chunk group, stepping the pair state."""
+    stepper, origin, horizons, seed, first, sizes = payload
+    group = ChunkGroup.streams(seed, TAG_GROWTH, first, sizes)
+    size = group.size
     state = np.repeat(origin, size)
     x, y = state[:size], state[size:]
+    uniforms = group.filler(np.empty(2 * size))
     counters = np.zeros(size, dtype=np.int64)
     out = np.empty((len(horizons), size), dtype=np.int64)
     walked = 0
     for i, h in enumerate(horizons):  # ascending
         for _ in range(h - walked):
-            stepper.advance(state, rng)
+            stepper.advance(state, uniforms())
             counters += x == y
         walked = h
         out[i] = counters
@@ -257,10 +261,9 @@ def collision_growth(
         for T in horizons:
             certificate.require(T)
     stepper, origin = _resolve_pair(graph, start)
-    sizes = chunk_sizes(replicas)
     payloads = [
-        (stepper, origin, tuple(horizons), int(seed), i, size)
-        for i, size in enumerate(sizes)
+        (stepper, origin, tuple(horizons), int(seed), first, sizes)
+        for first, sizes in chunk_groups(replicas, workers)
     ]
     pieces = run_chunked(_growth_chunk, payloads, workers=workers)
     counts = np.concatenate(pieces, axis=1)

@@ -419,7 +419,8 @@ def _memory_violations(config, resolved, window):
     builds = config.kind != "collide" or resolved.walker is None or config.start is not None
     if sites is not None and (builds or config.dump_trajectories):
         # the dump walks the materialized model: fail before sampling
-        require("model" if builds else "dump_trajectories", require_sites, sites)
+        require("model" if builds else "dump_trajectories", require_sites, sites,
+                config.kind == "gen")
     if config.kind in ("identity", "mtp") and V is not None:
         require("model", require_memory, dense_bytes(V, window),
                 f"the dense kernels on {V} vertices")

@@ -195,11 +195,14 @@ class Network:
         return self._dense
 
     def to_json_dict(self):
-        """Interchange form {"vertices": N, "edges": [[a, b, c], ...]}."""
-        return {
-            "vertices": self.vertex_count,
-            "edges": [[a, b, w] for a, b, w in self.edges],
-        }
+        """Interchange form {"vertices": N, "edges": [[a, b, c], ...]}.
+
+        The rows are built straight from the edge arrays, without the tuples
+        of :attr:`edges`.
+        """
+        a, b = self.ends.T
+        rows = zip(a.tolist(), b.tolist(), self.conductances.tolist())
+        return {"vertices": self.vertex_count, "edges": list(map(list, rows))}
 
     def __repr__(self):
         return f"Network(vertices={self.vertex_count}, edges={self.edge_count})"

@@ -4,9 +4,16 @@ The collision measure of two continuous-time trajectories is the Lebesgue
 measure of the set of times at which they occupy the same vertex, computed
 exactly by intersecting their holding segments.  Replicated runs
 (:func:`continuous_collision_ensemble`) never build the trajectories: each
-chunk steps its pairs as one pair chain, with the next event at rate
-c(x) + c(y), adding the holding time and the grid points it covers while
-x == y.
+group of chunks (``_parallel.ChunkGroup``) steps its pairs as one pair
+chain, with the next event at rate c(x) + c(y), adding the holding time and
+the grid points it covers while x == y.
+
+Replicated voter runs likewise step a chunk group as one state.  Each round
+of either draws only for the replicas still active: chunk c draws from its
+own stream for its own active replicas, joined in chunk order, so every
+chunk makes the draws it would make alone.  A voter replica stays active
+until consensus or ``t_max``, a pair chain until its next event passes
+``t_max``.
 
 The voter model here rings each vertex at rate 1; on a ring the vertex
 adopts the opinion of a neighbor chosen with probability proportional to
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import TAG_CTCOLLIDE, TAG_VOTER, chunk_sizes, run_chunked
+from ._parallel import TAG_CTCOLLIDE, TAG_VOTER, ChunkGroup, chunk_groups, run_chunked
 from .errors import HorizonMismatchError
 from .graph_core import check_vertex
 from .walk_engine import (
@@ -33,7 +40,6 @@ from .walk_engine import (
     _as_rng,
     _sampling_tables,
     sample_step,
-    substream_rng,
 )
 from .walk_engine import walk_continuous  # noqa: F401  perfbench traces it here
 
@@ -130,14 +136,21 @@ def voter_simulate(net, initial, t_max, seed):
     time is 0.0 when the initial configuration is already constant.
     """
     ops = _initial_opinions(net, initial)
-    opinions, _, when = _voter_batch(net, ops, t_max, 1, _as_rng(seed))
+    opinions, _, when = _voter_batch(net, ops, t_max, ChunkGroup([_as_rng(seed)], (1,)))
     if np.isnan(when[0]):
         return VoterConfiguration(opinions[0], float(t_max)), None
     return VoterConfiguration(opinions[0], float(when[0])), float(when[0])
 
 
-def _voter_batch(net, initial, t_max, size, rng):
+def _voter_batch(net, initial, t_max, group):
+    """Voter runs of every replica of ``group``, one active set for all its chunks.
+
+    Each round, every active replica rings a uniform vertex after an
+    Exponential(V) wait; chunk c draws its waits, vertices and uniforms for
+    its own active replicas from its own generator.
+    """
     V = net.vertex_count
+    size = group.size
     sampler = CSRSampler(_sampling_tables(net))
     opinions = np.tile(initial, (size, 1))
     flat = opinions.reshape(-1)  # replica k's vertex u is flat[k * V + u]
@@ -151,9 +164,10 @@ def _voter_batch(net, initial, t_max, size, rng):
     active = np.flatnonzero(~settled)
     while active.size:
         k = active
-        dt = rng.exponential(1.0 / V, k.size)
-        u = rng.integers(0, V, k.size)
-        r = rng.random(k.size)
+        parts = group.parts(k)
+        dt = np.concatenate([rng.exponential(1.0 / V, hi - lo) for rng, lo, hi in parts])
+        u = np.concatenate([rng.integers(0, V, hi - lo) for rng, lo, hi in parts])
+        r = np.concatenate([rng.random(hi - lo) for rng, lo, hi in parts])
         tk = t[k] + dt
         t[k] = tk
         alive = tk <= t_max
@@ -177,9 +191,8 @@ def _voter_batch(net, initial, t_max, size, rng):
 
 
 def _voter_chunk(payload):
-    net, initial, t_max, seed, chunk_index, size = payload
-    rng = substream_rng(seed, TAG_VOTER, chunk_index)
-    return _voter_batch(net, initial, t_max, size, rng)
+    net, initial, t_max, seed, first, sizes = payload
+    return _voter_batch(net, initial, t_max, ChunkGroup.streams(seed, TAG_VOTER, first, sizes))
 
 
 @dataclass(frozen=True)
@@ -203,9 +216,9 @@ class VoterEnsembleResult:
 def voter_ensemble(net, initial, t_max, replicas, seed, workers=1):
     """Replicated voter runs with worker-count-independent results."""
     ops = _initial_opinions(net, initial)
-    sizes = chunk_sizes(replicas)
     payloads = [
-        (net, ops, float(t_max), int(seed), i, size) for i, size in enumerate(sizes)
+        (net, ops, float(t_max), int(seed), first, sizes)
+        for first, sizes in chunk_groups(replicas, workers)
     ]
     pieces = run_chunked(_voter_chunk, payloads, workers=workers)
     return VoterEnsembleResult(
@@ -300,12 +313,14 @@ def coalescing_walks(net, starts, t_max, seed):
 
 
 def _ct_chunk(payload):
-    net, start, t_max, grid, seed, chunk_index, size = payload
-    rng = substream_rng(seed, TAG_CTCOLLIDE, chunk_index)
+    """(measure, grid integral) rows of one chunk group, run as one pair chain."""
+    net, start, t_max, grid, seed, first, sizes = payload
+    size = sum(sizes)
     rates = net.vertex_conductance
     last_tick = np.floor(t_max * grid) + 1  # the grid includes t_max itself
     if rates[start] == 0.0:  # a single vertex with no edges: the pair never moves
         return np.tile([t_max, last_tick / grid], (size, 1))
+    group = ChunkGroup.streams(seed, TAG_CTCOLLIDE, first, sizes)
     sampler = CSRSampler(_sampling_tables(net))
     measure = np.zeros(size)
     ticks = np.zeros(size)
@@ -317,8 +332,9 @@ def _ct_chunk(payload):
     while idx.size:
         cx = rates[x]
         total = cx + rates[y]
-        e = t + rng.exponential(1.0 / total)
-        r = rng.random((2, idx.size))
+        parts = group.parts(idx)
+        e = t + np.concatenate([rng.exponential(1.0 / total[lo:hi]) for rng, lo, hi in parts])
+        r = np.concatenate([rng.random((2, hi - lo)) for rng, lo, hi in parts], axis=1)
         done = e >= t_max
         meet = x == y
         if meet.any():
@@ -343,7 +359,7 @@ def _ct_chunk(payload):
 def continuous_collision_ensemble(net, start, t_max, grid, replicas, seed, workers=1):
     """Per-replica (exact measure, grid integral) for pairs of rate-c walks.
 
-    Each chunk runs one pair chain over its replicas (Gillespie): the pair
+    Each chunk group runs one pair chain over its replicas (Gillespie): the pair
     (x, y) waits an Exponential(c(x) + c(y)) time, then x jumps with
     probability c(x) / (c(x) + c(y)) and y otherwise, by one sampler draw.
     By memorylessness this is the law of two independent walks that hold at
@@ -361,10 +377,9 @@ def continuous_collision_ensemble(net, start, t_max, grid, replicas, seed, worke
         raise ValueError("grid must be at least 1")
     if grid * t_max >= 2**53:
         raise ValueError("grid * t_max must be below 2**53")
-    sizes = chunk_sizes(replicas)
     payloads = [
-        (net, start, float(t_max), int(grid), int(seed), i, size)
-        for i, size in enumerate(sizes)
+        (net, start, float(t_max), int(grid), int(seed), first, sizes)
+        for first, sizes in chunk_groups(replicas, workers)
     ]
     pieces = run_chunked(_ct_chunk, payloads, workers=workers)
     return np.concatenate(pieces)

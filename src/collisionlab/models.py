@@ -24,6 +24,7 @@ experiment runners refuse horizons beyond it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -130,7 +131,7 @@ def gen_grid_box(R):
     bonds = _box_bonds(side, side)  # site (x + R) * side + (y + R) is (x, y)
     center = R * side + R
     cert = TruncationCertificate(horizon=R - 1, safety_radius=R, start_vertex=center)
-    coords = tuple((x, y) for x in range(-R, R + 1) for y in range(-R, R + 1))
+    coords = tuple(product(range(-R, R + 1), repeat=2))
     return RootedModel(build_network(n, bonds), start=center, certificate=cert, coords=coords)
 
 
@@ -153,13 +154,25 @@ def _box_bonds(cols, rows, spine=False, wrap=False):
     return ends[exists.ravel()]
 
 
-def require_sites(sites):
+# bytes a site charged for a model's arrays, and for a ``gen`` run, which also
+# holds the payload of one Python list per edge
+SITE_BYTES = 512
+GEN_SITE_BYTES = 1024
+
+
+def require_sites(sites, payload=False):
     """Refuse a model on a box of ``sites`` sites above the memory cap.
 
     Measured generator peaks per vertex: grid box 509 bytes, torus 510,
-    comb 320, path 270, percolation 183 per site of its box.
+    comb 320, path 270, percolation 183 per site of its box.  ``payload``
+    charges a ``gen`` run, whose ru_maxrss rise in a fresh process was 845
+    bytes a site on grid R=300 and torus side 601, 698 on ust_torus side
+    300, 493 on comb and 465 on path.
     """
-    require_memory(512 * sites, f"the arrays of {sites} lattice sites")
+    if payload:
+        require_memory(GEN_SITE_BYTES * sites, f"the arrays and payload of {sites} lattice sites")
+    else:
+        require_memory(SITE_BYTES * sites, f"the arrays of {sites} lattice sites")
 
 
 def gen_comb(R):
@@ -176,7 +189,7 @@ def gen_comb(R):
     bonds = _box_bonds(cols, height, spine=True)  # site (x + R) * height + y is (x, y)
     origin = R * height
     cert = TruncationCertificate(horizon=R - 1, safety_radius=R, start_vertex=origin)
-    coords = tuple((x, y) for x in range(-R, R + 1) for y in range(height))
+    coords = tuple(product(range(-R, R + 1), range(height)))
     return RootedModel(build_network(n, bonds), start=origin, certificate=cert, coords=coords)
 
 
@@ -185,7 +198,7 @@ def gen_torus(side):
     if side < 2:
         raise ValueError("side must be at least 2")
     bonds = _box_bonds(side, side, wrap=True)
-    coords = tuple((x, y) for x in range(side) for y in range(side))
+    coords = tuple(product(range(side), repeat=2))
     return RootedModel(build_network(side * side, bonds), start=0, coords=coords)
 
 
@@ -291,7 +304,11 @@ _COMB_MOVES = np.array([-_HIGH, _HIGH, _HIGH, 1, -1, -1, 1, 1], dtype=np.int64)
 
 
 class _CoordinateWalker:
-    """Walker set-up, exact up to horizon radius - 1; each walker has its own ``advance``."""
+    """Walker set-up, exact up to horizon radius - 1.
+
+    Each walker has its own ``advance(state, r)``, which moves walker i of the
+    flat code array ``state`` by the uniform ``r[i]`` and may overwrite ``r``.
+    """
 
     planar = True  # x * 2^32 + y codes
 
@@ -324,8 +341,7 @@ class PathLattice(_CoordinateWalker):
     _generate = staticmethod(gen_path_segment)
     _center = staticmethod(lambda R: R)
 
-    def advance(self, state, rng):
-        r = rng.random(state.shape[0])
+    def advance(self, state, r):
         r *= 2  # exact, so floor(2r) is [r >= 1/2]
         state += _PATH_MOVES[r.astype(np.intp)]
 
@@ -340,8 +356,7 @@ class GridLattice(_CoordinateWalker):
     _generate = staticmethod(gen_grid_box)
     _center = staticmethod(lambda R: R * (2 * R + 1) + R)
 
-    def advance(self, state, rng):
-        r = rng.random(state.shape[0])
+    def advance(self, state, r):
         r *= 4  # exact, so floor(4r) is the quarter r lies in
         state += _GRID_MOVES[r.astype(np.intp)]
 
@@ -359,8 +374,7 @@ class CombLattice(_CoordinateWalker):
     _generate = staticmethod(gen_comb)
     _center = staticmethod(lambda R: R * (R + 1))
 
-    def advance(self, state, rng):
-        r = rng.random(state.shape[0])
+    def advance(self, state, r):
         # 3r is not exact, so the thirds are found by comparison
         move = np.minimum(state & _LOW, 1)
         move <<= 2

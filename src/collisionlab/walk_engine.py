@@ -21,23 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import TAG_PAIR
+from ._parallel import TAG_PAIR, substream_rng
 from .graph_core import Network, check_vertex
-
-
-def substream_rng(master_seed, *path):
-    """Generator for the stream (master_seed, *path), the one seed scheme.
-
-    Each caller names its stream by a path of nonnegative integers: replica
-    chunks by (tag, chunk index), walk pairs by (``TAG_PAIR``, replica,
-    walker) and single runs by (0,).  ``master_seed`` must lie in [0, 2**64).
-    """
-    master_seed = int(master_seed)
-    if not 0 <= master_seed < 2**64:
-        raise ValueError("master_seed must be a 64-bit nonnegative integer")
-    return np.random.default_rng(
-        np.random.SeedSequence((master_seed,) + tuple(int(p) for p in path))
-    )
 
 
 def _as_rng(seed):
@@ -190,8 +175,8 @@ class NetworkStepper:
     def new_state(self, m):
         return np.full(m, self.start, dtype=np.int64)
 
-    def advance(self, state, rng):
-        r = rng.random(state.shape[0])
+    def advance(self, state, r):
+        """Move every walker of ``state`` by one draw, walker i with ``r[i]``."""
         state[:] = self.sampler.draw(state, r)
 
 

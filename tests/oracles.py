@@ -16,6 +16,10 @@ replaced, which must return the same verdict and colors.
 :func:`ct_chunk_scalar` is the per-replica continuous-time chunk that the
 batched pair chain replaced, and :func:`ct_pair_scalar` runs that pair chain
 one event at a time and returns both trajectories.
+:func:`growth_chunk_loop`, :func:`voter_chunk_loop` and :func:`ct_chunk_loop`
+step one 512-replica chunk at a time on the chunk's own generator, as the
+replica loops did before chunk groups; the group engines must give the same
+results bit for bit.
 :func:`wilson_incidence` is Wilson's algorithm over per-vertex incidence
 lists, as ``gen_wilson_ust`` ran before it stepped through the CSR sampler;
 it still gives the trees pinned then, and :func:`spanning_tree_law` is the
@@ -28,10 +32,11 @@ from collections import defaultdict
 import numpy as np
 from scipy.linalg import expm
 
-from collisionlab._parallel import TAG_CTCOLLIDE
+from collisionlab._parallel import TAG_CTCOLLIDE, TAG_GROWTH, TAG_VOTER, chunk_sizes
 from collisionlab.graph_core import build_network
 from collisionlab.interacting import collision_measure, discretization_integral
-from collisionlab.walk_engine import JumpTrajectory, substream_rng, walk_continuous
+from collisionlab.walk_engine import (CSRSampler, JumpTrajectory, _sampling_tables,
+                                      substream_rng, walk_continuous)
 
 
 def neighbor_probs(net):
@@ -371,6 +376,131 @@ def ct_pair_scalar(net, start, t_max, rng):
         JumpTrajectory(np.array(verts, dtype=np.int64), np.array(times), float(t_max))
         for verts, times in paths
     )
+
+
+def ct_group_scalar(payload):
+    """:func:`ct_chunk_scalar` on each chunk of a chunk-group payload, in chunk order."""
+    *head, first, sizes = payload
+    return np.concatenate([ct_chunk_scalar((*head, first + c, size))
+                           for c, size in enumerate(sizes)])
+
+
+# ---------------------------------------------------------------------------
+# Per-chunk replica loops
+# ---------------------------------------------------------------------------
+
+
+def per_chunk(loop, head, replicas, axis=0):
+    """``loop((*head, i, size))`` for every chunk i of ``replicas``, joined on ``axis``.
+
+    A loop returning a tuple is joined element by element.
+    """
+    pieces = [loop((*head, i, size)) for i, size in enumerate(chunk_sizes(replicas))]
+    if isinstance(pieces[0], tuple):
+        return tuple(np.concatenate(p, axis=axis) for p in zip(*pieces))
+    return np.concatenate(pieces, axis=axis)
+
+
+def growth_chunk_loop(payload):
+    """Collision counts of one chunk: a (2m) pair state, x then y, one 2m draw a step."""
+    stepper, origin, horizons, seed, chunk_index, size = payload
+    rng = substream_rng(seed, TAG_GROWTH, chunk_index)
+    state = np.repeat(origin, size)
+    x, y = state[:size], state[size:]
+    counters = np.zeros(size, dtype=np.int64)
+    out = np.empty((len(horizons), size), dtype=np.int64)
+    walked = 0
+    for i, h in enumerate(horizons):
+        for _ in range(h - walked):
+            stepper.advance(state, rng.random(2 * size))
+            counters += x == y
+        walked = h
+        out[i] = counters
+    return out
+
+
+def voter_chunk_loop(payload):
+    """(opinions, consensus values, consensus times) of one voter chunk."""
+    net, initial, t_max, seed, chunk_index, size = payload
+    rng = substream_rng(seed, TAG_VOTER, chunk_index)
+    V = net.vertex_count
+    sampler = CSRSampler(_sampling_tables(net))
+    opinions = np.tile(initial, (size, 1))
+    flat = opinions.reshape(-1)
+    ones = opinions.sum(axis=1, dtype=np.int64)
+    t = np.zeros(size)
+    cons_val = np.full(size, -1, dtype=np.int8)
+    cons_time = np.full(size, np.nan)
+    settled = (ones == 0) | (ones == V)
+    cons_val[settled] = (ones[settled] > 0).astype(np.int8)
+    cons_time[settled] = 0.0
+    active = np.flatnonzero(~settled)
+    while active.size:
+        k = active
+        dt = rng.exponential(1.0 / V, k.size)
+        u = rng.integers(0, V, k.size)
+        r = rng.random(k.size)
+        tk = t[k] + dt
+        t[k] = tk
+        alive = tk <= t_max
+        if not alive.all():
+            k, u, r = k[alive], u[alive], r[alive]
+            if k.size == 0:
+                break
+        row = k * V
+        at_u = row + u
+        new = flat[row + sampler.draw(u, r)]
+        count = ones[k] + (new - flat[at_u])
+        ones[k] = count
+        flat[at_u] = new
+        done = (count == 0) | (count == V)
+        if done.any():
+            d = k[done]
+            cons_val[d] = count[done] > 0
+            cons_time[d] = t[d]
+        active = k[~done]
+    return opinions, cons_val, cons_time
+
+
+def ct_chunk_loop(payload):
+    """(measure, grid integral) rows of one chunk, run as its own pair chain."""
+    net, start, t_max, grid, seed, chunk_index, size = payload
+    rng = substream_rng(seed, TAG_CTCOLLIDE, chunk_index)
+    rates = net.vertex_conductance
+    last_tick = np.floor(t_max * grid) + 1
+    if rates[start] == 0.0:
+        return np.tile([t_max, last_tick / grid], (size, 1))
+    sampler = CSRSampler(_sampling_tables(net))
+    measure = np.zeros(size)
+    ticks = np.zeros(size)
+    idx = np.arange(size)
+    x = np.full(size, start, dtype=np.int64)
+    y = x.copy()
+    t = np.zeros(size)
+    while idx.size:
+        cx = rates[x]
+        total = cx + rates[y]
+        e = t + rng.exponential(1.0 / total)
+        r = rng.random((2, idx.size))
+        done = e >= t_max
+        meet = x == y
+        if meet.any():
+            i, s = idx[meet], t[meet]
+            end = np.where(done[meet], t_max, e[meet])
+            measure[i] += end - s
+            hi = np.where(done[meet], last_tick, np.ceil(end * grid))
+            ticks[i] += hi - np.ceil(s * grid)
+        if done.any():
+            live = ~done
+            idx, x, y, e, cx, total, r = (
+                idx[live], x[live], y[live], e[live], cx[live], total[live], r[:, live]
+            )
+        x_moves = r[0] * total < cx
+        target = sampler.draw(np.where(x_moves, x, y), r[1])
+        x = np.where(x_moves, target, x)
+        y = np.where(x_moves, y, target)
+        t = e
+    return np.column_stack([measure, ticks / grid])
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,23 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import nets
 import oracles
+import collisionlab
 from collisionlab import (
     CertificateViolationError,
     ConfigError,
     ResourceLimitError,
     interacting,
+    models,
     network_from_json,
 )
 from collisionlab.experiment_cli import (
@@ -27,6 +33,11 @@ from collisionlab.experiment_cli import (
     run,
     validate,
 )
+
+
+# ru_maxrss growth a run may show beyond its charged arrays: allocator and
+# interpreter overhead, independent of the run's size
+INTERPRETER_ALLOWANCE = 32 * 2**20
 
 
 def _cfg(**kwargs):
@@ -194,6 +205,30 @@ class TestValidate:
         assert any(p.startswith("model:") and "memory cap" in p for p in validate(cfg))
         with pytest.raises(ResourceLimitError, match="memory cap"):
             run(cfg)
+
+    def test_gen_charged_its_payload(self):
+        # 2,563,201 sites: the arrays fit the cap, arrays and payload do not
+        grid = {"name": "grid", "R": 800}
+        assert validate(_cfg(kind="collide", model=grid, start=0, horizons=(1,))) == []
+        problems = validate(_cfg(kind="gen", model=grid))
+        assert len(problems) == 1 and "arrays and payload of 2563201 lattice sites" in problems[0]
+
+    def test_gen_peak_within_charge(self):
+        # the ru_maxrss rise of gen in a fresh process, against the bytes
+        # validate charges plus a fixed allowance for the interpreter
+        script = (
+            "import resource, sys\n"
+            "from collisionlab.experiment_cli import ExperimentConfig, run\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "run(ExperimentConfig(kind='gen', model={'name': 'grid', 'R': 300}))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        src = str(Path(collisionlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        rise = int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
+        assert rise <= models.GEN_SITE_BYTES * 601**2 + INTERPRETER_ALLOWANCE
 
     @pytest.mark.parametrize("kind,fields,sampler", [
         ("voter", {"model": {"name": "torus", "side": 64}, "replicas": 10**7},
@@ -456,7 +491,7 @@ class TestPinnedEnvelopes:
     def test_ctcollide_torus_scalar_chunk_keeps_old_pin(self, monkeypatch):
         # the per-replica chunk the pair chain replaced, through the same
         # chunking, still gives the bytes pinned before the pair chain
-        monkeypatch.setattr(interacting, "_ct_chunk", oracles.ct_chunk_scalar)
+        monkeypatch.setattr(interacting, "_ct_chunk", oracles.ct_group_scalar)
         cfg = _cfg(kind="ctcollide", model={"name": "torus", "side": 4},
                    replicas=40, t_max=4.0, grid=16, master_seed=13)
         assert self._sha(cfg) == (

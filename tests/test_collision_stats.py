@@ -231,8 +231,8 @@ class TestOracleAgreement:
         never_met = np.ones(replicas, dtype=bool)
         exact = q0_profile(net, 0, 4)
         for m in range(1, 5):
-            stepper.advance(sx, rng)
-            stepper.advance(sy, rng)
+            stepper.advance(sx, rng.random(replicas))
+            stepper.advance(sy, rng.random(replicas))
             never_met &= sx != sy
             emp = never_met.mean()
             sigma = np.sqrt(exact[m] * (1 - exact[m]) / replicas)

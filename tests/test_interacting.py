@@ -108,10 +108,10 @@ class TestPairChain:
     ])
     @pytest.mark.parametrize("t_max,grid", [(4.0, 16), (2.5, 50)])
     def test_rows_match_rebuilt_trajectories(self, name, net, t_max, grid):
-        # one-replica chunks: the scalar chain on the same substream makes the
-        # same draws, and its trajectories give the row bit for bit
-        for i in range(50):
-            row = _ct_chunk((net, 0, t_max, grid, 31, i, 1))[0]
+        # one group of 50 one-replica chunks: the scalar chain on chunk i's
+        # substream makes row i's draws, and its trajectories give the row bit for bit
+        rows = _ct_chunk((net, 0, t_max, grid, 31, 0, (1,) * 50))
+        for i, row in enumerate(rows):
             rng = substream_rng(31, TAG_CTCOLLIDE, i)
             jx, jy = oracles.ct_pair_scalar(net, 0, t_max, rng)
             assert row[0] == collision_measure(jx, jy).total

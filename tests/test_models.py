@@ -85,6 +85,16 @@ class TestComb:
         assert is_bipartite(gen_comb(2).network)[0]
 
 
+@pytest.mark.parametrize("R", [1, 2, 5])
+def test_box_coords_match_nested_loops(R):
+    # the labels the generators built with one Python generator per vertex
+    assert gen_grid_box(R).coords == tuple(
+        (x, y) for x in range(-R, R + 1) for y in range(-R, R + 1))
+    assert gen_comb(R).coords == tuple((x, y) for x in range(-R, R + 1) for y in range(R + 1))
+    side = R + 1
+    assert gen_torus(side).coords == tuple((x, y) for x in range(side) for y in range(side))
+
+
 @pytest.mark.parametrize("gen", [gen_path_segment, gen_grid_box, gen_comb])
 def test_truncation_exactness(gen):
     # the law of (X_0..X_T) from the center agrees between radii R and R+1
@@ -111,7 +121,7 @@ def test_lattice_walker_matches_explicit_kernel(walker_cls, gen):
     rng = np.random.default_rng(7)
     state = walker.new_state(20_000)
     for _ in range(3):
-        walker.advance(state, rng)
+        walker.advance(state, rng.random(state.size))
     labels = walker.coords(state)
     row = n_step_kernel(m.network, 3).matrix[m.start]
     support = [v for v in range(len(row)) if row[v] > 0]
@@ -139,7 +149,7 @@ def test_lattice_walker_steps_along_edges(walker_cls):
     state = walker.new_state(400)
     before = walker.coords(state)
     for _ in range(11):
-        walker.advance(state, rng)
+        walker.advance(state, rng.random(state.size))
         after = walker.coords(state)
         assert all(frozenset((index[a], index[b])) in adjacent
                    for a, b in zip(before, after))

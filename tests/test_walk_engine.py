@@ -84,7 +84,7 @@ class TestSampler:
         net = build_network(1, [])
         stepper = NetworkStepper(net, 0)
         state = stepper.new_state(5)
-        stepper.advance(state, np.random.default_rng(0))
+        stepper.advance(state, np.random.default_rng(0).random(5))
         assert state.tolist() == [0] * 5
         assert walk_discrete(net, 0, 3, seed=1).steps.tolist() == [0, 0, 0, 0]
 
@@ -141,6 +141,15 @@ class TestSubstreamRng:
                 h.update(j.entry_times.astype("<f8").tobytes())
         assert h.hexdigest() == "e7737da7eb6ed760462282f09821512d35e2ab7abc43bcdc9e84264de9cbca04"
 
+    def test_trailing_zero_names_no_new_stream(self):
+        # SeedSequence pads with zeros: chunk 0 of a family is the family's
+        # own stream, and a run with int seed s shares the uniforms of
+        # default_rng(s), the generator of a model built with seed s
+        first = substream_rng(5, TAG_PAIR, 0).random(8)
+        assert np.array_equal(first, substream_rng(5, TAG_PAIR).random(8))
+        assert np.array_equal(substream_rng(5, 0).random(8), np.random.default_rng(5).random(8))
+        assert substream_rng(5, 0).random() == 0.8050029237453802
+
     def test_rejects_out_of_range(self):
         net = nets.triangle()
         for seed in (-1, 2**64):
@@ -180,7 +189,7 @@ class TestWalkDiscrete:
         runs = 100_000
         stepper = NetworkStepper(nets.p3(), 1)
         state = stepper.new_state(runs)
-        stepper.advance(state, np.random.default_rng(12))
+        stepper.advance(state, np.random.default_rng(12).random(runs))
         hits = (state == 0).sum()
         sigma = np.sqrt(0.25 / runs)
         assert abs(hits / runs - 0.5) < 3 * sigma
@@ -193,7 +202,7 @@ class TestWalkDiscrete:
         state = stepper.new_state(replicas)
         rng = np.random.default_rng(77)
         for n in range(1, 6):
-            stepper.advance(state, rng)
+            stepper.advance(state, rng.random(replicas))
             row = n_step_kernel(net, n).matrix[0]
             counts = np.bincount(state, minlength=net.vertex_count)
             assert chisquare_pvalue(counts, row, replicas) > 0.001
@@ -285,8 +294,8 @@ class TestWalkPair:
         rng_y = np.random.default_rng(200)
         sx = NetworkStepper(nets.triangle(), 0).new_state(runs)
         sy = NetworkStepper(nets.triangle(), 0).new_state(runs)
-        NetworkStepper(nets.triangle(), 0).advance(sx, rng_x)
-        NetworkStepper(nets.triangle(), 0).advance(sy, rng_y)
+        NetworkStepper(nets.triangle(), 0).advance(sx, rng_x.random(runs))
+        NetworkStepper(nets.triangle(), 0).advance(sy, rng_y.random(runs))
         rate = (sx == sy).mean()
         sigma = np.sqrt(0.25 / runs)
         assert abs(rate - 0.5) < 3 * sigma
@@ -300,8 +309,8 @@ class TestWalkPair:
         stepper = NetworkStepper(net, 0)
         sx = stepper.new_state(runs)
         sy = stepper.new_state(runs)
-        stepper.advance(sx, rng_x)
-        stepper.advance(sy, rng_y)
+        stepper.advance(sx, rng_x.random(runs))
+        stepper.advance(sy, rng_y.random(runs))
         for a in (1, 2):
             for b in (1, 2):
                 joint = ((sx == a) & (sy == b)).mean()
