@@ -73,13 +73,15 @@ def chunk_groups(replicas, workers=1):
     """Split the chunks of ``replicas`` into contiguous groups.
 
     Returns (index of the group's first chunk, tuple of its chunk sizes) for
-    each group, in chunk order.  There are at least ``workers`` groups while
-    there are that many chunks, none holds more than ``GROUP_CHUNKS`` chunks,
-    and group widths differ by at most one chunk.
+    each group, in chunk order.  The group count is a multiple of ``workers``
+    while there are that many chunks, so each worker steps as many groups;
+    none holds more than ``GROUP_CHUNKS`` chunks, and group widths differ by
+    at most one chunk.
     """
     sizes = chunk_sizes(replicas)
     n = len(sizes)
-    count = max(min(workers, n), -(-n // GROUP_CHUNKS))
+    workers = max(1, min(workers, n))
+    count = min(n, workers * -(-n // (workers * GROUP_CHUNKS)))
     cuts = [n * g // count for g in range(count + 1)]
     return [(a, tuple(sizes[a:b])) for a, b in zip(cuts, cuts[1:])]
 
@@ -108,13 +110,10 @@ class ChunkGroup:
         the one ``random(rows * m)`` draw of a chunk of m replicas alone.
         The slices are made once: per step, the cost is one call per slice.
         """
-        if len(self.rngs) == 1:  # the rows are one contiguous draw
-            fills = [(self.rngs[0].random, out.reshape(-1))]
-        else:
-            bounds = self.bounds.tolist()
-            rows = out.reshape(-1, self.size)
-            fills = [(rng.random, row[a:b])
-                     for rng, a, b in zip(self.rngs, bounds[:-1], bounds[1:]) for row in rows]
+        bounds = self.bounds.tolist()
+        rows = out.reshape(-1, self.size)
+        fills = [(rng.random, row[a:b])
+                 for rng, a, b in zip(self.rngs, bounds[:-1], bounds[1:]) for row in rows]
 
         def refill():
             for fill, view in fills:

@@ -54,6 +54,7 @@ from .graph_core import dense_bytes, network_from_json, require_memory
 from .interacting import continuous_collision_ensemble, voter_ensemble
 from .models import (
     CRITICAL_BOND_P,
+    SITE_BYTES,
     CombLattice,
     GridLattice,
     PathLattice,
@@ -191,11 +192,12 @@ class Model:
     vertex_count: Optional[Callable] = None  # params -> int, when known before building
     walker: Optional[type] = None  # lattice coordinate walker, constructed from R
     sites: Optional[Callable] = None  # params -> sites of the box built, if not vertex_count
+    gen_site_bytes: int = 2 * SITE_BYTES  # charge a site of a ``gen`` run, payload included
 
 
-def _lattice(walker, vertex_count):
+def _lattice(walker, vertex_count, gen_site_bytes=2 * SITE_BYTES):
     return Model({"R": Param(int, 1)}, lambda p, _: walker(p["R"]).materialize(),
-                 vertex_count, walker)
+                 vertex_count, walker, gen_site_bytes=gen_site_bytes)
 
 
 def _ust_torus(p, master_seed):
@@ -205,10 +207,15 @@ def _ust_torus(p, master_seed):
 
 # Builders look generators up as module globals at call time, so wrappers
 # installed on this module (tracing, test doubles) see every call.
+# A ``gen`` run also holds one Python list per edge, so its charge follows
+# the edges a site.  Its ru_maxrss rise in a fresh process was 465 bytes a
+# site on path and 498 on comb (about one edge a site), 845 on grid R=300 and
+# torus side 601, 947 on a full percolation box (two edges a site) and 698
+# on ust_torus side 300, which builds its torus first.
 MODELS = {
-    "path": _lattice(PathLattice, lambda p: 2 * p["R"] + 1),
+    "path": _lattice(PathLattice, lambda p: 2 * p["R"] + 1, SITE_BYTES),
     "grid": _lattice(GridLattice, lambda p: (2 * p["R"] + 1) ** 2),
-    "comb": _lattice(CombLattice, lambda p: (2 * p["R"] + 1) * (p["R"] + 1)),
+    "comb": _lattice(CombLattice, lambda p: (2 * p["R"] + 1) * (p["R"] + 1), SITE_BYTES),
     "percolation": Model(
         {"n": Param(int, 1), "p": Param(float, 0.0, CRITICAL_BOND_P, 1.0),
          "seed": Param(int, 0, None)},
@@ -228,6 +235,7 @@ class ResolvedGraph:
     walker: object = None  # lattice coordinate walker, when available
     vertex_count: Optional[int] = None  # when known before building
     sites: Optional[int] = None  # bound on the vertex count, when known before building
+    gen_site_bytes: int = SITE_BYTES  # charge a site of a ``gen`` run
     _materialize: object = None
     _model: Optional[RootedModel] = None
 
@@ -281,6 +289,7 @@ def _resolve(config):
         walker=walker,
         vertex_count=vertices,
         sites=entry.sites(params) if entry.sites else vertices,
+        gen_site_bytes=entry.gen_site_bytes,
         _materialize=lambda: entry.build(params, config.master_seed),
     ), []
 
@@ -419,8 +428,8 @@ def _memory_violations(config, resolved, window):
     builds = config.kind != "collide" or resolved.walker is None or config.start is not None
     if sites is not None and (builds or config.dump_trajectories):
         # the dump walks the materialized model: fail before sampling
-        require("model" if builds else "dump_trajectories", require_sites, sites,
-                config.kind == "gen")
+        site_bytes = resolved.gen_site_bytes if config.kind == "gen" else SITE_BYTES
+        require("model" if builds else "dump_trajectories", require_sites, sites, site_bytes)
     if config.kind in ("identity", "mtp") and V is not None:
         require("model", require_memory, dense_bytes(V, window),
                 f"the dense kernels on {V} vertices")

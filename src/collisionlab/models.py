@@ -154,25 +154,19 @@ def _box_bonds(cols, rows, spine=False, wrap=False):
     return ends[exists.ravel()]
 
 
-# bytes a site charged for a model's arrays, and for a ``gen`` run, which also
-# holds the payload of one Python list per edge
+# bytes a site charged for a model's arrays
 SITE_BYTES = 512
-GEN_SITE_BYTES = 1024
 
 
-def require_sites(sites, payload=False):
+def require_sites(sites, site_bytes=SITE_BYTES):
     """Refuse a model on a box of ``sites`` sites above the memory cap.
 
     Measured generator peaks per vertex: grid box 509 bytes, torus 510,
-    comb 320, path 270, percolation 183 per site of its box.  ``payload``
-    charges a ``gen`` run, whose ru_maxrss rise in a fresh process was 845
-    bytes a site on grid R=300 and torus side 601, 698 on ust_torus side
-    300, 493 on comb and 465 on path.
+    comb 320, path 270, percolation 183 per site of its box.  A ``gen`` run
+    passes its model's own ``site_bytes``, which also pay for the payload.
     """
-    if payload:
-        require_memory(GEN_SITE_BYTES * sites, f"the arrays and payload of {sites} lattice sites")
-    else:
-        require_memory(SITE_BYTES * sites, f"the arrays of {sites} lattice sites")
+    require_memory(site_bytes * sites,
+                   f"the arrays of {sites} lattice sites at {site_bytes} bytes a site")
 
 
 def gen_comb(R):

@@ -18,7 +18,6 @@ from collisionlab import (
     ConfigError,
     ResourceLimitError,
     interacting,
-    models,
     network_from_json,
 )
 from collisionlab.experiment_cli import (
@@ -211,16 +210,34 @@ class TestValidate:
         grid = {"name": "grid", "R": 800}
         assert validate(_cfg(kind="collide", model=grid, start=0, horizons=(1,))) == []
         problems = validate(_cfg(kind="gen", model=grid))
-        assert len(problems) == 1 and "arrays and payload of 2563201 lattice sites" in problems[0]
+        assert len(problems) == 1
+        assert "2563201 lattice sites at 1024 bytes a site" in problems[0]
 
-    def test_gen_peak_within_charge(self):
+    @pytest.mark.parametrize("model,sites", [
+        ({"name": "path", "R": 2_097_151}, 4_194_303),
+        ({"name": "comb", "R": 1447}, 2895 * 1448),
+    ])
+    def test_gen_of_one_edge_a_site_keeps_the_array_charge(self, model, sites):
+        # the largest path and comb a gen run was admitted for at 512 bytes a
+        # site; one radius more is refused
+        assert validate(_cfg(kind="gen", model=model)) == []
+        bigger = {**model, "R": model["R"] + 1}
+        problems = validate(_cfg(kind="gen", model=bigger))
+        assert len(problems) == 1 and "at 512 bytes a site" in problems[0]
+
+    @pytest.mark.parametrize("model", [
+        {"name": "grid", "R": 300},
+        {"name": "comb", "R": 400},
+        {"name": "path", "R": 200_000},
+    ])
+    def test_gen_peak_within_charge(self, model):
         # the ru_maxrss rise of gen in a fresh process, against the bytes
         # validate charges plus a fixed allowance for the interpreter
         script = (
             "import resource, sys\n"
             "from collisionlab.experiment_cli import ExperimentConfig, run\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "run(ExperimentConfig(kind='gen', model={'name': 'grid', 'R': 300}))\n"
+            f"run(ExperimentConfig(kind='gen', model={model!r}))\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
         )
         src = str(Path(collisionlab.__file__).resolve().parents[1])
@@ -228,7 +245,8 @@ class TestValidate:
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
         rise = int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
-        assert rise <= models.GEN_SITE_BYTES * 601**2 + INTERPRETER_ALLOWANCE
+        resolved = resolve_graph(_cfg(kind="gen", model=model))
+        assert rise <= resolved.gen_site_bytes * resolved.sites + INTERPRETER_ALLOWANCE
 
     @pytest.mark.parametrize("kind,fields,sampler", [
         ("voter", {"model": {"name": "torus", "side": 64}, "replicas": 10**7},

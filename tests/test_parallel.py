@@ -37,6 +37,8 @@ class TestChunkGroups:
         widths = [len(g) for _, g in groups]
         assert [first for first, _ in groups] == np.cumsum([0] + widths[:-1]).tolist()
         assert len(groups) >= min(workers, len(sizes))
+        # each worker steps as many groups, unless there are fewer chunks than that
+        assert len(groups) % workers == 0 or len(groups) == len(sizes)
         assert max(widths) <= GROUP_CHUNKS
         assert max(widths) - min(widths) <= 1
 
