@@ -12,6 +12,13 @@ draw, so a chunk makes the draws it would make alone, in the same order, and
 the results do not depend on how the chunks are grouped.  Groups are
 contiguous so that concatenating their results in group order is chunk order.
 
+Fixed-width draws, one per step, come in blocks (:meth:`ChunkGroup.uniforms`):
+a chunk of m replicas draws the next n <= ``BLOCK_STEPS`` steps' uniforms as
+one ``random((n, rows, m))`` call.  ``Generator.random`` takes one 64-bit
+word per double, in order, so that call returns exactly the n per-step
+``random(rows * m)`` draws, and a chunk's draws do not depend on the block
+length.
+
 Stream paths are padded with zeros by ``np.random.SeedSequence``, so a
 trailing 0 names no new stream: chunk 0 (s, tag, 0) draws what (s, tag)
 would, and a single run's stream (s, 0) draws what ``default_rng(s)`` does,
@@ -35,6 +42,15 @@ REPLICA_CHUNK = 512
 # / 64 chunks.  The bound also caps a group's working memory at 16 x 512
 # replicas.
 GROUP_CHUNKS = 16
+# steps per block of fixed-width draws.  Longer blocks make fewer generator
+# calls until the block leaves the cache: collision_growth of 1,024 pairs
+# (best of 5, 2 vCPUs) took 111 / 78 / 92 / 76 / 84 / 87 ms on path R=5001
+# (T=5000) and 30 / 20 / 20 / 19 / 19 / 22 ms on grid R=1251 (T=1250) with
+# blocks of 1 / 8 / 16 / 32 / 64 / 128 steps.  The bound caps a group's block
+# at BLOCK_STEPS x rows x GROUP_CHUNKS x 512 doubles: 4 MiB per worker for the
+# two rows of a pair state, 512 KiB at 1,024 replicas, plus one chunk's draw
+# of 256 KiB on its way into the block.
+BLOCK_STEPS = 32
 
 # stream namespace tags, one per replica-chunked experiment family, and the
 # tag of walk_pair's per-replica walker streams
@@ -103,24 +119,23 @@ class ChunkGroup:
         """The group of chunks first, first + 1, ... of the family ``tag``."""
         return cls([substream_rng(seed, tag, first + c) for c in range(len(sizes))], sizes)
 
-    def filler(self, out):
-        """A function that refills ``out``, C-contiguous (rows x size), and returns it.
+    def uniforms(self, rows, steps):
+        """Yield ``steps`` draws, each a flat (rows x size) array of uniforms.
 
-        Chunk c fills its slice of row 0, then of row 1 and so on, which is
-        the one ``random(rows * m)`` draw of a chunk of m replicas alone.
-        The slices are made once: per step, the cost is one call per slice.
+        Chunk c's slices of a draw's rows, row 0 first, are the one
+        ``random(rows * m)`` draw of its m replicas alone.  Draws come in
+        blocks of at most ``BLOCK_STEPS`` steps, one ``random((n, rows, m))``
+        call per chunk, so no chunk draws past step ``steps``.  A yielded
+        array is overwritten by a later block: use it before the next draw.
         """
         bounds = self.bounds.tolist()
-        rows = out.reshape(-1, self.size)
-        fills = [(rng.random, row[a:b])
-                 for rng, a, b in zip(self.rngs, bounds[:-1], bounds[1:]) for row in rows]
-
-        def refill():
-            for fill, view in fills:
-                fill(out=view)
-            return out
-
-        return refill
+        block = np.empty((min(steps, BLOCK_STEPS), rows, self.size))
+        draws = block.reshape(len(block), -1)  # one flat row a step
+        for done in range(0, steps, BLOCK_STEPS):
+            n = min(BLOCK_STEPS, steps - done)
+            for rng, a, b in zip(self.rngs, bounds[:-1], bounds[1:]):
+                block[:n, :, a:b] = rng.random((n, rows, b - a))
+            yield from draws[:n]
 
     def parts(self, active):
         """(generator, lo, hi) of every chunk holding active replicas.

@@ -24,8 +24,9 @@ seed streams, so the per-replica counts are independent of the worker count.
 A worker steps a group of contiguous chunks (``_parallel.ChunkGroup``) as
 one (2, n) pair state of its n pairs, the x row before the y row, with one
 ``advance`` on the flat state per step, and counts a collision wherever
-x == y.  Chunk c of m pairs fills its slice of the x row of the uniforms and
-then of the y row, which is the 2m draw it would make alone.
+x == y.  The uniforms come from ``ChunkGroup.uniforms`` in blocks of steps:
+chunk c of m pairs draws n steps at once as one (n, 2, m) array, whose row
+for each step is the 2m draw, x slice then y slice, it would make alone.
 """
 
 from __future__ import annotations
@@ -204,13 +205,13 @@ def _growth_chunk(payload):
     size = group.size
     state = np.repeat(origin, size)
     x, y = state[:size], state[size:]
-    uniforms = group.filler(np.empty(2 * size))
+    uniforms = group.uniforms(2, horizons[-1])
     counters = np.zeros(size, dtype=np.int64)
     out = np.empty((len(horizons), size), dtype=np.int64)
     walked = 0
     for i, h in enumerate(horizons):  # ascending
         for _ in range(h - walked):
-            stepper.advance(state, uniforms())
+            stepper.advance(state, next(uniforms))
             counters += x == y
         walked = h
         out[i] = counters
@@ -266,7 +267,20 @@ def collision_growth(
         for first, sizes in chunk_groups(replicas, workers)
     ]
     pieces = run_chunked(_growth_chunk, payloads, workers=workers)
-    counts = np.concatenate(pieces, axis=1)
+    # A piece is a column block, which touches every row of the counts.  The
+    # counts live in an anonymous mapping, which numpy does not mark for huge
+    # pages, so only the pages a piece is copied onto become resident, and
+    # the counts and the pieces are held about once, not twice.  mmap is
+    # imported here to keep it off the package's import time.
+    import mmap
+
+    counts = np.frombuffer(mmap.mmap(-1, 8 * len(horizons) * replicas), dtype=np.int64)
+    counts = counts.reshape(len(horizons), replicas)
+    done = 0
+    for k, piece in enumerate(pieces):
+        pieces[k] = None  # freed once copied
+        counts[:, done:done + piece.shape[1]] = piece
+        done += piece.shape[1]
     stats = tuple(
         GrowthStatistics(
             horizon=h,

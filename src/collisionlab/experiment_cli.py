@@ -15,15 +15,17 @@ that table.  The numeric config fields are checked by the same :class:`Param`
 type, from :data:`_FIELDS`, and a run uses the checked values.  Validation
 refuses a run whose arrays would exceed ``graph_core.MEMORY_BUDGET``: the
 model's box, the dense kernels when the vertex count is known beforehand, the
-per-replica results and the dump.  Flags are described once too: ``_FLAGS``
-maps each flag to the config field it sets, ``_SUBCOMMANDS`` lists the flags
-of each run subcommand, and ``validate`` takes all of them, so it checks any
-run's command line.
+per-replica results, the per-replica CSV rows when ``output`` is set (voter
+and ctcollide build them only then) and the dump.  Flags are described once
+too: ``_FLAGS`` maps each flag to the config field it sets, ``_SUBCOMMANDS``
+lists the flags of each run subcommand, and ``validate`` takes all of them,
+so it checks any run's command line.
 
 Results are wrapped in a :class:`ResultEnvelope` whose deterministic body
 (version, canonical config echo, payload) is byte-identical across runs and
 across worker counts; wall-clock time and the worker count live in the
-envelope's ``meta`` section, outside the deterministic body.
+envelope's ``meta`` section, outside the deterministic body, and so do
+collide's walker steps, their rate and its chunk-group count.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -43,6 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
+from ._parallel import chunk_groups
 from .collision_stats import GrowthStatistics, collision_growth, last_collision_identity
 from .errors import (
     CertificateViolationError,
@@ -70,6 +72,13 @@ from .walk_engine import walk_pair, write_trajectory_csv
 
 DEFAULT_MASTER_SEED = 1729
 SEED_ENV_VAR = "COLLISIONLAB_SEED"
+
+# charge of a per-replica CSV row of voter and ctcollide.  The rows are built
+# only when ``output`` is set, and written as they are built from columns
+# turned into Python objects: with output, ru_maxrss rose 79 bytes a replica
+# more than without on ctcollide (torus 4, 10**6 replicas) and 13 on voter
+# (torus 3, 4 x 10**5 replicas)
+CSV_ROW_BYTES = 80
 
 # fields that control execution only and are excluded from the deterministic echo
 _EXECUTION_FIELDS = ("output", "envelope_path", "workers", "dump_trajectories", "dump_limit")
@@ -435,6 +444,8 @@ def _memory_violations(config, resolved, window):
                 f"the dense kernels on {V} vertices")
     per_replica = {"collide": 8 * len(config.horizons or ()), "voter": (sites or 0) + 17,
                    "ctcollide": 16}.get(config.kind, 0)
+    if config.output and config.kind in ("voter", "ctcollide"):
+        per_replica += CSV_ROW_BYTES
     require("replicas", require_memory, per_replica * replicas,
             f"the results of {replicas} replicas")
     if config.kind == "collide" and config.dump_trajectories and config.horizons:
@@ -470,15 +481,19 @@ def _raise_violations(config):
 
 
 def _sha256_array(arr):
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+    """sha256 of the array's bytes in C order, hashed in place when contiguous."""
+    return hashlib.sha256(np.ascontiguousarray(arr).data).hexdigest()
 
 
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _voter_rows(ens):
+    times = ens.consensus_time.tolist()
+    for i, v in enumerate(ens.consensus_value.tolist()):
+        yield [i, v, repr(times[i])] if v >= 0 else [i, "", ""]
+
+
+def _ct_rows(table, t_max):
+    for i, (m, g) in enumerate(zip(table[:, 0].tolist(), table[:, 1].tolist())):
+        yield [i, t_max, repr(m), repr(g)]
 
 
 def _run_gen(config, resolved):
@@ -510,15 +525,14 @@ def _run_collide(config, resolved):
         config.master_seed,
         workers=config.workers,
     )
-    header = [f.name for f in fields(GrowthStatistics)]
-    csv_text = _csv_text(header, [astuple(s) for s in result.stats])
+    rows = ([f.name for f in fields(GrowthStatistics)], [astuple(s) for s in result.stats])
     payload = {
         "stats": [asdict(s) for s in result.stats],
-        "counts_sha256": _sha256_array(result.counts.astype("<i8")),
+        "counts_sha256": _sha256_array(result.counts.astype("<i8", copy=False)),
     }
     if config.dump_trajectories:
         _dump_sample_trajectories(config, resolved)
-    return payload, csv_text
+    return payload, rows
 
 
 def _dump_sample_trajectories(config, resolved):
@@ -598,10 +612,6 @@ def _run_voter(config, resolved):
     ens = voter_ensemble(
         net, initial, t_max, config.replicas, config.master_seed, workers=config.workers
     )
-    times = ens.consensus_time.tolist()
-    rows = [[i, v, repr(times[i])] if v >= 0 else [i, "", ""]
-            for i, v in enumerate(ens.consensus_value.tolist())]
-    csv_text = _csv_text(["replica", "consensus_value", "consensus_time"], rows)
     reached = ens.consensus_value >= 0
     payload = {
         "replicas": int(ens.replicas),
@@ -614,7 +624,7 @@ def _run_voter(config, resolved):
         "rows_sha256": _sha256_array(np.column_stack(
             [ens.consensus_value.astype("<i8"), ens.consensus_time.astype("<f8")])),
     }
-    return payload, csv_text
+    return payload, (["replica", "consensus_value", "consensus_time"], _voter_rows(ens))
 
 
 def _ct_t_max(config):
@@ -635,22 +645,16 @@ def _run_ctcollide(config, resolved):
         config.master_seed,
         workers=config.workers,
     )
-    rows = [
-        [i, t_max, repr(float(m)), repr(float(g))]
-        for i, (m, g) in enumerate(table)
-    ]
-    csv_text = _csv_text(
-        ["replica", "T_max", "measure", "integral_grid_estimate"], rows
-    )
     payload = {
         "replicas": int(table.shape[0]),
         "t_max": float(t_max),
         "grid": int(config.grid),
         "mean_measure": float(table[:, 0].mean()),
         "mean_integral": float(table[:, 1].mean()),
-        "rows_sha256": _sha256_array(table.astype("<f8")),
+        "rows_sha256": _sha256_array(table.astype("<f8", copy=False)),
     }
-    return payload, csv_text
+    header = ["replica", "T_max", "measure", "integral_grid_estimate"]
+    return payload, (header, _ct_rows(table, t_max))
 
 
 _RUNNERS = {
@@ -671,19 +675,29 @@ def run(config):
     checked = _raise_violations(config)
     resolved = resolve_graph(checked)
     t0 = time.perf_counter()
-    payload, csv_text = _RUNNERS[config.kind](checked, resolved)
+    payload, rows = _RUNNERS[config.kind](checked, resolved)
     wall = time.perf_counter() - t0
+    meta = {"wall_clock_s": wall, "workers": checked.workers}
+    if config.kind == "collide":
+        steps = 2 * checked.replicas * max(checked.horizons)
+        meta.update(walker_steps=steps, walker_steps_per_s=steps / wall,
+                    chunk_groups=len(chunk_groups(checked.replicas, checked.workers)))
     envelope = ResultEnvelope(
         version=__version__,
         config=config.canonical(),
         payload=payload,
-        meta={"wall_clock_s": wall, "workers": checked.workers},
+        meta=meta,
     )
-    _write_outputs(config, envelope, csv_text)
+    _write_outputs(config, envelope, rows)
     return envelope
 
 
-def _write_outputs(config, envelope, csv_text):
+def _write_outputs(config, envelope, rows):
+    """Write the output file and the envelope, as configured.
+
+    ``rows`` is the runner's (header, rows) table or None; the rows may be
+    a generator, which is read only here, while the CSV is written.
+    """
     if config.output:
         if config.kind == "gen":
             with open(config.output, "w", newline="\n") as fh:
@@ -691,9 +705,12 @@ def _write_outputs(config, envelope, csv_text):
             sidecar_path = _sidecar_path(config.output)
             with open(sidecar_path, "w", newline="\n") as fh:
                 fh.write(json.dumps(envelope.payload["sidecar"], indent=2) + "\n")
-        elif csv_text is not None:
+        elif rows is not None:
+            header, body = rows
             with open(config.output, "w", newline="\n") as fh:
-                fh.write(csv_text)
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(body)
         else:
             with open(config.output, "w", newline="\n") as fh:
                 fh.write(json.dumps(envelope.payload, sort_keys=True, indent=2) + "\n")

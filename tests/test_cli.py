@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,10 +18,12 @@ from collisionlab import (
     CertificateViolationError,
     ConfigError,
     ResourceLimitError,
+    experiment_cli,
     interacting,
     network_from_json,
 )
 from collisionlab.experiment_cli import (
+    CSV_ROW_BYTES,
     DEFAULT_MASTER_SEED,
     MODELS,
     ExperimentConfig,
@@ -41,6 +44,22 @@ INTERPRETER_ALLOWANCE = 32 * 2**20
 
 def _cfg(**kwargs):
     return ExperimentConfig(**kwargs)
+
+
+def _peak_rise(**fields):
+    """ru_maxrss rise, in bytes, of ``run`` of the config in a fresh process."""
+    script = (
+        "import resource\n"
+        "from collisionlab.experiment_cli import ExperimentConfig, run\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"run(ExperimentConfig(**{fields!r}))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = str(Path(collisionlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
 
 
 class TestValidate:
@@ -233,20 +252,37 @@ class TestValidate:
     def test_gen_peak_within_charge(self, model):
         # the ru_maxrss rise of gen in a fresh process, against the bytes
         # validate charges plus a fixed allowance for the interpreter
-        script = (
-            "import resource, sys\n"
-            "from collisionlab.experiment_cli import ExperimentConfig, run\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            f"run(ExperimentConfig(kind='gen', model={model!r}))\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
-        )
-        src = str(Path(collisionlab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        rise = int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
+        rise = _peak_rise(kind="gen", model=model)
         resolved = resolve_graph(_cfg(kind="gen", model=model))
         assert rise <= resolved.gen_site_bytes * resolved.sites + INTERPRETER_ALLOWANCE
+
+    def test_collide_peak_within_charge(self):
+        # the counts of 200,000 replicas at 100 horizons are charged 8 bytes
+        # each, 153 MiB; the chunk groups' pieces held beside the merged
+        # counts, and copies made for the hash, had tripled the rise
+        horizons, replicas = tuple(range(1, 101)), 200_000
+        rise = _peak_rise(kind="collide", model={"name": "path", "R": 5}, start=5,
+                          horizons=horizons, replicas=replicas)
+        assert rise <= 8 * len(horizons) * replicas + INTERPRETER_ALLOWANCE
+
+    @pytest.mark.parametrize("kind,sampler", [
+        ("voter", "voter_ensemble"),
+        ("ctcollide", "continuous_collision_ensemble"),
+    ])
+    def test_output_rows_over_memory_cap_fail_before_sampling(
+            self, kind, sampler, tmp_path, monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(f"collisionlab.experiment_cli.{sampler}", sample)
+        # the results fit the cap; the rows of the output file do not
+        cfg = _cfg(kind=kind, model={"name": "torus", "side": 3},
+                   replicas=2**31 // CSV_ROW_BYTES)
+        assert validate(cfg) == []
+        cfg = replace(cfg, output=str(tmp_path / "rows.csv"))
+        assert any(p.startswith("replicas:") and "memory cap" in p for p in validate(cfg))
+        with pytest.raises(ResourceLimitError, match="replicas need"):
+            run(cfg)
 
     @pytest.mark.parametrize("kind,fields,sampler", [
         ("voter", {"model": {"name": "torus", "side": 64}, "replicas": 10**7},
@@ -381,6 +417,24 @@ class TestRun:
         assert len(rows) == 51
         assert env.payload["consensus_fraction"] == 1.0
 
+    @pytest.mark.parametrize("kind,rows", [("voter", "_voter_rows"), ("ctcollide", "_ct_rows")])
+    def test_rows_built_only_with_output(self, kind, rows, tmp_path, monkeypatch):
+        built = []
+        make_rows = getattr(experiment_cli, rows)
+
+        def counted(*args):
+            built.append(kind)
+            yield from make_rows(*args)
+
+        monkeypatch.setattr(experiment_cli, rows, counted)
+        cfg = _cfg(kind=kind, model={"name": "torus", "side": 3}, replicas=30, t_max=5.0)
+        run(cfg)
+        assert built == []
+        out = tmp_path / "rows.csv"
+        run(replace(cfg, output=str(out)))
+        assert built == [kind]
+        assert len(out.read_text().splitlines()) == 31
+
     def test_ctcollide_csv(self, tmp_path):
         out = tmp_path / "ct.csv"
         env = run(_cfg(kind="ctcollide", model={"name": "path", "R": 1},
@@ -453,16 +507,30 @@ class TestPinnedEnvelopes:
     def _sha(self, cfg):
         return hashlib.sha256(run(cfg).deterministic_bytes()).hexdigest()
 
-    @pytest.mark.parametrize("name,seed,sha", [
+    COLLIDE_LATTICE = [
         ("path", 21, "080824c3f297edab60011bc35c9fcb7640d1eb7ee62251b922ec18f5aba71181"),
         ("grid", 22, "ca70bef8a210b4390ced957972f59c885c9d1e36e1956279095c702d814af695"),
         ("comb", 23, "cf47663c2c72c3ef38cc2ebf21d5862d90fee15be561de43fcc0a10da6ac1181"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("name,seed,sha", COLLIDE_LATTICE)
     def test_collide_lattice(self, name, seed, sha):
         # 600 replicas span a full and a partial chunk
         cfg = _cfg(kind="collide", model={"name": name, "R": 41}, horizons=(10, 40),
                    replicas=600, master_seed=seed)
         assert self._sha(cfg) == sha
+
+    @pytest.mark.parametrize("workers,groups", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("name,seed,sha", COLLIDE_LATTICE)
+    def test_collide_meta_counts_walker_steps(self, name, seed, sha, workers, groups):
+        # meta is outside the deterministic body, which keeps its pin
+        env = run(_cfg(kind="collide", model={"name": name, "R": 41}, horizons=(10, 40),
+                       replicas=600, master_seed=seed, workers=workers))
+        meta = env.meta
+        assert meta["walker_steps"] == 2 * 600 * 40
+        assert meta["walker_steps_per_s"] == meta["walker_steps"] / meta["wall_clock_s"]
+        assert meta["chunk_groups"] == groups
+        assert hashlib.sha256(env.deterministic_bytes()).hexdigest() == sha
 
     def test_collide_weighted_network_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -10,6 +10,7 @@ import pytest
 import oracles
 import nets
 from collisionlab._parallel import (
+    BLOCK_STEPS,
     GROUP_CHUNKS,
     REPLICA_CHUNK,
     TAG_GROWTH,
@@ -43,10 +44,12 @@ class TestChunkGroups:
         assert max(widths) - min(widths) <= 1
 
     @pytest.mark.parametrize("sizes", [(512, 512, 77), (300,)])
-    def test_filler_fills_each_chunk_as_one_draw(self, sizes):
+    def test_block_draws_are_each_chunks_lone_draws(self, sizes):
+        # two full blocks and a short last one
+        steps = 2 * BLOCK_STEPS + 5
         group = ChunkGroup.streams(7, TAG_GROWTH, 4, sizes)
-        refill = group.filler(np.empty((2, group.size)))
-        draws = [refill().copy() for _ in range(3)]
+        draws = [d.reshape(2, group.size).copy() for d in group.uniforms(2, steps)]
+        assert len(draws) == steps
         for c, (a, b) in enumerate(zip(group.bounds[:-1], group.bounds[1:])):
             alone = substream_rng(7, TAG_GROWTH, 4 + c)
             for r in draws:
@@ -58,7 +61,26 @@ class TestChunkGroups:
         assert [(lo, hi) for _, lo, hi in group.parts(np.array([1, 2, 9, 11]))] == [(0, 2), (2, 4)]
 
 
+# horizons on both sides of block edges, with a short last block
+BLOCK_EDGES = (0, 1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 7)
+
+
 class TestGrowthGroups:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("replicas", [REMAINDER, WIDE])
+    @pytest.mark.parametrize("graph,start", [
+        (CombLattice(80), None),
+        (PathLattice(80), None),
+        (gen_torus(6).network, 0),
+        (gen_torus(6).network, (0, 7)),
+    ], ids=["comb", "path", "torus", "torus_pair"])
+    def test_block_edges_match_per_chunk_loop(self, graph, start, replicas, workers):
+        got = collision_growth(graph, start, BLOCK_EDGES, replicas, seed=31, workers=workers)
+        stepper, origin = _resolve_pair(graph, start)
+        want = oracles.per_chunk(oracles.growth_chunk_loop,
+                                 (stepper, origin, BLOCK_EDGES, 31), replicas, axis=1)
+        assert np.array_equal(got.counts, want)
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("replicas", [REMAINDER, WIDE])
     def test_lattice_matches_per_chunk_loop(self, replicas, workers):
