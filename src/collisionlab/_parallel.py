@@ -30,6 +30,7 @@ are kept as they are because re-seeding would change every pinned output.
 from __future__ import annotations
 
 import multiprocessing
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -149,13 +150,25 @@ class ChunkGroup:
 
 
 def run_chunked(worker, payloads, workers=1):
-    """Run ``worker(payload)`` over all payloads, results in payload order.
+    """Yield ``worker(payload)`` for every payload, lazily, in payload order.
 
     ``worker`` must be a top-level function (picklable) when workers > 1.
-    Callers pass one payload per group of :func:`chunk_groups`.
+    Callers pass one payload per group of :func:`chunk_groups` and copy each
+    result into place before taking the next, so they hold one group's
+    result beside the merged results, not every group's.  Nothing runs until
+    the first result is taken.  At most ``workers`` payloads are submitted
+    beyond the result being taken, as finished results wait here until taken.
     """
     if workers <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
+        yield from map(worker, payloads)
+        return
+    workers = min(workers, len(payloads))
     ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads)), mp_context=ctx) as pool:
-        return list(pool.map(worker, payloads))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        pending = deque()
+        for payload in payloads:
+            pending.append(pool.submit(worker, payload))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()

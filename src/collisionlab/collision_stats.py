@@ -27,6 +27,8 @@ one (2, n) pair state of its n pairs, the x row before the y row, with one
 x == y.  The uniforms come from ``ChunkGroup.uniforms`` in blocks of steps:
 chunk c of m pairs draws n steps at once as one (n, 2, m) array, whose row
 for each step is the 2m draw, x slice then y slice, it would make alone.
+``run_chunked`` yields one group's counts at a time, each copied into the
+merged counts at once, so a run holds no other group's counts beside them.
 """
 
 from __future__ import annotations
@@ -192,11 +194,6 @@ class GrowthResult:
     stats: tuple
     seed: int
 
-    def stderr(self, i):
-        """Monte Carlo standard error of the mean at horizon index i."""
-        row = self.counts[i]
-        return float(row.std(ddof=1) / np.sqrt(row.size))
-
 
 def _growth_chunk(payload):
     """Collision counts at each horizon for one chunk group, stepping the pair state."""
@@ -266,21 +263,12 @@ def collision_growth(
         (stepper, origin, tuple(horizons), int(seed), first, sizes)
         for first, sizes in chunk_groups(replicas, workers)
     ]
-    pieces = run_chunked(_growth_chunk, payloads, workers=workers)
-    # A piece is a column block, which touches every row of the counts.  The
-    # counts live in an anonymous mapping, which numpy does not mark for huge
-    # pages, so only the pages a piece is copied onto become resident, and
-    # the counts and the pieces are held about once, not twice.  mmap is
-    # imported here to keep it off the package's import time.
-    import mmap
-
-    counts = np.frombuffer(mmap.mmap(-1, 8 * len(horizons) * replicas), dtype=np.int64)
-    counts = counts.reshape(len(horizons), replicas)
+    counts = np.empty((len(horizons), replicas), dtype=np.int64)
     done = 0
-    for k, piece in enumerate(pieces):
-        pieces[k] = None  # freed once copied
+    for piece in run_chunked(_growth_chunk, payloads, workers=workers):
         counts[:, done:done + piece.shape[1]] = piece
         done += piece.shape[1]
+        del piece  # not held while the next group runs
     stats = tuple(
         GrowthStatistics(
             horizon=h,

@@ -7,12 +7,13 @@ beats both).  The master seed defaults to a fixed constant so that bare
 invocations are reproducible.
 
 Models are described once, in :data:`MODELS`: each entry lists its
-parameters (type, range, default), its vertex count when that is known before
-building, its builder ``(params, master_seed) -> RootedModel`` and its lattice
-coordinate walker class, if it has one.  Resolution, validation (parameter
-checks, certified horizons, the memory cap) and the ``--model`` help all read
-that table.  The numeric config fields are checked by the same :class:`Param`
-type, from :data:`_FIELDS`, and a run uses the checked values.  Validation
+parameters (type, range, default), its builder ``(params, master_seed) ->
+RootedModel`` and either its lattice coordinate walker class, which knows its
+own vertex count and certificate, or its vertex count when that is known
+before building.  Resolution, validation (parameter checks, certified
+horizons, the memory cap) and the ``--model`` help all read that table.  The
+numeric config fields are checked by the same :class:`Param` type, from
+:data:`_FIELDS`, and a run uses the checked values.  Validation
 refuses a run whose arrays would exceed ``graph_core.MEMORY_BUDGET``: the
 model's box, the dense kernels when the vertex count is known beforehand, the
 per-replica results, the per-replica CSV rows when ``output`` is set (voter
@@ -79,6 +80,9 @@ SEED_ENV_VAR = "COLLISIONLAB_SEED"
 # more than without on ctcollide (torus 4, 10**6 replicas) and 13 on voter
 # (torus 3, 4 x 10**5 replicas)
 CSV_ROW_BYTES = 80
+
+# rows a block of the voter row hash, 1 MiB of float64 (value, time) rows
+HASH_ROWS = 65_536
 
 # fields that control execution only and are excluded from the deterministic echo
 _EXECUTION_FIELDS = ("output", "envelope_path", "workers", "dump_trajectories", "dump_limit")
@@ -199,14 +203,14 @@ class Model:
     params: dict  # name -> Param
     build: Callable  # (params, master_seed) -> RootedModel
     vertex_count: Optional[Callable] = None  # params -> int, when known before building
-    walker: Optional[type] = None  # lattice coordinate walker, constructed from R
+    walker: Optional[type] = None  # lattice coordinate walker, constructed from R; has the count
     sites: Optional[Callable] = None  # params -> sites of the box built, if not vertex_count
     gen_site_bytes: int = 2 * SITE_BYTES  # charge a site of a ``gen`` run, payload included
 
 
-def _lattice(walker, vertex_count, gen_site_bytes=2 * SITE_BYTES):
+def _lattice(walker, gen_site_bytes=2 * SITE_BYTES):
     return Model({"R": Param(int, 1)}, lambda p, _: walker(p["R"]).materialize(),
-                 vertex_count, walker, gen_site_bytes=gen_site_bytes)
+                 walker=walker, gen_site_bytes=gen_site_bytes)
 
 
 def _ust_torus(p, master_seed):
@@ -222,9 +226,9 @@ def _ust_torus(p, master_seed):
 # torus side 601, 947 on a full percolation box (two edges a site) and 698
 # on ust_torus side 300, which builds its torus first.
 MODELS = {
-    "path": _lattice(PathLattice, lambda p: 2 * p["R"] + 1, SITE_BYTES),
-    "grid": _lattice(GridLattice, lambda p: (2 * p["R"] + 1) ** 2),
-    "comb": _lattice(CombLattice, lambda p: (2 * p["R"] + 1) * (p["R"] + 1), SITE_BYTES),
+    "path": _lattice(PathLattice, SITE_BYTES),
+    "grid": _lattice(GridLattice),
+    "comb": _lattice(CombLattice, SITE_BYTES),
     "percolation": Model(
         {"n": Param(int, 1), "p": Param(float, 0.0, CRITICAL_BOND_P, 1.0),
          "seed": Param(int, 0, None)},
@@ -241,7 +245,7 @@ MODELS = {
 
 @dataclass
 class ResolvedGraph:
-    walker: object = None  # lattice coordinate walker, when available
+    walker: object = None  # the lattice walker that collide walks (no start), else None
     vertex_count: Optional[int] = None  # when known before building
     sites: Optional[int] = None  # bound on the vertex count, when known before building
     gen_site_bytes: int = SITE_BYTES  # charge a site of a ``gen`` run
@@ -287,15 +291,15 @@ def _resolve(config):
             problems.append(Violation(f"model.{key}", str(exc), "config"))
     if problems:
         return None, problems
-    walker = None
-    if entry.walker is not None:
-        try:
-            walker = entry.walker(params["R"])
-        except ValueError as exc:
-            return None, [Violation("model.R", str(exc), "config")]
-    vertices = entry.vertex_count(params) if entry.vertex_count else None
+    try:
+        walker = entry.walker and entry.walker(params["R"])
+    except ValueError as exc:
+        return None, [Violation("model.R", str(exc), "config")]
+    vertices = walker.vertex_count if walker else entry.vertex_count and entry.vertex_count(params)
+    # an explicit start makes the run a finite-network one, not a truncation
+    walks = walker and config.kind == "collide" and config.start is None
     return ResolvedGraph(
-        walker=walker,
+        walker=walker if walks else None,
         vertex_count=vertices,
         sites=entry.sites(params) if entry.sites else vertices,
         gen_site_bytes=entry.gen_site_bytes,
@@ -387,8 +391,7 @@ def _violations(config):
     if config.kind == "collide":
         if not config.horizons:
             out.append(Violation("horizons", "at least one horizon is required", "config"))
-        elif walker is not None and config.start is None:
-            # an explicit start makes the run a finite-network one, not a truncation
+        elif walker is not None:
             cert_horizon = walker.certificate.horizon
             for i, h in enumerate(config.horizons):
                 if h > cert_horizon:
@@ -434,7 +437,7 @@ def _memory_violations(config, resolved, window):
             out.append(Violation(field, str(exc), "resource"))
 
     V, sites, replicas = resolved.vertex_count, resolved.sites, config.replicas
-    builds = config.kind != "collide" or resolved.walker is None or config.start is not None
+    builds = resolved.walker is None
     if sites is not None and (builds or config.dump_trajectories):
         # the dump walks the materialized model: fail before sampling
         site_bytes = resolved.gen_site_bytes if config.kind == "gen" else SITE_BYTES
@@ -485,6 +488,15 @@ def _sha256_array(arr):
     return hashlib.sha256(np.ascontiguousarray(arr).data).hexdigest()
 
 
+def _sha256_voter_rows(ens):
+    """sha256 of the float64 rows (consensus value, consensus time), built a block at a time."""
+    digest = hashlib.sha256()
+    for a in range(0, ens.replicas, HASH_ROWS):
+        rows = slice(a, a + HASH_ROWS)
+        digest.update(np.column_stack([ens.consensus_value[rows], ens.consensus_time[rows]]).data)
+    return digest.hexdigest()
+
+
 def _voter_rows(ens):
     times = ens.consensus_time.tolist()
     for i, v in enumerate(ens.consensus_value.tolist()):
@@ -509,7 +521,7 @@ def _run_gen(config, resolved):
 
 
 def _run_collide(config, resolved):
-    if resolved.walker is not None and config.start is None:
+    if resolved.walker is not None:
         graph, start = resolved.walker, None
     else:
         # an explicit start materializes the graph (the memory cap applies) and
@@ -621,8 +633,7 @@ def _run_voter(config, resolved):
         "mean_consensus_time": (
             float(ens.consensus_time[reached].mean()) if reached.any() else None
         ),
-        "rows_sha256": _sha256_array(np.column_stack(
-            [ens.consensus_value.astype("<i8"), ens.consensus_time.astype("<f8")])),
+        "rows_sha256": _sha256_voter_rows(ens),
     }
     return payload, (["replica", "consensus_value", "consensus_time"], _voter_rows(ens))
 

@@ -165,10 +165,6 @@ class Network:
     def edge_count(self):
         return len(self.ends)
 
-    @property
-    def total_conductance(self):
-        return float(self.vertex_conductance.sum())
-
     def adjacency_csr(self):
         """Aggregated adjacency as (offsets, targets, weights) arrays."""
         return self._offsets, self._targets, self._weights

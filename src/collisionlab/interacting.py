@@ -220,14 +220,16 @@ def voter_ensemble(net, initial, t_max, replicas, seed, workers=1):
         (net, ops, float(t_max), int(seed), first, sizes)
         for first, sizes in chunk_groups(replicas, workers)
     ]
-    pieces = run_chunked(_voter_chunk, payloads, workers=workers)
-    return VoterEnsembleResult(
-        final_opinions=np.concatenate([p[0] for p in pieces]),
-        consensus_value=np.concatenate([p[1] for p in pieces]),
-        consensus_time=np.concatenate([p[2] for p in pieces]),
-        t_max=float(t_max),
-        seed=int(seed),
-    )
+    final = np.empty((replicas, net.vertex_count), dtype=np.int8)
+    value = np.empty(replicas, dtype=np.int8)
+    when = np.empty(replicas)
+    done = 0
+    for opinions, cons_val, cons_time in run_chunked(_voter_chunk, payloads, workers=workers):
+        rows = slice(done, done + len(cons_val))
+        final[rows], value[rows], when[rows] = opinions, cons_val, cons_time
+        done = rows.stop
+    return VoterEnsembleResult(final_opinions=final, consensus_value=value,
+                               consensus_time=when, t_max=float(t_max), seed=int(seed))
 
 
 def dual_walker_positions(net, start, t, replicas, seed):
@@ -381,5 +383,9 @@ def continuous_collision_ensemble(net, start, t_max, grid, replicas, seed, worke
         (net, start, float(t_max), int(grid), int(seed), first, sizes)
         for first, sizes in chunk_groups(replicas, workers)
     ]
-    pieces = run_chunked(_ct_chunk, payloads, workers=workers)
-    return np.concatenate(pieces)
+    table = np.empty((replicas, 2))
+    done = 0
+    for piece in run_chunked(_ct_chunk, payloads, workers=workers):
+        table[done:done + len(piece)] = piece
+        done += len(piece)
+    return table

@@ -1,13 +1,15 @@
 """Graph model generators: lattice truncations, percolation clusters, spanning trees.
 
-The lattice families (line segment, square box, comb) come in two forms:
-
-* explicit truncations (:func:`gen_path_segment`, :func:`gen_grid_box`,
-  :func:`gen_comb`) that materialize a :class:`~collisionlab.graph_core.Network`
-  together with a :class:`TruncationCertificate`, and
-* coordinate walkers (:class:`PathLattice`, :class:`GridLattice`,
-  :class:`CombLattice`) that sample the same walk law without materializing
-  the graph, which is what makes long-horizon experiments affordable.
+Each lattice family (line segment, square box, comb) is one coordinate
+walker class (:class:`PathLattice`, :class:`GridLattice`, :class:`CombLattice`)
+holding both of its forms: the walk, sampled on coordinate codes without
+materializing the graph, which makes long-horizon experiments affordable, and
+the explicit truncation (``materialize()``, which :func:`gen_path_segment`,
+:func:`gen_grid_box` and :func:`gen_comb` return), a
+:class:`~collisionlab.graph_core.Network` with a :class:`TruncationCertificate`.
+The class's ``_box(R) -> (cols, rows, y0)`` is the truncation's box: site
+(x + R) * rows + (y + y0) is vertex (x, y), and the center R * rows + y0 is
+the certificate's start.
 
 A walker's state is a flat int64 array of codes, x on the line and
 x * 2^32 + y on the grid and the comb (y >= 0 there), unique for radius
@@ -30,7 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificateViolationError
-from .graph_core import Network, build_network, component_labels, require_memory
+from .graph_core import (Network, build_network, component_labels, require_memory,
+                         stationary_distribution)
 from .walk_engine import sample_step
 
 CRITICAL_BOND_P = 0.5  # classical critical density for square-lattice bond percolation
@@ -42,14 +45,10 @@ class RootLaw:
 
     kind: str  # "uniform" | "conductance_biased" | "fixed"
     probabilities: np.ndarray
-    fixed_vertex: Optional[int] = None
 
     def sample(self, rng, size=None):
         n = len(self.probabilities)
         return rng.choice(n, size=size, p=self.probabilities)
-
-    def prob(self, v):
-        return float(self.probabilities[v])
 
 
 def apply_root_law(net, kind, vertex=None):
@@ -62,16 +61,13 @@ def apply_root_law(net, kind, vertex=None):
     if kind == "uniform":
         return RootLaw("uniform", np.full(n, 1.0 / n))
     if kind == "conductance_biased":
-        total = net.vertex_conductance.sum()
-        if total == 0.0:  # single isolated vertex
-            return RootLaw("conductance_biased", np.ones(n))
-        return RootLaw("conductance_biased", net.vertex_conductance / total)
+        return RootLaw("conductance_biased", stationary_distribution(net))
     if kind == "fixed":
         if vertex is None or not (0 <= vertex < n):
             raise ValueError("fixed root law needs a valid vertex")
         p = np.zeros(n)
         p[vertex] = 1.0
-        return RootLaw("fixed", p, fixed_vertex=int(vertex))
+        return RootLaw("fixed", p)
     raise ValueError(f"unknown root law kind {kind!r}")
 
 
@@ -113,26 +109,21 @@ class RootedModel:
 
 def gen_path_segment(R):
     """Line segment {-R..R} with unit conductances, centered at 0."""
-    if R < 1:
-        raise ValueError("R must be at least 1")
-    n = 2 * R + 1
-    bonds = _box_bonds(n, 1)  # site x + R is x
-    cert = TruncationCertificate(horizon=R - 1, safety_radius=R, start_vertex=R)
-    coords = tuple(range(-R, R + 1))
-    return RootedModel(build_network(n, bonds), start=R, certificate=cert, coords=coords)
+    return PathLattice(R).materialize()
 
 
 def gen_grid_box(R):
     """(2R+1) x (2R+1) box of the square lattice with unit nearest-neighbor edges."""
-    if R < 1:
-        raise ValueError("R must be at least 1")
-    side = 2 * R + 1
-    n = side * side
-    bonds = _box_bonds(side, side)  # site (x + R) * side + (y + R) is (x, y)
-    center = R * side + R
-    cert = TruncationCertificate(horizon=R - 1, safety_radius=R, start_vertex=center)
-    coords = tuple(product(range(-R, R + 1), repeat=2))
-    return RootedModel(build_network(n, bonds), start=center, certificate=cert, coords=coords)
+    return GridLattice(R).materialize()
+
+
+def gen_comb(R):
+    """Comb truncation: spine {-R..R} x {0} with a tooth {x} x {1..R} at every spine vertex.
+
+    Tooth height equals spine radius so a single parameter certifies the
+    horizon; the origin (0, 0) is the designated start.
+    """
+    return CombLattice(R).materialize()
 
 
 def _box_bonds(cols, rows, spine=False, wrap=False):
@@ -167,24 +158,6 @@ def require_sites(sites, site_bytes=SITE_BYTES):
     """
     require_memory(site_bytes * sites,
                    f"the arrays of {sites} lattice sites at {site_bytes} bytes a site")
-
-
-def gen_comb(R):
-    """Comb truncation: spine {-R..R} x {0} with a tooth {x} x {1..R} at every spine vertex.
-
-    Tooth height equals spine radius so a single parameter certifies the
-    horizon; the origin (0, 0) is the designated start.
-    """
-    if R < 1:
-        raise ValueError("R must be at least 1")
-    cols = 2 * R + 1
-    height = R + 1
-    n = cols * height
-    bonds = _box_bonds(cols, height, spine=True)  # site (x + R) * height + y is (x, y)
-    origin = R * height
-    cert = TruncationCertificate(horizon=R - 1, safety_radius=R, start_vertex=origin)
-    coords = tuple(product(range(-R, R + 1), range(height)))
-    return RootedModel(build_network(n, bonds), start=origin, certificate=cert, coords=coords)
 
 
 def gen_torus(side):
@@ -298,22 +271,27 @@ _COMB_MOVES = np.array([-_HIGH, _HIGH, _HIGH, 1, -1, -1, 1, 1], dtype=np.int64)
 
 
 class _CoordinateWalker:
-    """Walker set-up, exact up to horizon radius - 1.
+    """One lattice family: its walk on codes and its truncation, exact up to
+    horizon radius - 1.
 
     Each walker has its own ``advance(state, r)``, which moves walker i of the
-    flat code array ``state`` by the uniform ``r[i]`` and may overwrite ``r``.
+    flat code array ``state`` by the uniform ``r[i]`` and may overwrite ``r``,
+    and its own ``_box(R) -> (cols, rows, y0)``, the truncation's box.
     """
 
     planar = True  # x * 2^32 + y codes
+    spine = False  # the box keeps the x-bonds of row 0 only
 
     def __init__(self, radius):
         if radius < 1:
             raise ValueError("radius must be at least 1")
         if self.planar and radius >= CODE_RADIUS_LIMIT:
             raise ValueError("radius must be below 2^31 to keep x * 2^32 + y codes unique")
-        self.radius = int(radius)
+        self.radius = R = int(radius)
+        cols, rows, y0 = self._box(R)
+        self.vertex_count = cols * rows
         self.certificate = TruncationCertificate(
-            horizon=self.radius - 1, safety_radius=self.radius, start_vertex=self._center(self.radius)
+            horizon=R - 1, safety_radius=R, start_vertex=R * rows + y0
         )
 
     def new_state(self, m):
@@ -325,15 +303,22 @@ class _CoordinateWalker:
         return list(zip(x.tolist(), (state - (x << 32)).tolist()))
 
     def materialize(self):
-        return self._generate(self.radius)
+        """The truncation as a :class:`RootedModel` started at the center."""
+        R = self.radius
+        cols, rows, y0 = self._box(R)
+        bonds = _box_bonds(cols, rows, spine=self.spine)
+        xs = range(-R, R + 1)
+        coords = tuple(product(xs, range(-y0, rows - y0)) if self.planar else xs)
+        cert = self.certificate
+        return RootedModel(build_network(self.vertex_count, bonds), start=cert.start_vertex,
+                           certificate=cert, coords=coords)
 
 
 class PathLattice(_CoordinateWalker):
     """Walk on the integer line; the code is x and a draw r < 1/2 steps left."""
 
     planar = False
-    _generate = staticmethod(gen_path_segment)
-    _center = staticmethod(lambda R: R)
+    _box = staticmethod(lambda R: (2 * R + 1, 1, 0))
 
     def advance(self, state, r):
         r *= 2  # exact, so floor(2r) is [r >= 1/2]
@@ -347,8 +332,7 @@ class GridLattice(_CoordinateWalker):
     """Walk on the square lattice; the quarters of [0, 1) step to x - 1,
     x + 1, y - 1 and y + 1."""
 
-    _generate = staticmethod(gen_grid_box)
-    _center = staticmethod(lambda R: R * (2 * R + 1) + R)
+    _box = staticmethod(lambda R: (2 * R + 1, 2 * R + 1, R))
 
     def advance(self, state, r):
         r *= 4  # exact, so floor(4r) is the quarter r lies in
@@ -365,8 +349,8 @@ class CombLattice(_CoordinateWalker):
     truncation's law exactly.
     """
 
-    _generate = staticmethod(gen_comb)
-    _center = staticmethod(lambda R: R * (R + 1))
+    spine = True
+    _box = staticmethod(lambda R: (2 * R + 1, R + 1, 0))
 
     def advance(self, state, r):
         # 3r is not exact, so the thirds are found by comparison

@@ -9,6 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nets
@@ -37,7 +38,7 @@ from collisionlab.experiment_cli import (
 )
 
 
-# ru_maxrss growth a run may show beyond its charged arrays: allocator and
+# peak resident growth a run may show beyond its charged arrays: allocator and
 # interpreter overhead, independent of the run's size
 INTERPRETER_ALLOWANCE = 32 * 2**20
 
@@ -47,19 +48,26 @@ def _cfg(**kwargs):
 
 
 def _peak_rise(**fields):
-    """ru_maxrss rise, in bytes, of ``run`` of the config in a fresh process."""
+    """Peak resident-set rise, in bytes, of ``run`` of the config in a fresh process.
+
+    The peak is the process's VmHWM, not ru_maxrss: a child starts with its
+    parent's resident size as its ru_maxrss, so from a large test process
+    the rise of ru_maxrss reads too low, or 0.
+    """
     script = (
-        "import resource\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return int(next(ln for ln in fh if ln.startswith('VmHWM:')).split()[1])\n"
         "from collisionlab.experiment_cli import ExperimentConfig, run\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = hwm()\n"
         f"run(ExperimentConfig(**{fields!r}))\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        "print(hwm() - before)\n"
     )
     src = str(Path(collisionlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    return int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
+    return int(out.stdout) * 1024  # VmHWM is in KiB
 
 
 class TestValidate:
@@ -250,20 +258,37 @@ class TestValidate:
         {"name": "path", "R": 200_000},
     ])
     def test_gen_peak_within_charge(self, model):
-        # the ru_maxrss rise of gen in a fresh process, against the bytes
+        # the peak resident rise of gen in a fresh process, against the bytes
         # validate charges plus a fixed allowance for the interpreter
         rise = _peak_rise(kind="gen", model=model)
         resolved = resolve_graph(_cfg(kind="gen", model=model))
         assert rise <= resolved.gen_site_bytes * resolved.sites + INTERPRETER_ALLOWANCE
 
-    def test_collide_peak_within_charge(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_collide_peak_within_charge(self, workers):
         # the counts of 200,000 replicas at 100 horizons are charged 8 bytes
         # each, 153 MiB; the chunk groups' pieces held beside the merged
         # counts, and copies made for the hash, had tripled the rise
         horizons, replicas = tuple(range(1, 101)), 200_000
         rise = _peak_rise(kind="collide", model={"name": "path", "R": 5}, start=5,
-                          horizons=horizons, replicas=replicas)
+                          horizons=horizons, replicas=replicas, workers=workers)
         assert rise <= 8 * len(horizons) * replicas + INTERPRETER_ALLOWANCE
+
+    def test_ctcollide_peak_within_charge(self):
+        # 16 bytes a replica; the pieces held beside the merged table had
+        # doubled the rise
+        replicas = 3_000_000
+        rise = _peak_rise(kind="ctcollide", model={"name": "torus", "side": 4},
+                          t_max=0.1, replicas=replicas)
+        assert rise <= 16 * replicas + INTERPRETER_ALLOWANCE
+
+    def test_voter_peak_within_charge(self):
+        # V + 17 bytes a replica: the final opinions, the consensus value and
+        # time; the pieces and a copy of the rows for the hash had doubled it
+        replicas, side = 1_000_000, 10
+        rise = _peak_rise(kind="voter", model={"name": "torus", "side": side},
+                          t_max=0.01, replicas=replicas)
+        assert rise <= (side * side + 17) * replicas + INTERPRETER_ALLOWANCE
 
     @pytest.mark.parametrize("kind,sampler", [
         ("voter", "voter_ensemble"),
@@ -479,6 +504,15 @@ _KIND_FIELDS = {
 }
 
 
+def test_voter_row_hash_is_one_hash_of_the_rows(monkeypatch):
+    # the blocks, the last one short, hash the whole (value, time) float64 table
+    monkeypatch.setattr(experiment_cli, "HASH_ROWS", 7)
+    ens = interacting.voter_ensemble(nets.cycle(5), [1, 0, 0, 0, 0], 3.0, 30, 8)
+    table = np.column_stack([ens.consensus_value, ens.consensus_time]).astype("<f8")
+    assert (ens.consensus_value == -1).any() and (ens.consensus_value >= 0).any()
+    assert experiment_cli._sha256_voter_rows(ens) == hashlib.sha256(table.tobytes()).hexdigest()
+
+
 class TestStartRange:
     @pytest.mark.parametrize("kind", sorted(_KIND_FIELDS))
     @pytest.mark.parametrize("start", [-1, 16, 10_000])
@@ -585,15 +619,29 @@ class TestPinnedEnvelopes:
         )
 
 
+def _gen_of_smallest(name, extra=0):
+    """A gen config of model ``name`` with its integer parameters at minimum + ``extra``."""
+    params = {k: p.minimum + extra for k, p in MODELS[name].params.items() if p.kind is int}
+    return _cfg(kind="gen", model={"name": name, **params})
+
+
 class TestRegistry:
-    @pytest.mark.parametrize("name", [n for n, m in MODELS.items() if m.vertex_count])
+    @pytest.mark.parametrize(
+        "name", [n for n in MODELS if resolve_graph(_gen_of_smallest(n)).vertex_count])
     @pytest.mark.parametrize("extra", [0, 3])
     def test_known_vertex_count_matches_built_model(self, name, extra):
-        model = MODELS[name]
-        params = {k: p.minimum + extra for k, p in model.params.items() if p.kind is int}
-        cfg = _cfg(kind="gen", model={"name": name, **params})
-        built = resolve_graph(cfg).model().network.vertex_count
-        assert model.vertex_count(params) == built
+        resolved = resolve_graph(_gen_of_smallest(name, extra))
+        assert resolved.vertex_count == resolved.model().network.vertex_count
+
+    @pytest.mark.parametrize("name", [n for n, m in MODELS.items() if m.walker])
+    def test_lattice_walker_only_when_collide_walks_it(self, name):
+        # collide without a start walks the lattice; any other run builds it
+        model = {"name": name, "R": 3}
+        walks = _cfg(kind="collide", model=model, horizons=(2,))
+        assert resolve_graph(walks).walker.certificate.horizon == 2
+        for cfg in (replace(walks, start=0), _cfg(kind="gen", model=model),
+                    _cfg(kind="voter", model=model)):
+            assert resolve_graph(cfg).walker is None
 
     def test_validate_parses_every_run_flag(self):
         parser = build_parser()

@@ -139,6 +139,31 @@ def test_planar_radius_below_code_range(walker_cls):
 
 
 @pytest.mark.parametrize("walker_cls", [PathLattice, GridLattice, CombLattice])
+@pytest.mark.parametrize("R", [1, 4])
+def test_walker_describes_its_truncation(walker_cls, R):
+    # the count and certificate known before building are the built model's,
+    # and the certificate's start is the walkers' common start, the center
+    walker = walker_cls(R)
+    m = walker.materialize()
+    assert walker.vertex_count == m.network.vertex_count
+    assert m.certificate == walker.certificate
+    assert m.start == walker.certificate.start_vertex
+    assert m.coords[m.start] == walker.coords(walker.new_state(1))[0]
+
+
+@pytest.mark.parametrize("gen", [gen_path_segment, gen_grid_box, gen_comb])
+def test_generator_radius_checked(gen):
+    with pytest.raises(ValueError, match="radius must be at least 1"):
+        gen(0)
+
+
+def test_grid_box_radius_below_code_range():
+    # the walker's code range bounds its truncation too, before any array exists
+    with pytest.raises(ValueError, match="2\\^31"):
+        gen_grid_box(2**31)
+
+
+@pytest.mark.parametrize("walker_cls", [PathLattice, GridLattice, CombLattice])
 def test_lattice_walker_steps_along_edges(walker_cls):
     # every step of every walker joins two adjacent labels of the truncation
     walker = walker_cls(12)
@@ -263,6 +288,10 @@ class TestRootLaw:
         uni = apply_root_law(net, "uniform")
         bia = apply_root_law(net, "conductance_biased")
         assert np.allclose(uni.probabilities, bia.probabilities)
+
+    def test_conductance_biased_single_vertex(self):
+        law = apply_root_law(build_network(1, []), "conductance_biased")
+        assert law.probabilities.tolist() == [1.0]
 
     def test_fixed(self):
         law = apply_root_law(nets.p3(), "fixed", vertex=2)

@@ -17,6 +17,7 @@ from collisionlab._parallel import (
     ChunkGroup,
     chunk_groups,
     chunk_sizes,
+    run_chunked,
     substream_rng,
 )
 from collisionlab.collision_stats import _resolve_pair, collision_growth
@@ -26,6 +27,23 @@ from collisionlab.models import CombLattice, PathLattice, gen_torus
 REMAINDER = 3 * REPLICA_CHUNK + 77
 # more chunks than one group holds, the last one short
 WIDE = (GROUP_CHUNKS + 2) * REPLICA_CHUNK + 5
+
+
+def _square(x):
+    return x * x
+
+
+class TestRunChunked:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_yields_in_payload_order(self, workers):
+        assert list(run_chunked(_square, list(range(7)), workers)) == [x * x for x in range(7)]
+
+    def test_runs_each_payload_when_its_result_is_taken(self):
+        calls = []
+        results = run_chunked(lambda p: calls.append(p) or p, [4, 5, 6])
+        assert calls == []
+        assert next(results) == 4 and calls == [4]
+        assert list(results) == [5, 6] and calls == [4, 5, 6]
 
 
 class TestChunkGroups:
