@@ -9,9 +9,10 @@ Every one-step draw goes through one sampler over the network's CSR
 adjacency: per-row cumulative conductances in O(E) memory, searched with a
 uniform ``r`` in [0, 1).  The step from ``u`` takes the neighbor whose index
 in ``u``'s row is the count of cumulative values ``<= r`` (so an ``r`` equal
-to an interior cumulative value moves past it).  Batched draws run a
-vectorized binary search of ceil(log2 maxdeg) passes; single draws run the
-same search on one row.
+to an interior cumulative value moves past it).  A guide table (Chen and
+Asau 1974) read at bucket floor(r * deg(u)) narrows that count to a short
+range, which batched draws search in as many passes as the widest range
+needs (none on a unit-conductance torus) and single draws bisect.
 """
 
 from __future__ import annotations
@@ -91,8 +92,19 @@ class JumpTrajectory:
         return JumpTrajectory(verts, times, t_max=t1 - t0)
 
 
+class SamplingTables(tuple):
+    """The arrays ``(offsets, targets, cum)``, which unpack as a 3-tuple, and their guide.
+
+    Row ``u`` (offset ``o``, ``d`` entries) has ``d`` buckets and ``r`` falls in
+    ``b = int(r * deg[u]) < d``, one float product at build and at draw time.
+    Its draw lies in ``[lo[o + b], hi[o + b]]`` (int32 arrays): ``lo`` counts
+    the entries ``<= r`` for every ``r`` of the bucket, ``hi`` those ``<= r``
+    for some.  ``ladder`` is the bit length of the widest range.
+    """
+
+
 def _sampling_tables(net: Network):
-    """CSR (offsets, targets, cum) tables for one-step sampling, cached.
+    """CSR (offsets, targets, cum) tables and their guide for one-step sampling, cached.
 
     ``offsets`` and ``targets`` are the network's aggregated adjacency; ``cum``
     holds each row's running conductance sum divided by the row total, the
@@ -100,7 +112,9 @@ def _sampling_tables(net: Network):
     a real neighbor.  Memory is O(E) whatever the degrees.  The running sums
     are built in column passes, left to right within every row, so they
     equal a per-row ``np.cumsum`` bit for bit.  A single-vertex network with
-    no edges gets one self-loop row.
+    no edges gets one self-loop row.  Entry ``j`` counts in ``hi`` from bucket
+    ``int(cum[j] * d)`` on and in ``lo`` past ``int(prev(cum[j]) * d)``; keyed
+    ``o + b``, one running count serves all rows.
     """
     if net._tables is None:
         offsets, targets, weights = net.adjacency_csr()
@@ -117,52 +131,62 @@ def _sampling_tables(net: Network):
             cum[at] += cum[at - 1]
         cum /= np.repeat(cum[offsets[1:] - 1], degs)
         cum[offsets[1:] - 1] = 1.0
-        net._tables = (offsets, targets, cum)
+        t = SamplingTables((offsets, targets, cum))
+        t.deg = degs.astype(float)
+        below = np.maximum(cum.view(np.int64) - 1, 0).view(float)  # prev(cum), 0 kept
+        d, o, n = np.repeat(t.deg, degs), np.repeat(offsets[:-1], degs), cum.size
+        t.hi, t.lo = (np.bincount((c * d).astype(np.int64) + o + k, minlength=n + 1)[:n]
+                      .cumsum(dtype=np.int32) for c, k in ((cum, 0), (below, 1)))
+        t.ladder = int((t.hi - t.lo).max()).bit_length()
+        net._tables = t
     return net._tables
 
 
 class CSRSampler:
     """Batched one-step draws over the tables of :func:`_sampling_tables`.
 
-    For each walker the search keeps ``pos``, the last index of its row known
-    to hold a cumulative value ``<= r`` (one before the row when none is
-    known yet), and tries steps of 2^(p-1), ..., 2, 1 clamped to the row's
-    last entry, p = ceil(log2 maxdeg).  That entry is 1.0 > r, so a clamped
-    probe never moves ``pos``; the drawn neighbor is ``targets[pos + 1]``.
+    A draw reads its bucket's guide range ``[lo, hi]``; if the ladder is not
+    empty, ``pos``, the last index known to hold a cumulative value ``<= r``
+    (``lo - 1`` at first), tries steps of 2^(p-1), ..., 2, 1 clamped to ``hi``,
+    p = ``ladder``.  ``cum[hi] > r``, so a clamped probe never moves ``pos``;
+    the drawn neighbor is ``targets[pos + 1]``.
     """
 
     def __init__(self, tables):
-        offsets, self.targets, self.cum = tables
-        self.before = offsets[:-1] - 1
-        self.last = offsets[1:] - 1
-        width = int(np.diff(offsets).max())
-        self.steps = [1 << i for i in reversed(range((width - 1).bit_length()))]
+        self.offsets, self.targets, self.cum = tables
+        self.deg, self.lo, self.hi = tables.deg, tables.lo, tables.hi
+        self.steps = [1 << i for i in reversed(range(tables.ladder))]
 
     def draw(self, u, r):
         """Vertices reached from the vertices ``u`` with the uniforms ``r``."""
-        pos, end, cum = self.before[u], self.last[u], self.cum
-        for step in self.steps:
-            probe = np.minimum(pos + step, end)
-            pos = np.where(cum[probe] <= r, probe, pos)
-        return self.targets[pos + 1]
+        at = self.offsets[u] + (r * self.deg[u]).astype(np.int64)
+        pos = self.lo[at]
+        if self.steps:
+            pos, end, cum = pos - 1, self.hi[at], self.cum
+            for step in self.steps:
+                probe = np.minimum(pos + step, end)
+                pos = np.where(cum[probe] <= r, probe, pos)
+            pos += 1
+        return self.targets[pos]
 
 
 def sample_step(net, u, rng):
     """One transition of the conductance-weighted walk from ``u``.
 
-    The same rule as :meth:`CSRSampler.draw`, by a binary search on one row,
-    for callers that draw one step at a time.
+    The same rule as :meth:`CSRSampler.draw`, by a bisection of the guide
+    range, for callers that draw one step at a time.
     """
-    offsets, targets, cum = _sampling_tables(net)
+    offsets, targets, cum = tables = _sampling_tables(net)
     r = rng.random()
-    lo, hi = int(offsets[u]), int(offsets[u + 1]) - 1
+    at = offsets.item(u) + int(r * tables.deg.item(u))
+    lo, hi = tables.lo.item(at), tables.hi.item(at)
     while lo < hi:
         mid = (lo + hi) >> 1
-        if cum[mid] <= r:
+        if cum.item(mid) <= r:
             lo = mid + 1
         else:
             hi = mid
-    return int(targets[lo])
+    return targets.item(lo)
 
 
 class NetworkStepper:

@@ -6,7 +6,8 @@ one taboo iteration here runs forward from a single start, the reference for
 the package's backward recursion over all starts.  The one-step draw rule is
 the exception: :class:`PaddedSampler` reads the aggregated CSR adjacency, as
 the package's sampler does, and applies the padded-table rule the package
-used before its CSR binary search, so the two must agree bit for bit.
+used before its CSR sampler, a row search since narrowed by a guide table,
+so the two must agree bit for bit.
 :func:`percolation_cluster` is the per-bond loop version of the percolation
 generator, which must return the same cluster edge for edge, and
 :func:`one_step_rows` and :func:`adjacency_edges` are the loop versions of

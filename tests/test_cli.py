@@ -36,6 +36,7 @@ from collisionlab.experiment_cli import (
     run,
     validate,
 )
+from collisionlab.models import SITE_BYTES
 
 
 # peak resident growth a run may show beyond its charged arrays: allocator and
@@ -290,6 +291,14 @@ class TestValidate:
                           t_max=0.01, replicas=replicas)
         assert rise <= (side * side + 17) * replicas + INTERPRETER_ALLOWANCE
 
+    def test_network_collide_peak_within_charge(self):
+        # a network run is charged SITE_BYTES a site for the network, its CSR
+        # sampling tables and their guide: 78 MiB on this torus
+        side = 400
+        rise = _peak_rise(kind="collide", model={"name": "torus", "side": side}, start=0,
+                          horizons=(10,), replicas=1024)
+        assert rise <= SITE_BYTES * side * side + INTERPRETER_ALLOWANCE
+
     @pytest.mark.parametrize("kind,sampler", [
         ("voter", "voter_ensemble"),
         ("ctcollide", "continuous_collision_ensemble"),
@@ -526,7 +535,7 @@ class TestStartRange:
 
 def _weighted_hub():
     """14 vertices; the hub has 12 distinct neighbors (one through parallel
-    edges), so a draw there takes four binary-search passes."""
+    edges) of uneven conductance, so a draw there takes two ladder passes."""
     edges = [(0, i, 0.3 * (1 + i % 5)) for i in range(1, 13)]
     edges += [(i, i + 1, 1.7) for i in range(1, 12)]
     edges += [(0, 3, 0.45), (5, 5, 0.8), (12, 13, 2.5)]

@@ -10,6 +10,9 @@ import oracles
 from conftest import chisquare_pvalue
 from collisionlab import (
     build_network,
+    gen_percolation_cluster,
+    gen_torus,
+    gen_wilson_ust,
     n_step_kernel,
     substream_rng,
     walk_continuous,
@@ -50,20 +53,32 @@ _SAMPLER_NETS = [
              (2, 3, 1.1), (3, 3, 0.2), (3, 3, 0.9), (0, 3, 2.0), (0, 0, 0.1)],
         ),
     ),
+    # conductances 2^-k crowd most of the hub's row into its last buckets
+    (
+        "skewed_hub",
+        build_network(
+            52,
+            [(0, k + 1, 2.0**-k) for k in range(51)]
+            + [(0, 1, 0.25), (0, 40, 2.0**-45), (0, 51, 2.0**-3), (0, 0, 2.0**-30), (7, 8, 1.0)],
+        ),
+    ),
 ]
 
 
 def _draw_cases(net, ref, seed):
-    """(u, r) pairs: every interior cumulative value, both ends of [0, 1), and
-    a few uniforms per vertex."""
+    """(u, r) pairs: every interior cumulative value, both ends of [0, 1), each
+    guide bucket's edge b/deg(u) with the floats on either side of it, and a
+    few uniforms per vertex."""
     rng = np.random.default_rng(seed)
     degs = np.diff(ref.offsets)
     us, rs = [], []
     for u in range(net.vertex_count):
         _, cum = ref.row(u)
         interior = cum[: max(int(degs[u]) - 1, 0)]
+        edges = np.arange(max(int(degs[u]), 1)) / max(int(degs[u]), 1)
         extra = np.concatenate(
-            [interior, [0.0, np.nextafter(1.0, 0.0)], rng.random(3)]
+            [interior, [0.0, np.nextafter(1.0, 0.0)], rng.random(3),
+             edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0)]
         )
         us.extend([u] * extra.size)
         rs.extend(extra)
@@ -79,6 +94,24 @@ class TestSampler:
         assert np.array_equal(CSRSampler(_sampling_tables(net)).draw(u, r), expected)
         scalar = _FixedUniforms(r)
         assert [sample_step(net, int(a), scalar) for a in u] == expected.tolist()
+
+    @pytest.mark.parametrize("name,net", _SAMPLER_NETS, ids=[n for n, _ in _SAMPLER_NETS])
+    def test_ladder_no_longer_than_binary_search(self, name, net):
+        # the guide never adds passes to the ceil(log2 maxdeg) of a full-row search
+        tables = _sampling_tables(net)
+        maxdeg = int(np.diff(tables[0]).max())
+        assert len(CSRSampler(tables).steps) <= (maxdeg - 1).bit_length()
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_torus(6).network,
+        lambda: gen_torus(64).network,
+        lambda: gen_percolation_cluster(60, 0.5, seed=4).network,
+        lambda: gen_percolation_cluster(200, 0.5, seed=9).network,
+        lambda: gen_wilson_ust(gen_torus(16).network, seed=2),
+    ], ids=["torus6", "torus64", "percolation60", "percolation200", "ust16"])
+    def test_unit_conductance_draw_is_one_gather(self, make):
+        # rows of at most 4 unit conductances: every bucket holds its answer alone
+        assert CSRSampler(_sampling_tables(make())).steps == []
 
     def test_single_vertex_stays_put(self):
         net = build_network(1, [])
