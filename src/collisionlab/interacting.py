@@ -13,7 +13,8 @@ of either draws only for the replicas still active: chunk c draws from its
 own stream for its own active replicas, joined in chunk order, so every
 chunk makes the draws it would make alone.  A voter replica stays active
 until consensus or ``t_max``, a pair chain until its next event passes
-``t_max``.
+``t_max``.  The voter keeps only the active replicas' state, in compact
+arrays, so a round costs a few numpy calls a chunk however many are active.
 
 The voter model here rings each vertex at rate 1; on a ring the vertex
 adopts the opinion of a neighbor chosen with probability proportional to
@@ -146,8 +147,12 @@ def _voter_batch(net, initial, t_max, group):
     """Voter runs of every replica of ``group``, one active set for all its chunks.
 
     Each round, every active replica rings a uniform vertex after an
-    Exponential(V) wait; chunk c draws its waits, vertices and uniforms for
-    its own active replicas from its own generator.
+    Exponential(V) wait; chunk c draws its waits, vertices and uniforms, in
+    that order, for its own active replicas from its own generator.  The
+    active replicas' clocks, one-counts and row starts are compact arrays
+    aligned with ``k``, filtered only when a replica leaves.  Waits are drawn
+    in place: ``exponential(1 / V)`` is ``1 / V`` times
+    ``standard_exponential``, so the scaled standard draws are the same doubles.
     """
     V = net.vertex_count
     size = group.size
@@ -155,38 +160,42 @@ def _voter_batch(net, initial, t_max, group):
     opinions = np.tile(initial, (size, 1))
     flat = opinions.reshape(-1)  # replica k's vertex u is flat[k * V + u]
     ones = opinions.sum(axis=1, dtype=np.int64)
-    t = np.zeros(size)
     cons_val = np.full(size, -1, dtype=np.int8)
     cons_time = np.full(size, np.nan)
-    settled = (ones == 0) | (ones == V)
+    consensus = np.isin(np.arange(V + 1), (0, V))  # by one-count
+    settled = consensus[ones]
     cons_val[settled] = (ones[settled] > 0).astype(np.int8)
     cons_time[settled] = 0.0
-    active = np.flatnonzero(~settled)
-    while active.size:
-        k = active
-        parts = group.parts(k)
-        dt = np.concatenate([rng.exponential(1.0 / V, hi - lo) for rng, lo, hi in parts])
-        u = np.concatenate([rng.integers(0, V, hi - lo) for rng, lo, hi in parts])
-        r = np.concatenate([rng.random(hi - lo) for rng, lo, hi in parts])
-        tk = t[k] + dt
-        t[k] = tk
-        alive = tk <= t_max
-        if not alive.all():
-            k, u, r = k[alive], u[alive], r[alive]
-            if k.size == 0:
-                break
-        row = k * V
-        at_u = row + u
-        new = flat[row + sampler.draw(u, r)]
-        count = ones[k] + (new - flat[at_u])
-        ones[k] = count
-        flat[at_u] = new
-        done = (count == 0) | (count == V)
-        if done.any():
-            d = k[done]
-            cons_val[d] = count[done] > 0
-            cons_time[d] = t[d]
-        active = k[~done]
+    k = np.flatnonzero(~settled)
+    t, count, row = np.zeros(k.size), ones[k], k * V
+    waits, uniforms = np.empty(k.size), np.empty(k.size)
+    while k.size:
+        # each active chunk draws into its own slices of dt and r, which hold
+        # until a replica leaves
+        n = k.size
+        dt, r = waits[:n], uniforms[:n]
+        chunks = [(rng, dt[lo:hi], r[lo:hi]) for rng, lo, hi in group.parts(k)]
+        while k.size == n:
+            u = []
+            for rng, dt_c, r_c in chunks:
+                rng.standard_exponential(out=dt_c)
+                u.append(rng.integers(0, V, dt_c.size))
+                rng.random(out=r_c)
+            u = u[0] if len(u) == 1 else np.concatenate(u)
+            dt *= 1.0 / V
+            t += dt
+            if t.max() > t_max:
+                alive = t <= t_max
+                k, t, count, row, u, r = (a[alive] for a in (k, t, count, row, u, r))
+            at_u = row + u
+            new = flat[row + sampler.draw(u, r)]
+            count += new - flat[at_u]
+            flat[at_u] = new
+            done = consensus[count]
+            if done.any():
+                cons_val[k[done]] = count[done] > 0
+                cons_time[k[done]] = t[done]
+                k, t, count, row = (a[~done] for a in (k, t, count, row))
     return opinions, cons_val, cons_time
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CertificateViolationError
 from .graph_core import (Network, build_network, component_labels, require_memory,
                          stationary_distribution)
-from .walk_engine import sample_step
+from . import walk_engine
 
 CRITICAL_BOND_P = 0.5  # classical critical density for square-lattice bond percolation
 
@@ -221,9 +221,12 @@ def gen_wilson_ust(base, seed=0):
     """Random spanning tree of ``base`` by loop-erased random walks (Wilson 1996).
 
     The tree has probability proportional to the product of its edge
-    conductances (uniform for unit conductances).  The walks step through
-    :func:`~collisionlab.walk_engine.sample_step`, the network sampler, and
-    the sweep is rooted at vertex 0; the law does not depend on that choice.
+    conductances (uniform for unit conductances).  The walks take the steps
+    of :func:`~collisionlab.walk_engine.sample_step`, the network sampler,
+    and the sweep is rooted at vertex 0; the law does not depend on that
+    choice.  The loop reads the tables through memoryviews (no copy) and
+    draws uniforms in blocks of 8, 16, ..., 4,096, exactly the per-step draws:
+    ``Generator.random`` takes one 64-bit word per double.
     The edges are (u, parent[u]) for u = 1..V-1.  On a multigraph a tree edge
     carries the aggregated c(u, v) of all the edges joining u and v, not the
     conductance of one parallel edge, so the tree is the weighted uniform
@@ -233,13 +236,23 @@ def gen_wilson_ust(base, seed=0):
     if n == 1:
         return Network(1, [])
     rng = np.random.default_rng(seed)
+    tables = walk_engine._sampling_tables(base)
+    offsets, targets, cum, deg, lo, hi = map(
+        memoryview, (*tables, tables.deg, tables.lo, tables.hi))
+    cum, search = cum.__getitem__, walk_engine._guide_search
+    draws, i, block = [], 0, 8
     in_tree = [False] * n
     in_tree[0] = True
     parent = [0] * n  # the exit taken on the last visit
     for start in range(1, n):
         u = start
         while not in_tree[u]:
-            v = sample_step(base, u, rng)
+            if i == len(draws):
+                draws, i, block = rng.random(block).tolist(), 0, min(2 * block, 4096)
+            r = draws[i]
+            i += 1
+            at = offsets[u] + int(r * deg[u])
+            v = targets[search(cum, lo[at], hi[at], r)]
             parent[u] = v
             u = v
         # the last exits from ``start`` trace the loop-erased path into the tree

@@ -170,23 +170,28 @@ class CSRSampler:
         return self.targets[pos]
 
 
+def _guide_search(cum, lo, hi, r):
+    """The first index in ``r``'s guide range ``[lo, hi]`` whose ``cum(j)`` is
+    above ``r``, by bisection: the rule of :meth:`CSRSampler.draw`, one draw."""
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if cum(mid) <= r:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def sample_step(net, u, rng):
     """One transition of the conductance-weighted walk from ``u``.
 
-    The same rule as :meth:`CSRSampler.draw`, by a bisection of the guide
-    range, for callers that draw one step at a time.
+    The same rule as :meth:`CSRSampler.draw`, by :func:`_guide_search`, for
+    callers that draw one step at a time.
     """
     offsets, targets, cum = tables = _sampling_tables(net)
     r = rng.random()
     at = offsets.item(u) + int(r * tables.deg.item(u))
-    lo, hi = tables.lo.item(at), tables.hi.item(at)
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if cum.item(mid) <= r:
-            lo = mid + 1
-        else:
-            hi = mid
-    return targets.item(lo)
+    return targets.item(_guide_search(cum.item, tables.lo.item(at), tables.hi.item(at), r))
 
 
 class NetworkStepper:

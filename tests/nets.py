@@ -53,6 +53,23 @@ def star(k):
     return build_network(k + 1, [(0, i, 1.0) for i in range(1, k + 1)])
 
 
+def parallel_and_loops():
+    return build_network(
+        4,
+        [(0, 1, 0.5), (1, 0, 1.5), (0, 1, 0.25), (1, 2, 3.0), (2, 2, 0.7),
+         (2, 3, 1.1), (3, 3, 0.2), (3, 3, 0.9), (0, 3, 2.0), (0, 0, 0.1)],
+    )
+
+
+def skewed_hub(hub=0):
+    """A hub whose conductances 2^-k crowd most of its row into its last
+    guide buckets, a ladder of 6 passes.  Vertex v of the hub-at-0 net is
+    vertex (v + hub) % 52."""
+    edges = ([(0, k + 1, 2.0**-k) for k in range(51)]
+             + [(0, 1, 0.25), (0, 40, 2.0**-45), (0, 51, 2.0**-3), (0, 0, 2.0**-30), (7, 8, 1.0)])
+    return build_network(52, [((a + hub) % 52, (b + hub) % 52, w) for a, b, w in edges])
+
+
 #: named small networks used across module tests
 def small_named():
     return [

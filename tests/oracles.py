@@ -20,11 +20,16 @@ one event at a time and returns both trajectories.
 :func:`growth_chunk_loop`, :func:`voter_chunk_loop` and :func:`ct_chunk_loop`
 step one 512-replica chunk at a time on the chunk's own generator, as the
 replica loops did before chunk groups; the group engines must give the same
-results bit for bit.
+results bit for bit.  :func:`voter_loop`, the body of the voter one, draws
+each round's exponential waits with ``exponential(1 / V, n)`` into fresh
+arrays and keeps full-size state, as the voter did before it kept compact
+active state and scaled in-place standard draws.
 :func:`wilson_incidence` is Wilson's algorithm over per-vertex incidence
 lists, as ``gen_wilson_ust`` ran before it stepped through the CSR sampler;
-it still gives the trees pinned then, and :func:`spanning_tree_law` is the
-exact weighted spanning-tree law by enumeration.
+it still gives the trees pinned then.  :func:`wilson_sample_step` is the
+loop of one ``sample_step`` call a step that ``gen_wilson_ust`` ran before
+it drew its uniforms in blocks, and :func:`spanning_tree_law` is the exact
+weighted spanning-tree law by enumeration.
 """
 
 import itertools
@@ -37,7 +42,7 @@ from collisionlab._parallel import TAG_CTCOLLIDE, TAG_GROWTH, TAG_VOTER, chunk_s
 from collisionlab.graph_core import build_network
 from collisionlab.interacting import collision_measure, discretization_integral
 from collisionlab.walk_engine import (CSRSampler, JumpTrajectory, _sampling_tables,
-                                      substream_rng, walk_continuous)
+                                      sample_step, substream_rng, walk_continuous)
 
 
 def neighbor_probs(net):
@@ -423,7 +428,12 @@ def growth_chunk_loop(payload):
 def voter_chunk_loop(payload):
     """(opinions, consensus values, consensus times) of one voter chunk."""
     net, initial, t_max, seed, chunk_index, size = payload
-    rng = substream_rng(seed, TAG_VOTER, chunk_index)
+    return voter_loop(net, initial, t_max, substream_rng(seed, TAG_VOTER, chunk_index), size)
+
+
+def voter_loop(net, initial, t_max, rng, size):
+    """The voter runs of ``size`` replicas on ``rng``: each round draws the
+    waits, vertices and uniforms of all active replicas, one call each."""
     V = net.vertex_count
     sampler = CSRSampler(_sampling_tables(net))
     opinions = np.tile(initial, (size, 1))
@@ -553,6 +563,37 @@ def wilson_incidence(base, seed=0):
             u = next_hop[u][0]
     edges = [(u, hop[0], hop[1]) for u, hop in enumerate(next_hop) if u != 0]
     return build_network(n, edges)
+
+
+def wilson_sample_step(base, seed=0):
+    """Wilson's algorithm with one :func:`sample_step` call a step.
+
+    ``gen_wilson_ust`` ran this loop before it read the sampling tables
+    once per tree and drew its uniforms in blocks; it must give the same
+    tree edge for edge.
+    """
+    n = base.vertex_count
+    if n == 1:
+        return build_network(1, [])
+    rng = np.random.default_rng(seed)
+    in_tree = [False] * n
+    in_tree[0] = True
+    parent = [0] * n
+    for start in range(1, n):
+        u = start
+        while not in_tree[u]:
+            v = sample_step(base, u, rng)
+            parent[u] = v
+            u = v
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = True
+            u = parent[u]
+    u, v = np.arange(1, n), np.array(parent[1:])
+    offsets, targets, weights = base.adjacency_csr()
+    keys = np.repeat(np.arange(n), np.diff(offsets)) * n + targets
+    w = weights[np.searchsorted(keys, u * n + v)]
+    return build_network(n, np.column_stack([u, v, w]))
 
 
 def spanning_tree_law(net):

@@ -36,6 +36,7 @@ from collisionlab.experiment_cli import (
     run,
     validate,
 )
+from collisionlab.graph_core import dense_bytes
 from collisionlab.models import SITE_BYTES
 
 
@@ -298,6 +299,20 @@ class TestValidate:
         rise = _peak_rise(kind="collide", model={"name": "torus", "side": side}, start=0,
                           horizons=(10,), replicas=1024)
         assert rise <= SITE_BYTES * side * side + INTERPRETER_ALLOWANCE
+
+    def test_identity_peak_within_charge(self):
+        # the dense kernels are charged dense_bytes(V, N): 43.4 MiB on this torus
+        side, window = 30, 10
+        rise = _peak_rise(kind="identity", model={"name": "torus", "side": side},
+                          n_steps=window)
+        assert rise <= dense_bytes(side * side, window) + INTERPRETER_ALLOWANCE
+
+    def test_mtp_peak_within_charge(self):
+        # the qlast transport's window is its horizon, 10
+        side = 30
+        rise = _peak_rise(kind="mtp", model={"name": "torus", "side": side},
+                          transport="qlast:5:10")
+        assert rise <= dense_bytes(side * side, 10) + INTERPRETER_ALLOWANCE
 
     @pytest.mark.parametrize("kind,sampler", [
         ("voter", "voter_ensemble"),

@@ -22,7 +22,7 @@ from collisionlab import (
     n_step_kernel,
 )
 from collisionlab.models import CombLattice, GridLattice, PathLattice, RootedModel
-from collisionlab.walk_engine import _sampling_tables
+from collisionlab.walk_engine import _sampling_tables, sample_step
 
 
 class TestPathSegment:
@@ -272,6 +272,48 @@ class TestWilson:
                 assert w == base.conductance_between(a, b)
             counts[trees.index(self._tree_key(tree))] += 1
         assert chisquare_pvalue(counts, [law[t] for t in trees], samples) > 0.01
+
+
+class TestWilsonBlocks:
+    """The tree loop with table reads and block uniforms against one
+    ``sample_step`` call a step."""
+
+    @staticmethod
+    def _same_trees(base, seeds, monkeypatch):
+        steps = []
+
+        def counted(*args):
+            steps[-1] += 1
+            return sample_step(*args)
+
+        monkeypatch.setattr(oracles, "sample_step", counted)
+        for seed in seeds:
+            steps.append(0)
+            assert gen_wilson_ust(base, seed).edges == oracles.wilson_sample_step(base, seed).edges
+        return steps
+
+    def test_torus_crosses_full_blocks(self, monkeypatch):
+        # blocks of 8, 16, ..., 4,096 draws reach 4,096 after 8,190 draws;
+        # every tree here draws into a second full block, one into its tenth
+        steps = self._same_trees(gen_torus(64).network, (1, 2, 3), monkeypatch)
+        assert min(steps) > 8190 + 4096 and max(steps) > 8190 + 9 * 4096
+
+    @pytest.mark.parametrize("base", [
+        nets.skewed_hub(), nets.skewed_hub(hub=1), nets.parallel_and_loops(),
+        nets.random_connected_network(5),
+    ], ids=["skewed_hub", "skewed_hub_at_1", "parallel_and_loops", "random5"])
+    def test_bisected_ranges(self, base, monkeypatch):
+        # rooted at 0, the walks leave the hub's row alone unless the hub moves
+        self._same_trees(base, (0, 1, 2, 3), monkeypatch)
+
+    @pytest.mark.parametrize("base", [
+        nets.two_vertex_multi(), nets.weighted_p3(), nets.loop_triangle(), nets.k4(),
+        nets.path_n(5), nets.cycle(5),
+    ], ids=["two_vertex_multi", "weighted_p3", "loop_triangle", "k4", "path5", "c5"])
+    def test_small_bases_cross_first_block(self, base, monkeypatch):
+        # a 2-vertex tree takes one draw; the others cross the 8-draw block
+        steps = self._same_trees(base, range(200), monkeypatch)
+        assert max(steps) > 8 or base.vertex_count == 2
 
 
 class TestRootLaw:

@@ -21,7 +21,8 @@ from collisionlab._parallel import (
     substream_rng,
 )
 from collisionlab.collision_stats import _resolve_pair, collision_growth
-from collisionlab.interacting import continuous_collision_ensemble, voter_ensemble
+from collisionlab.interacting import (continuous_collision_ensemble, voter_ensemble,
+                                     voter_simulate)
 from collisionlab.models import CombLattice, PathLattice, gen_torus
 
 REMAINDER = 3 * REPLICA_CHUNK + 77
@@ -153,6 +154,32 @@ class TestVoterGroups:
         unreached = int((got.consensus_value < 0).sum())
         assert 0 < unreached < got.replicas
         assert np.isnan(got.consensus_time).sum() == unreached
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_t_max_cuts_many_chunks(self, workers):
+        # a weighted net whose sampler bisects (ladder 3); t_max cuts while
+        # every full chunk still has about a quarter of its replicas running
+        net = nets.random_connected_network(1)
+        got = self._check(net, [0, 1] * 5, 20.0, WIDE, 21, workers)
+        unreached = (got.consensus_value < 0)[:WIDE - WIDE % REPLICA_CHUNK]
+        assert unreached.reshape(-1, REPLICA_CHUNK).any(axis=1).all()
+
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_constant_start(self, value):
+        got = self._check(nets.weighted_triangle(), [value] * 3, 5.0, REMAINDER, 4, 1)
+        assert (got.consensus_value == value).all() and (got.consensus_time == 0.0).all()
+
+    def test_generator_state_after_run(self):
+        # a Generator used before the run ends where the one-call-a-round
+        # order of draws leaves it
+        net, initial = gen_torus(3).network, np.array([0, 1] * 4 + [0], dtype=np.int8)
+        got, want = np.random.default_rng(8), np.random.default_rng(8)
+        got.random(5), want.random(5)
+        config, when = voter_simulate(net, initial, 30.0, got)
+        ops, _, cons_time = oracles.voter_loop(net, initial, 30.0, want, 1)
+        assert np.array_equal(config.opinions, ops[0])
+        assert when == cons_time[0]
+        assert got.bit_generator.state == want.bit_generator.state
 
 
 class TestCtGroups:

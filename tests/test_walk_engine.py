@@ -45,23 +45,8 @@ _SAMPLER_NETS = [
     ("star4000", nets.star(4000)),
     ("single_vertex", build_network(1, [])),
     ("single_vertex_loop", build_network(1, [(0, 0, 2.5)])),
-    (
-        "parallel_and_loops",
-        build_network(
-            4,
-            [(0, 1, 0.5), (1, 0, 1.5), (0, 1, 0.25), (1, 2, 3.0), (2, 2, 0.7),
-             (2, 3, 1.1), (3, 3, 0.2), (3, 3, 0.9), (0, 3, 2.0), (0, 0, 0.1)],
-        ),
-    ),
-    # conductances 2^-k crowd most of the hub's row into its last buckets
-    (
-        "skewed_hub",
-        build_network(
-            52,
-            [(0, k + 1, 2.0**-k) for k in range(51)]
-            + [(0, 1, 0.25), (0, 40, 2.0**-45), (0, 51, 2.0**-3), (0, 0, 2.0**-30), (7, 8, 1.0)],
-        ),
-    ),
+    ("parallel_and_loops", nets.parallel_and_loops()),
+    ("skewed_hub", nets.skewed_hub()),
 ]
 
 
