@@ -19,12 +19,13 @@ word per double, in order, so that call returns exactly the n per-step
 ``random(rows * m)`` draws, and a chunk's draws do not depend on the block
 length.
 
-Stream paths are padded with zeros by ``np.random.SeedSequence``, so a
-trailing 0 names no new stream: chunk 0 (s, tag, 0) draws what (s, tag)
-would, and a single run's stream (s, 0) draws what ``default_rng(s)`` does,
-the generator the percolation and Wilson models use.  A model built with
-seed s and a walk run with seed s therefore share their uniforms; the streams
-are kept as they are because re-seeding would change every pinned output.
+Every generator comes from :func:`substream_rng`, the percolation and Wilson
+models' too: :func:`_as_rng` gives them the stream (seed, 0).  Stream paths
+are padded with zeros by ``np.random.SeedSequence``, so a trailing 0 names
+no new stream: chunk 0 (s, tag, 0) draws what (s, tag) would, and (s, 0)
+draws what ``default_rng(s)`` does.  A model built with seed s and a walk run
+with seed s therefore share their uniforms; the streams are kept as they are
+because re-seeding would change every pinned output.
 """
 
 from __future__ import annotations
@@ -78,12 +79,19 @@ def substream_rng(master_seed, *path):
     )
 
 
-def chunk_sizes(replicas, chunk=REPLICA_CHUNK):
+def _as_rng(seed):
+    """A Generator passes through; an integer seed becomes its stream (seed, 0)."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return substream_rng(seed, 0)
+
+
+def chunk_sizes(replicas):
     """Sizes of the fixed partition of ``replicas`` into chunks."""
     if replicas < 1:
         raise ValueError("replicas must be at least 1")
-    full, rest = divmod(replicas, chunk)
-    return [chunk] * full + ([rest] if rest else [])
+    full, rest = divmod(replicas, REPLICA_CHUNK)
+    return [REPLICA_CHUNK] * full + ([rest] if rest else [])
 
 
 def chunk_groups(replicas, workers=1):

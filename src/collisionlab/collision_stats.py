@@ -13,8 +13,9 @@ ordered vertex pairs with the diagonal as taboo set:
 q0 for every start comes from one backward taboo recursion on V x V matrices,
 h_0 = 1 and h_m = P (h_{m-1} off the diagonal) P^T with q0(v, m) = h_m[v, v]:
 O(N V^3) time and O(V^2) memory for all starts together.  The p_n side of
-every identity comes from ``graph_core.kernel_powers``, and qlast for a start
-is computed in one place, :func:`horizon_estimates`.  The one size limit is
+every identity here comes from ``graph_core.kernel_powers``.  qlast for one
+start is formed by :func:`horizon_estimates`; ``mtp_check.qlast_transport``
+forms c(u) * qlast for every start at once.  The one size limit is
 ``graph_core.MEMORY_BUDGET``: :func:`q0_profile_all` checks
 ``graph_core.dense_bytes`` for its window before any array exists, and no
 function takes a per-call cap.

@@ -16,8 +16,9 @@ numeric config fields are checked by the same :class:`Param` type, from
 :data:`_FIELDS`, and a run uses the checked values.  Validation
 refuses a run whose arrays would exceed ``graph_core.MEMORY_BUDGET``: the
 model's box, the dense kernels when the vertex count is known beforehand, the
-per-replica results, the per-replica CSV rows when ``output`` is set (voter
-and ctcollide build them only then) and the dump.  Flags are described once
+per-replica results (a voter run's opinion rows on a network file once it
+loads), the per-replica CSV rows when ``output`` is set (voter and ctcollide
+build them only then) and the dump.  Flags are described once
 too: ``_FLAGS`` maps each flag to the config field it sets, ``_SUBCOMMANDS``
 lists the flags of each run subcommand, and ``validate`` takes all of them,
 so it checks any run's command line.
@@ -218,6 +219,9 @@ def _ust_torus(p, master_seed):
     return RootedModel(tree, start=0)
 
 
+# a model seed names the stream (seed, 0); None falls back to the master seed
+_MODEL_SEED = Param(int, 0, None, 2**64 - 1)
+
 # Builders look generators up as module globals at call time, so wrappers
 # installed on this module (tracing, test doubles) see every call.
 # A ``gen`` run also holds one Python list per edge, so its charge follows
@@ -231,14 +235,14 @@ MODELS = {
     "comb": _lattice(CombLattice, SITE_BYTES),
     "percolation": Model(
         {"n": Param(int, 1), "p": Param(float, 0.0, CRITICAL_BOND_P, 1.0),
-         "seed": Param(int, 0, None)},
+         "seed": _MODEL_SEED},
         lambda p, master_seed: gen_percolation_cluster(
             p["n"], p["p"], p.get("seed", master_seed)),
         sites=lambda p: (p["n"] + 1) ** 2,
     ),
     "torus": Model({"side": Param(int, 2)}, lambda p, _: gen_torus(p["side"]),
                    lambda p: p["side"] ** 2),
-    "ust_torus": Model({"side": Param(int, 2), "seed": Param(int, 0, None)}, _ust_torus,
+    "ust_torus": Model({"side": Param(int, 2), "seed": _MODEL_SEED}, _ust_torus,
                        lambda p: p["side"] ** 2),
 }
 
@@ -262,7 +266,7 @@ def _resolve(config):
     """(ResolvedGraph or None, violations) of the config's model or network file."""
     if config.model is None:
         if config.network_file is None:
-            return None, [Violation("model", "a model or network file is required", "config")]
+            return None, [Violation("model", "a model or network file is required")]
 
         def load():
             try:
@@ -275,10 +279,10 @@ def _resolve(config):
     name = config.model.get("name")
     entry = MODELS.get(name)
     if entry is None:
-        return None, [Violation("model.name", f"unknown model {name!r}", "config")]
+        return None, [Violation("model.name", f"unknown model {name!r}")]
     params, problems = {}, []
     for key in sorted(config.model.keys() - entry.params.keys() - {"name"}):
-        problems.append(Violation(f"model.{key}", f"unknown parameter of model {name!r}", "config"))
+        problems.append(Violation(f"model.{key}", f"unknown parameter of model {name!r}"))
     for key, param in entry.params.items():
         try:
             if key in config.model:
@@ -288,13 +292,13 @@ def _resolve(config):
             elif param.default is not None:
                 params[key] = param.default
         except ValueError as exc:
-            problems.append(Violation(f"model.{key}", str(exc), "config"))
+            problems.append(Violation(f"model.{key}", str(exc)))
     if problems:
         return None, problems
     try:
         walker = entry.walker and entry.walker(params["R"])
     except ValueError as exc:
-        return None, [Violation("model.R", str(exc), "config")]
+        return None, [Violation("model.R", str(exc))]
     vertices = walker.vertex_count if walker else entry.vertex_count and entry.vertex_count(params)
     # an explicit start makes the run a finite-network one, not a truncation
     walks = walker and config.kind == "collide" and config.start is None
@@ -315,14 +319,15 @@ def resolve_graph(config):
     return resolved
 
 
-def _effective_start(config, model):
-    """The run's start vertex, checked against the built model's network."""
+def _network_and_start(config, resolved):
+    """The built model's network and the run's start vertex, checked against it."""
+    model = resolved.model()
+    net = model.network
     if config.start is None:
-        return model.start if model.start is not None else 0
-    V = model.network.vertex_count
-    if config.start >= V:
-        raise ConfigError(f"start: vertex {config.start} is outside [0, {V})")
-    return config.start
+        return net, model.start if model.start is not None else 0
+    if config.start >= net.vertex_count:
+        raise ConfigError(f"start: vertex {config.start} is outside [0, {net.vertex_count})")
+    return net, config.start
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +339,7 @@ def _effective_start(config, model):
 class Violation:
     field: str
     message: str
-    category: str  # "config" | "certificate" | "resource"
+    error: type = ConfigError  # what ``run`` raises when this is the first violation
 
     def __str__(self):
         return f"{self.field}: {self.message}"
@@ -363,7 +368,7 @@ def _check_fields(config):
         try:
             return param.check(raw)
         except ValueError as exc:
-            out.append(Violation(name, str(exc), "config"))
+            out.append(Violation(name, str(exc)))
 
     for name, param in _FIELDS.items():
         if getattr(config, name) is not None:
@@ -380,7 +385,7 @@ def _check_fields(config):
 def _violations(config):
     """(violations, the config with its numeric fields checked)."""
     if config.kind not in _RUNNERS:
-        return [Violation("kind", f"unknown experiment kind {config.kind!r}", "config")], config
+        return [Violation("kind", f"unknown experiment kind {config.kind!r}")], config
     config, out = _check_fields(config)
     if out:
         return out, config  # the checks below read these fields
@@ -390,37 +395,37 @@ def _violations(config):
     window = config.n_steps or 0
     if config.kind == "collide":
         if not config.horizons:
-            out.append(Violation("horizons", "at least one horizon is required", "config"))
+            out.append(Violation("horizons", "at least one horizon is required"))
         elif walker is not None:
             cert_horizon = walker.certificate.horizon
             for i, h in enumerate(config.horizons):
                 if h > cert_horizon:
                     message = f"horizon {h} exceeds the certified horizon {cert_horizon}"
-                    out.append(Violation(f"horizons[{i}]", message, "certificate"))
+                    out.append(Violation(f"horizons[{i}]", message, CertificateViolationError))
 
     if config.kind == "identity" and config.n_steps is None:
-        out.append(Violation("n_steps", "window N is required", "config"))
+        out.append(Violation("n_steps", "window N is required"))
 
     if config.kind == "mtp":
         if config.transport is None:
-            out.append(Violation("transport", "a transport name is required", "config"))
+            out.append(Violation("transport", "a transport name is required"))
         else:
             try:
                 window = transport_by_name(config.transport).window
             except ValueError as exc:
-                out.append(Violation("transport", str(exc), "config"))
+                out.append(Violation("transport", str(exc)))
         if config.root_law not in ("uniform", "biased", "conductance_biased"):
-            out.append(Violation("root_law", f"unknown root law {config.root_law!r}", "config"))
+            out.append(Violation("root_law", f"unknown root law {config.root_law!r}"))
 
     if config.kind == "voter" and config.initial is not None:
         try:
             _initial_ones(config.initial, resolved and resolved.vertex_count)
         except ValueError as exc:
-            out.append(Violation("initial", str(exc), "config"))
+            out.append(Violation("initial", str(exc)))
 
     # grid ticks are counted in float64, exact below 2**53
     if config.kind == "ctcollide" and config.grid * _ct_t_max(config) >= 2**53:
-        out.append(Violation("grid", "grid * t_max must be below 2**53", "config"))
+        out.append(Violation("grid", "grid * t_max must be below 2**53"))
     if resolved is not None:
         out.extend(_memory_violations(config, resolved, window))
     return out, config
@@ -434,9 +439,9 @@ def _memory_violations(config, resolved, window):
         try:
             estimate(*args)
         except ResourceLimitError as exc:
-            out.append(Violation(field, str(exc), "resource"))
+            out.append(Violation(field, str(exc), ResourceLimitError))
 
-    V, sites, replicas = resolved.vertex_count, resolved.sites, config.replicas
+    V, sites = resolved.vertex_count, resolved.sites
     builds = resolved.walker is None
     if sites is not None and (builds or config.dump_trajectories):
         # the dump walks the materialized model: fail before sampling
@@ -445,18 +450,23 @@ def _memory_violations(config, resolved, window):
     if config.kind in ("identity", "mtp") and V is not None:
         require("model", require_memory, dense_bytes(V, window),
                 f"the dense kernels on {V} vertices")
-    per_replica = {"collide": 8 * len(config.horizons or ()), "voter": (sites or 0) + 17,
-                   "ctcollide": 16}.get(config.kind, 0)
-    if config.output and config.kind in ("voter", "ctcollide"):
-        per_replica += CSV_ROW_BYTES
-    require("replicas", require_memory, per_replica * replicas,
-            f"the results of {replicas} replicas")
+    require("replicas", _require_results, config, sites)
     if config.kind == "collide" and config.dump_trajectories and config.horizons:
-        walks = 2 * min(config.dump_limit, replicas)
+        walks = 2 * min(config.dump_limit, config.replicas)
         steps = walks * (max(config.horizons) + 1)
         require("dump_trajectories", require_memory, 8 * steps,
                 f"the {walks} dumped walks of {steps} steps")
     return out
+
+
+def _require_results(config, vertices):
+    """Refuse the per-replica results above the memory cap; a voter replica
+    keeps one opinion byte a vertex, of ``vertices`` (None when unknown)."""
+    per_replica = {"collide": 8 * len(config.horizons or ()), "voter": (vertices or 0) + 17,
+                   "ctcollide": 16}.get(config.kind, 0)
+    if config.output and config.kind in ("voter", "ctcollide"):
+        per_replica += CSV_ROW_BYTES
+    require_memory(per_replica * config.replicas, f"the results of {config.replicas} replicas")
 
 
 def validate(config):
@@ -467,15 +477,9 @@ def validate(config):
 def _raise_violations(config):
     """The config with its numeric fields checked, or the typed error of its violations."""
     problems, config = _violations(config)
-    if not problems:
-        return config
-    first = problems[0]
-    message = "; ".join(str(p) for p in problems)
-    if first.category == "certificate":
-        raise CertificateViolationError(message)
-    if first.category == "resource":
-        raise ResourceLimitError(message)
-    raise ConfigError(message)
+    if problems:
+        raise problems[0].error("; ".join(str(p) for p in problems))
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +531,7 @@ def _run_collide(config, resolved):
         # an explicit start materializes the graph (the memory cap applies) and
         # makes this a finite-network experiment; the center-based certificate
         # no longer constrains the horizon
-        model = resolved.model()
-        graph, start = model.network, _effective_start(config, model)
+        graph, start = _network_and_start(config, resolved)
     result = collision_growth(
         graph,
         start,
@@ -548,8 +551,7 @@ def _run_collide(config, resolved):
 
 
 def _dump_sample_trajectories(config, resolved):
-    model = resolved.model()
-    net, start = model.network, _effective_start(config, model)
+    net, start = _network_and_start(config, resolved)
     T = max(config.horizons)
     items = []
     for replica in range(min(config.dump_limit, config.replicas)):
@@ -560,16 +562,13 @@ def _dump_sample_trajectories(config, resolved):
 
 
 def _run_identity(config, resolved):
-    model = resolved.model()
-    net = model.network
-    u = _effective_start(config, model)
+    net, u = _network_and_start(config, resolved)
     total = last_collision_identity(net, u, config.n_steps)
     return {"u": u, "N": config.n_steps, "total": total}, None
 
 
 def _run_mtp(config, resolved):
-    model = resolved.model()
-    net = model.network
+    net = resolved.model().network
     kind = "conductance_biased" if config.root_law == "biased" else config.root_law
     law = apply_root_law(net, kind)
     transport = transport_by_name(config.transport)
@@ -616,9 +615,8 @@ def _parse_initial(spec, net, start):
 
 
 def _run_voter(config, resolved):
-    model = resolved.model()
-    net = model.network
-    start = _effective_start(config, model)
+    net, start = _network_and_start(config, resolved)
+    _require_results(config, net.vertex_count)  # a network file's count is known only now
     t_max = config.t_max if config.t_max is not None else 50.0 * net.vertex_count**2
     initial = _parse_initial(config.initial, net, start)
     ens = voter_ensemble(
@@ -643,9 +641,7 @@ def _ct_t_max(config):
 
 
 def _run_ctcollide(config, resolved):
-    model = resolved.model()
-    net = model.network
-    start = _effective_start(config, model)
+    net, start = _network_and_start(config, resolved)
     t_max = _ct_t_max(config)
     table = continuous_collision_ensemble(
         net,

@@ -235,10 +235,6 @@ class TransitionKernel:
         if self.matrix.min() < -ROW_SUM_TOL or self.matrix.max() > 1 + ROW_SUM_TOL:
             raise ValueError("kernel entries must lie in [0, 1]")
 
-    @property
-    def size(self):
-        return self.matrix.shape[0]
-
     def entry(self, u, v):
         return float(self.matrix[u, v])
 

@@ -32,13 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import TAG_CTCOLLIDE, TAG_VOTER, ChunkGroup, chunk_groups, run_chunked
+from ._parallel import (TAG_CTCOLLIDE, TAG_VOTER, ChunkGroup, _as_rng, chunk_groups,
+                        run_chunked)
 from .errors import HorizonMismatchError
 from .graph_core import check_vertex
 from .walk_engine import (
     CSRSampler,
     JumpTrajectory,
-    _as_rng,
     _sampling_tables,
     sample_step,
 )

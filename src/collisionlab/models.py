@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._parallel import _as_rng
 from .errors import CertificateViolationError
 from .graph_core import (Network, build_network, component_labels, require_memory,
                          stationary_distribution)
@@ -180,7 +181,7 @@ def gen_percolation_cluster(n, p=CRITICAL_BOND_P, seed=0):
     Each nearest-neighbor bond of the box is retained independently with
     probability ``p``.  The largest cluster (ties broken by smallest minimal
     vertex index) is returned re-indexed densely, with a uniform root law.
-    Deterministic given ``seed``.
+    Deterministic given ``seed``, a Generator or the stream (seed, 0).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -190,7 +191,7 @@ def gen_percolation_cluster(n, p=CRITICAL_BOND_P, seed=0):
     sites = side * side
     bonds = _box_bonds(side, side)
     a, b = bonds.T
-    rng = np.random.default_rng(seed)
+    rng = _as_rng(seed)
     keep = rng.random(a.size) < p
 
     roots = component_labels(sites, a[keep], b[keep])
@@ -230,12 +231,13 @@ def gen_wilson_ust(base, seed=0):
     The edges are (u, parent[u]) for u = 1..V-1.  On a multigraph a tree edge
     carries the aggregated c(u, v) of all the edges joining u and v, not the
     conductance of one parallel edge, so the tree is the weighted uniform
-    spanning tree of the aggregated network.  Deterministic given ``seed``.
+    spanning tree of the aggregated network.  Deterministic given ``seed``,
+    a Generator or the stream (seed, 0).
     """
     n = base.vertex_count
     if n == 1:
         return Network(1, [])
-    rng = np.random.default_rng(seed)
+    rng = _as_rng(seed)
     tables = walk_engine._sampling_tables(base)
     offsets, targets, cum, deg, lo, hi = map(
         memoryview, (*tables, tables.deg, tables.lo, tables.hi))

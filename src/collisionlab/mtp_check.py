@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._parallel import substream_rng
 from .collision_stats import q0_profile_all
 from .errors import TransportCapExceededError
 from .graph_core import Network, check_vertex, kernel_powers, n_step_kernel
@@ -32,7 +33,6 @@ class MassTransport:
 
     name: str
     builder: Callable[[Network], np.ndarray]
-    value_cap: float = TRANSPORT_VALUE_CAP
     window: int = 0  # window N of the q0 and qlast tables the builder needs
 
     def matrix(self, net):
@@ -41,14 +41,11 @@ class MassTransport:
             raise ValueError(f"transport {self.name} produced a matrix of shape {F.shape}")
         if (F < 0).any():
             raise ValueError(f"transport {self.name} produced negative mass")
-        if (F > self.value_cap).any():
+        if (F > TRANSPORT_VALUE_CAP).any():
             raise TransportCapExceededError(
-                f"transport {self.name} exceeds the value cap {self.value_cap:g}"
+                f"transport {self.name} exceeds the value cap {TRANSPORT_VALUE_CAP:g}"
             )
         return F
-
-    def value(self, net, u, v):
-        return float(self.matrix(net)[u, v])
 
 
 def adjacency_transport():
@@ -87,14 +84,14 @@ def qlast_transport(n, N):
     return MassTransport(f"qlast:{n}:{N}", build, window=N)
 
 
-def random_transport(seed, max_value=10.0):
-    """Seeded nonnegative transport supported on pairs within graph distance 2."""
+def random_transport(seed):
+    """Seeded transport, uniform on [0, 10) over pairs within graph distance 2."""
 
     def build(net):
-        rng = np.random.default_rng(np.random.SeedSequence((0xF00D, int(seed))))
+        rng = substream_rng(0xF00D, seed)
         A = adjacency_transport().builder(net) > 0
         reach = np.eye(net.vertex_count, dtype=bool) | A | (A @ A)
-        values = rng.uniform(0.0, max_value, size=A.shape)
+        values = rng.uniform(0.0, 10.0, size=A.shape)
         return np.where(reach, values, 0.0)
 
     return MassTransport(f"random:{seed}", build)
@@ -176,11 +173,15 @@ def check_mtp(dist, transport, tolerance=1e-9):
     return MtpCheck(verdict, out, into, tolerance)
 
 
+def _max_asymmetry(net, weights, n):
+    """Max over (u, v) of |w(u) p_n(u, v) - w(v) p_n(v, u)|."""
+    flow = weights[:, None] * n_step_kernel(net, n).matrix
+    return float(np.abs(flow - flow.T).max())
+
+
 def check_detailed_balance_n(net, n):
     """Max over (u, v) of |c(u) p_n(u, v) - c(v) p_n(v, u)|."""
-    P = n_step_kernel(net, n).matrix
-    flow = net.vertex_conductance[:, None] * P
-    return float(np.abs(flow - flow.T).max())
+    return _max_asymmetry(net, net.vertex_conductance, n)
 
 
 def received_mass_identity_all(net, N):
@@ -211,6 +212,4 @@ def check_reversibility_labeled(net, root_law, n):
     The conductance-biased root law makes the joint law exchangeable in
     (a, b); the uniform root law generally does not on irregular graphs.
     """
-    P = n_step_kernel(net, n).matrix
-    joint = root_law.probabilities[:, None] * P
-    return float(np.abs(joint - joint.T).max())
+    return _max_asymmetry(net, root_law.probabilities, n)

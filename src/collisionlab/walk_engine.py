@@ -22,15 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import TAG_PAIR, substream_rng
+from ._parallel import TAG_PAIR, _as_rng, substream_rng
 from .graph_core import Network, check_vertex
-
-
-def _as_rng(seed):
-    """A Generator passes through; an integer seed becomes its stream (seed, 0)."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return substream_rng(seed, 0)
 
 
 @dataclass(frozen=True)
@@ -38,17 +31,6 @@ class Trajectory:
     """Discrete-time path X_0..X_T as a vertex array."""
 
     steps: np.ndarray
-
-    @property
-    def start(self):
-        return int(self.steps[0])
-
-    @property
-    def horizon(self):
-        return len(self.steps) - 1
-
-    def __len__(self):
-        return len(self.steps)
 
 
 @dataclass(frozen=True)
@@ -62,10 +44,6 @@ class JumpTrajectory:
     vertices: np.ndarray
     entry_times: np.ndarray
     t_max: float
-
-    @property
-    def start(self):
-        return int(self.vertices[0])
 
     def exit_times(self):
         return np.append(self.entry_times[1:], self.t_max)

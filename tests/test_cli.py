@@ -400,6 +400,8 @@ class TestValidate:
         ({"name": "torus", "side": 2.7}, "model.side"),
         ({"name": "path", "R": 5, "Q": 3}, "model.Q"),
         ({"name": "percolation", "n": 4, "p": 1.5}, "model.p"),
+        ({"name": "percolation", "n": 4, "seed": 2**64}, "model.seed"),
+        ({"name": "ust_torus", "side": 3, "seed": 2**64}, "model.seed"),
     ])
     def test_malformed_model_param_named(self, model, field, capsys):
         cfg = _cfg(kind="identity", model=model, n_steps=2)
@@ -412,6 +414,31 @@ class TestValidate:
                 argv += ["--model-param", f"{key}={value}"]
         assert main(argv) == 2
         assert any(p.startswith(field + ":") for p in json.loads(capsys.readouterr().out))
+
+    @pytest.mark.parametrize("model", [{"name": "percolation", "n": 4},
+                                       {"name": "ust_torus", "side": 3}])
+    def test_widest_model_seed_accepted(self, model):
+        cfg = _cfg(kind="gen", model={**model, "seed": 2**64 - 1})
+        assert validate(cfg) == []
+        assert run(cfg).payload["network"]["vertices"] >= 1
+
+    def test_voter_rows_of_a_network_file_charged_before_sampling(self, tmp_path, monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr("collisionlab.experiment_cli.voter_ensemble", sample)
+        monkeypatch.setattr("collisionlab.graph_core.MEMORY_BUDGET", 10**6)
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(nets.path_n(2000).to_json_dict()))
+        # 1,000 rows of 2,000 opinions exceed the cap; a file's vertex count
+        # is known only once it loads, so validate cannot charge them
+        cfg = _cfg(kind="voter", network_file=str(path), replicas=1000, t_max=1.0)
+        assert validate(cfg) == []
+        with pytest.raises(ResourceLimitError, match="replicas need"):
+            run(cfg)
+        # a model of as many vertices is refused in validate
+        torus = replace(cfg, network_file=None, model={"name": "torus", "side": 45})
+        assert any(p.startswith("replicas:") for p in validate(torus))
 
     def test_run_raises_typed_errors(self):
         with pytest.raises(CertificateViolationError):

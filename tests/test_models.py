@@ -21,6 +21,7 @@ from collisionlab import (
     is_bipartite,
     n_step_kernel,
 )
+from collisionlab._parallel import substream_rng
 from collisionlab.models import CombLattice, GridLattice, PathLattice, RootedModel
 from collisionlab.walk_engine import _sampling_tables, sample_step
 
@@ -408,3 +409,24 @@ def test_generator_output_pinned(name, sha):
     # Python union-find and depth-first searches they used; the Wilson trees
     # are those of the walk through the CSR sampler
     assert _model_digest(_PINNED_MODELS[name]()) == sha
+
+
+@pytest.mark.parametrize("build,sha", [
+    (lambda: gen_percolation_cluster(20, 0.5, substream_rng(4, 0)),
+     "f008ae9ddff66d2a85cecfa3c378706c459561f487c5ad69c4b625ce538aa981"),
+    (lambda: RootedModel(gen_wilson_ust(gen_torus(7).network, substream_rng(2, 0))),
+     "2b956ee496b0e9f60168412fa617fb9bf708830250dc4ff4255e1e352a0a619f"),
+], ids=["percolation-20-0.5", "wilson-torus-7"])
+def test_model_seed_is_its_stream(build, sha):
+    # an integer seed s names the stream (s, 0): the pins of seeds 4 and 2
+    assert _model_digest(build()) == sha
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32 + 7, 2**63 + 11, 2**64 - 1])
+def test_model_seed_draws_what_default_rng_did(seed):
+    # the models drew from default_rng(seed) before they took the stream (seed, 0)
+    old = gen_percolation_cluster(6, 0.5, np.random.default_rng(seed))
+    assert _model_digest(gen_percolation_cluster(6, 0.5, seed)) == _model_digest(old)
+    base = gen_torus(4).network
+    old = gen_wilson_ust(base, np.random.default_rng(seed))
+    assert gen_wilson_ust(base, seed).edges == old.edges

@@ -150,6 +150,16 @@ class TestTransportRegistry:
         b = random_transport(5).matrix(net)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_random_transport_keeps_its_stream(self, seed):
+        # the values were drawn from default_rng(SeedSequence((0xF00D, seed)))
+        for net in (nets.weighted_triangle(), nets.random_connected_network(2)):
+            A = oracles.adjacency_edges(net) > 0
+            reach = np.eye(net.vertex_count, dtype=bool) | A | (A @ A)
+            rng = np.random.default_rng(np.random.SeedSequence((0xF00D, seed)))
+            want = np.where(reach, rng.uniform(0.0, 10.0, size=A.shape), 0.0)
+            assert np.array_equal(random_transport(seed).matrix(net), want)
+
     def test_qlast_transport_values(self):
         from collisionlab import qlast_horizon
 
