@@ -18,7 +18,9 @@ refuses a run whose arrays would exceed ``graph_core.MEMORY_BUDGET``: the
 model's box, the dense kernels when the vertex count is known beforehand, the
 per-replica results (a voter run's opinion rows on a network file once it
 loads), the per-replica CSV rows when ``output`` is set (voter and ctcollide
-build them only then) and the dump.  Flags are described once
+build them only then) and the dump.  It also refuses a voter ``t_max`` whose
+V·t_max events are too many for one Poisson draw of a replica's event
+budget, when V is known (a network file's, once it loads).  Flags are described once
 too: ``_FLAGS`` maps each flag to the config field it sets, ``_SUBCOMMANDS``
 lists the flags of each run subcommand, and ``validate`` takes all of them,
 so it checks any run's command line.
@@ -27,7 +29,8 @@ Results are wrapped in a :class:`ResultEnvelope` whose deterministic body
 (version, canonical config echo, payload) is byte-identical across runs and
 across worker counts; wall-clock time and the worker count live in the
 envelope's ``meta`` section, outside the deterministic body, and so do
-collide's walker steps, their rate and its chunk-group count.
+collide's walker steps, the voter's events, their rates and collide's
+chunk-group count.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .graph_core import dense_bytes, network_from_json, require_memory
-from .interacting import continuous_collision_ensemble, voter_ensemble
+from .interacting import check_event_budget, continuous_collision_ensemble, voter_ensemble
 from .models import (
     CRITICAL_BOND_P,
     SITE_BYTES,
@@ -422,6 +425,11 @@ def _violations(config):
             _initial_ones(config.initial, resolved and resolved.vertex_count)
         except ValueError as exc:
             out.append(Violation("initial", str(exc)))
+    if config.kind == "voter" and resolved and resolved.vertex_count:
+        try:
+            _voter_t_max(config, resolved.vertex_count)
+        except ValueError as exc:
+            out.append(Violation("t_max", str(exc)))
 
     # grid ticks are counted in float64, exact below 2**53
     if config.kind == "ctcollide" and config.grid * _ct_t_max(config) >= 2**53:
@@ -461,8 +469,9 @@ def _memory_violations(config, resolved, window):
 
 def _require_results(config, vertices):
     """Refuse the per-replica results above the memory cap; a voter replica
-    keeps one opinion byte a vertex, of ``vertices`` (None when unknown)."""
-    per_replica = {"collide": 8 * len(config.horizons or ()), "voter": (vertices or 0) + 17,
+    keeps one opinion byte a vertex, of ``vertices`` (None when unknown), and
+    its event budget and count."""
+    per_replica = {"collide": 8 * len(config.horizons or ()), "voter": (vertices or 0) + 33,
                    "ctcollide": 16}.get(config.kind, 0)
     if config.output and config.kind in ("voter", "ctcollide"):
         per_replica += CSV_ROW_BYTES
@@ -521,7 +530,7 @@ def _run_gen(config, resolved):
         "root_law": model.root_law.kind if model.root_law else None,
         "certificate": asdict(model.certificate) if model.certificate else None,
     }
-    return {"network": net.to_json_dict(), "sidecar": sidecar}, None
+    return {"network": net.to_json_dict(), "sidecar": sidecar}, None, {}
 
 
 def _run_collide(config, resolved):
@@ -547,7 +556,7 @@ def _run_collide(config, resolved):
     }
     if config.dump_trajectories:
         _dump_sample_trajectories(config, resolved)
-    return payload, rows
+    return payload, rows, {"walker_steps": 2 * config.replicas * max(config.horizons)}
 
 
 def _dump_sample_trajectories(config, resolved):
@@ -564,7 +573,7 @@ def _dump_sample_trajectories(config, resolved):
 def _run_identity(config, resolved):
     net, u = _network_and_start(config, resolved)
     total = last_collision_identity(net, u, config.n_steps)
-    return {"u": u, "N": config.n_steps, "total": total}, None
+    return {"u": u, "N": config.n_steps, "total": total}, None, {}
 
 
 def _run_mtp(config, resolved):
@@ -579,7 +588,7 @@ def _run_mtp(config, resolved):
         "out": result.mass_out,
         "in": result.mass_in,
         "verdict": result.verdict.value,
-    }, None
+    }, None, {}
 
 
 def _initial_ones(spec, V):
@@ -614,10 +623,22 @@ def _parse_initial(spec, net, start):
     return ops
 
 
+def _voter_t_max(config, vertices):
+    """The voter's ``t_max``, 50·V² by default; ValueError when V·t_max is
+    too large for one Poisson draw of an event budget."""
+    t_max = config.t_max if config.t_max is not None else 50.0 * vertices**2
+    check_event_budget(vertices, t_max)
+    return t_max
+
+
 def _run_voter(config, resolved):
     net, start = _network_and_start(config, resolved)
-    _require_results(config, net.vertex_count)  # a network file's count is known only now
-    t_max = config.t_max if config.t_max is not None else 50.0 * net.vertex_count**2
+    # a network file's vertex count is known only now
+    _require_results(config, net.vertex_count)
+    try:
+        t_max = _voter_t_max(config, net.vertex_count)
+    except ValueError as exc:
+        raise ConfigError(f"t_max: {exc}") from None
     initial = _parse_initial(config.initial, net, start)
     ens = voter_ensemble(
         net, initial, t_max, config.replicas, config.master_seed, workers=config.workers
@@ -633,7 +654,8 @@ def _run_voter(config, resolved):
         ),
         "rows_sha256": _sha256_voter_rows(ens),
     }
-    return payload, (["replica", "consensus_value", "consensus_time"], _voter_rows(ens))
+    rows = (["replica", "consensus_value", "consensus_time"], _voter_rows(ens))
+    return payload, rows, {"events": ens.events}
 
 
 def _ct_t_max(config):
@@ -661,7 +683,7 @@ def _run_ctcollide(config, resolved):
         "rows_sha256": _sha256_array(table.astype("<f8", copy=False)),
     }
     header = ["replica", "T_max", "measure", "integral_grid_estimate"]
-    return payload, (header, _ct_rows(table, t_max))
+    return payload, (header, _ct_rows(table, t_max)), {}
 
 
 _RUNNERS = {
@@ -677,18 +699,19 @@ _RUNNERS = {
 def run(config):
     """Validate, dispatch, and wrap the named experiment in an envelope.
 
-    The runner gets the checked numbers; the envelope echoes the config as given.
+    The runner gets the checked numbers and returns (payload, rows table or
+    None, work counts for ``meta``); the envelope echoes the config as given.
     """
     checked = _raise_violations(config)
     resolved = resolve_graph(checked)
     t0 = time.perf_counter()
-    payload, rows = _RUNNERS[config.kind](checked, resolved)
+    payload, rows, work = _RUNNERS[config.kind](checked, resolved)
     wall = time.perf_counter() - t0
     meta = {"wall_clock_s": wall, "workers": checked.workers}
+    for name, count in work.items():
+        meta.update({name: count, f"{name}_per_s": count / wall})
     if config.kind == "collide":
-        steps = 2 * checked.replicas * max(checked.horizons)
-        meta.update(walker_steps=steps, walker_steps_per_s=steps / wall,
-                    chunk_groups=len(chunk_groups(checked.replicas, checked.workers)))
+        meta["chunk_groups"] = len(chunk_groups(checked.replicas, checked.workers))
     envelope = ResultEnvelope(
         version=__version__,
         config=config.canonical(),

@@ -11,10 +11,16 @@ the grid points it covers while x == y.
 Replicated voter runs likewise step a chunk group as one state.  Each round
 of either draws only for the replicas still active: chunk c draws from its
 own stream for its own active replicas, joined in chunk order, so every
-chunk makes the draws it would make alone.  A voter replica stays active
-until consensus or ``t_max``, a pair chain until its next event passes
-``t_max``.  The voter keeps only the active replicas' state, in compact
-arrays, so a round costs a few numpy calls a chunk however many are active.
+chunk makes the draws it would make alone.  A pair chain stays active until
+its next event passes ``t_max``.  The voter runs as a jump chain with no
+clock: a replica's rings up to ``t_max`` are a Poisson(V·t_max) number of
+events, drawn up front as its budget, and a round makes one event of every
+active replica from one uniform pair, the rung vertex and the neighbor it
+copies.  A replica stays active until consensus or until its budget is
+spent, and the consensus times are drawn afterwards from the event counts
+(:func:`_voter_batch`).  The voter keeps only the active replicas' state, in
+compact arrays, so a round costs one generator call a chunk and a few numpy
+calls however many are active.
 
 The voter model here rings each vertex at rate 1; on a ring the vertex
 adopts the opinion of a neighbor chosen with probability proportional to
@@ -130,6 +136,19 @@ def _initial_opinions(net, initial):
     return ops
 
 
+# numpy's ``Generator.poisson`` refuses a mean above this (``POISSON_LAM_MAX``)
+POISSON_MEAN_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+
+def check_event_budget(vertex_count, t_max):
+    """ValueError unless V·t_max, a voter replica's mean event budget, is
+    below :data:`POISSON_MEAN_MAX`; t_max = inf draws no budget."""
+    mean = vertex_count * t_max
+    if not np.isinf(t_max) and not mean < POISSON_MEAN_MAX:
+        raise ValueError(f"V * t_max = {mean:.4g} voter events must be below "
+                         f"{POISSON_MEAN_MAX:.4g}; use a smaller t_max or t_max = inf")
+
+
 def voter_simulate(net, initial, t_max, seed):
     """Run one voter trajectory until consensus or ``t_max``.
 
@@ -137,66 +156,84 @@ def voter_simulate(net, initial, t_max, seed):
     time is 0.0 when the initial configuration is already constant.
     """
     ops = _initial_opinions(net, initial)
-    opinions, _, when = _voter_batch(net, ops, t_max, ChunkGroup([_as_rng(seed)], (1,)))
+    check_event_budget(net.vertex_count, t_max)
+    opinions, _, when, _ = _voter_batch(net, ops, t_max, ChunkGroup([_as_rng(seed)], (1,)))
     if np.isnan(when[0]):
         return VoterConfiguration(opinions[0], float(t_max)), None
     return VoterConfiguration(opinions[0], float(when[0])), float(when[0])
 
 
 def _voter_batch(net, initial, t_max, group):
-    """Voter runs of every replica of ``group``, one active set for all its chunks.
+    """Voter runs of every replica of ``group``, one jump chain for all its chunks.
 
-    Each round, every active replica rings a uniform vertex after an
-    Exponential(V) wait; chunk c draws its waits, vertices and uniforms, in
-    that order, for its own active replicas from its own generator.  The
-    active replicas' clocks, one-counts and row starts are compact arrays
-    aligned with ``k``, filtered only when a replica leaves.  Waits are drawn
-    in place: ``exponential(1 / V)`` is ``1 / V`` times
-    ``standard_exponential``, so the scaled standard draws are the same doubles.
+    Returns (opinions, consensus values, consensus times, total events).  A
+    replica's rings up to ``t_max`` are N ~ Poisson(V·t_max) events, and
+    given N its k-th event time is t_max·Beta(k, N - k + 1), the k-th of N
+    sorted uniforms (t_max = inf: no N, and the time is Gamma(k) / V).  So
+    chunk c draws from its own generator, for its own replicas: their
+    budgets N in one ``poisson`` call; then each round one ``random((n, 2))``
+    call for its n active replicas, the rung vertex floor(V·r0) (at most
+    V - 1 while V < 2**53, off uniform by a relative V·2**-53) and the
+    neighbor it copies; last, the times of those that reached consensus, in
+    one ``beta`` (or ``standard_gamma``) call.  A replica leaves at consensus
+    after k <= N events, or unreached, at its configuration at ``t_max``,
+    when its budget is spent.  The active replicas' one-counts and row
+    starts are compact arrays aligned with ``k``, filtered only when one
+    leaves.
     """
     V = net.vertex_count
     size = group.size
-    sampler = CSRSampler(_sampling_tables(net))
     opinions = np.tile(initial, (size, 1))
+    start = int(initial.sum(dtype=np.int64))
+    if start in (0, V):  # every replica starts at consensus
+        return opinions, np.full(size, start > 0, dtype=np.int8), np.zeros(size), 0
+    sampler = CSRSampler(_sampling_tables(net))
     flat = opinions.reshape(-1)  # replica k's vertex u is flat[k * V + u]
-    ones = opinions.sum(axis=1, dtype=np.int64)
+    k = np.arange(size)
+    chunks = group.parts(k)
+    finite = not np.isinf(t_max)  # else no budget: every replica runs to consensus
+    budget = (np.concatenate([rng.poisson(V * t_max, hi - lo) for rng, lo, hi in chunks])
+              if finite else np.full(size, np.iinfo(np.int64).max))
+    events = budget.copy()  # an unreached replica spends its budget
     cons_val = np.full(size, -1, dtype=np.int8)
-    cons_time = np.full(size, np.nan)
     consensus = np.isin(np.arange(V + 1), (0, V))  # by one-count
-    settled = consensus[ones]
-    cons_val[settled] = (ones[settled] > 0).astype(np.int8)
-    cons_time[settled] = 0.0
-    k = np.flatnonzero(~settled)
-    t, count, row = np.zeros(k.size), ones[k], k * V
-    waits, uniforms = np.empty(k.size), np.empty(k.size)
+    count, row = np.full(size, start, dtype=np.int64), k * V
+    uniforms = np.empty((size, 2))
+    rounds = 0
     while k.size:
-        # each active chunk draws into its own slices of dt and r, which hold
-        # until a replica leaves
+        # the next round at which a budget runs out
+        spent = budget[k].min()
+        if rounds == spent:
+            keep = budget[k] > rounds
+            k, count, row = k[keep], count[keep], row[keep]
+            continue
+        # each active chunk draws into its own slice of r, which holds until
+        # a replica leaves
         n = k.size
-        dt, r = waits[:n], uniforms[:n]
-        chunks = [(rng, dt[lo:hi], r[lo:hi]) for rng, lo, hi in group.parts(k)]
-        while k.size == n:
-            u = []
-            for rng, dt_c, r_c in chunks:
-                rng.standard_exponential(out=dt_c)
-                u.append(rng.integers(0, V, dt_c.size))
+        r = uniforms[:n]
+        parts = [(rng, r[lo:hi]) for rng, lo, hi in group.parts(k)]
+        while k.size == n and rounds < spent:
+            for rng, r_c in parts:
                 rng.random(out=r_c)
-            u = u[0] if len(u) == 1 else np.concatenate(u)
-            dt *= 1.0 / V
-            t += dt
-            if t.max() > t_max:
-                alive = t <= t_max
-                k, t, count, row, u, r = (a[alive] for a in (k, t, count, row, u, r))
+            rounds += 1
+            u = (r[:, 0] * V).astype(np.int64)
             at_u = row + u
-            new = flat[row + sampler.draw(u, r)]
+            new = flat[row + sampler.draw(u, r[:, 1])]
             count += new - flat[at_u]
             flat[at_u] = new
             done = consensus[count]
             if done.any():
                 cons_val[k[done]] = count[done] > 0
-                cons_time[k[done]] = t[done]
-                k, t, count, row = (a[~done] for a in (k, t, count, row))
-    return opinions, cons_val, cons_time
+                events[k[done]] = rounds
+                k, count, row = k[~done], count[~done], row[~done]
+    cons_time = np.full(size, np.nan)
+    for rng, lo, hi in chunks:
+        reached = np.flatnonzero(cons_val[lo:hi] >= 0) + lo
+        if reached.size:
+            steps = events[reached]
+            cons_time[reached] = (t_max * rng.beta(steps, budget[reached] - steps + 1)
+                                  if finite else rng.standard_gamma(steps) / V)
+    return opinions, cons_val, cons_time, int(events.sum())
 
 
 def _voter_chunk(payload):
@@ -213,6 +250,7 @@ class VoterEnsembleResult:
     consensus_time: np.ndarray  # (replicas,) NaN when consensus was not reached
     t_max: float
     seed: int
+    events: int  # voter events simulated over all replicas
 
     @property
     def replicas(self):
@@ -225,6 +263,7 @@ class VoterEnsembleResult:
 def voter_ensemble(net, initial, t_max, replicas, seed, workers=1):
     """Replicated voter runs with worker-count-independent results."""
     ops = _initial_opinions(net, initial)
+    check_event_budget(net.vertex_count, t_max)
     payloads = [
         (net, ops, float(t_max), int(seed), first, sizes)
         for first, sizes in chunk_groups(replicas, workers)
@@ -232,13 +271,14 @@ def voter_ensemble(net, initial, t_max, replicas, seed, workers=1):
     final = np.empty((replicas, net.vertex_count), dtype=np.int8)
     value = np.empty(replicas, dtype=np.int8)
     when = np.empty(replicas)
-    done = 0
-    for opinions, cons_val, cons_time in run_chunked(_voter_chunk, payloads, workers=workers):
+    done = events = 0
+    for opinions, cons_val, cons_time, n in run_chunked(_voter_chunk, payloads, workers=workers):
         rows = slice(done, done + len(cons_val))
         final[rows], value[rows], when[rows] = opinions, cons_val, cons_time
-        done = rows.stop
+        done, events = rows.stop, events + n
     return VoterEnsembleResult(final_opinions=final, consensus_value=value,
-                               consensus_time=when, t_max=float(t_max), seed=int(seed))
+                               consensus_time=when, t_max=float(t_max), seed=int(seed),
+                               events=events)
 
 
 def dual_walker_positions(net, start, t, replicas, seed):

@@ -17,13 +17,15 @@ replaced, which must return the same verdict and colors.
 :func:`ct_chunk_scalar` is the per-replica continuous-time chunk that the
 batched pair chain replaced, and :func:`ct_pair_scalar` runs that pair chain
 one event at a time and returns both trajectories.
-:func:`growth_chunk_loop`, :func:`voter_chunk_loop` and :func:`ct_chunk_loop`
-step one 512-replica chunk at a time on the chunk's own generator, as the
-replica loops did before chunk groups; the group engines must give the same
-results bit for bit.  :func:`voter_loop`, the body of the voter one, draws
-each round's exponential waits with ``exponential(1 / V, n)`` into fresh
-arrays and keeps full-size state, as the voter did before it kept compact
-active state and scaled in-place standard draws.
+:func:`growth_chunk_loop`, :func:`voter_jump_chunk_loop` and
+:func:`ct_chunk_loop` step one 512-replica chunk at a time on the chunk's own
+generator, as the replica loops did before chunk groups; the group engines
+must give the same results bit for bit.  :func:`voter_jump_loop`, the body
+of the voter one, keeps full-size state.  :func:`voter_loop` is the
+clock-driven voter law the jump chain replaced, an exponential wait, a
+vertex and a uniform per event; through :func:`voter_chunk_loop` and
+:func:`voter_group_loop`, swapped in for the engine, it still gives the
+voter pins made before the jump chain.
 :func:`wilson_incidence` is Wilson's algorithm over per-vertex incidence
 lists, as ``gen_wilson_ust`` ran before it stepped through the CSR sampler;
 it still gives the trees pinned then.  :func:`wilson_sample_step` is the
@@ -311,6 +313,14 @@ def voter_marginal_exact(net, initial, vertex, t):
     return float(sum(row[i] for i, s in enumerate(states) if s[vertex] == 1))
 
 
+def voter_consensus_by_exact(net, initial, t):
+    """Exact P(consensus by time t) from the 2^V chain."""
+    states, index, Q = _voter_generator(net)
+    row = expm(t * Q)[index[tuple(int(x) for x in initial)]]
+    n = net.vertex_count
+    return float(row[index[(0,) * n]] + row[index[(1,) * n]])
+
+
 def voter_consensus_ones_exact(net, initial):
     """Exact absorption probability into the all-ones consensus."""
     states, index, Q = _voter_generator(net)
@@ -426,20 +436,33 @@ def growth_chunk_loop(payload):
 
 
 def voter_chunk_loop(payload):
-    """(opinions, consensus values, consensus times) of one voter chunk."""
+    """(opinions, consensus values, consensus times, events) of one voter chunk,
+    by the clock-driven law of :func:`voter_loop`."""
     net, initial, t_max, seed, chunk_index, size = payload
     return voter_loop(net, initial, t_max, substream_rng(seed, TAG_VOTER, chunk_index), size)
 
 
+def voter_group_loop(payload):
+    """:func:`voter_chunk_loop` on each chunk of a chunk-group payload, in
+    chunk order, with the events summed, as ``_voter_chunk`` returns them."""
+    *head, first, sizes = payload
+    pieces = [voter_chunk_loop((*head, first + c, size)) for c, size in enumerate(sizes)]
+    opinions, cons_val, cons_time, events = (np.concatenate(p) for p in zip(*pieces))
+    return opinions, cons_val, cons_time, int(events.sum())
+
+
 def voter_loop(net, initial, t_max, rng, size):
-    """The voter runs of ``size`` replicas on ``rng``: each round draws the
-    waits, vertices and uniforms of all active replicas, one call each."""
+    """The voter runs of ``size`` replicas on ``rng`` by the clock-driven law
+    the jump chain replaced: each round draws the Exponential(V) waits, the
+    rung vertices (``integers``) and the uniforms of all active replicas, one
+    call each.  Also returns each replica's event count."""
     V = net.vertex_count
     sampler = CSRSampler(_sampling_tables(net))
     opinions = np.tile(initial, (size, 1))
     flat = opinions.reshape(-1)
     ones = opinions.sum(axis=1, dtype=np.int64)
     t = np.zeros(size)
+    events = np.zeros(size, dtype=np.int64)
     cons_val = np.full(size, -1, dtype=np.int8)
     cons_time = np.full(size, np.nan)
     settled = (ones == 0) | (ones == V)
@@ -458,6 +481,7 @@ def voter_loop(net, initial, t_max, rng, size):
             k, u, r = k[alive], u[alive], r[alive]
             if k.size == 0:
                 break
+        events[k] += 1
         row = k * V
         at_u = row + u
         new = flat[row + sampler.draw(u, r)]
@@ -470,7 +494,57 @@ def voter_loop(net, initial, t_max, rng, size):
             cons_val[d] = count[done] > 0
             cons_time[d] = t[d]
         active = k[~done]
-    return opinions, cons_val, cons_time
+    return opinions, cons_val, cons_time, events
+
+
+def voter_jump_chunk_loop(payload):
+    """(opinions, consensus values, consensus times, events) of one voter
+    chunk, by the jump chain of :func:`voter_jump_loop`."""
+    net, initial, t_max, seed, chunk_index, size = payload
+    return voter_jump_loop(net, initial, t_max, substream_rng(seed, TAG_VOTER, chunk_index),
+                           size)
+
+
+def voter_jump_loop(net, initial, t_max, rng, size):
+    """The voter runs of ``size`` replicas on ``rng`` as a jump chain, with
+    full-size state: one ``poisson(V * t_max, size)`` draw of event budgets
+    (none at t_max = inf), then each round one ``random((n, 2))`` draw for
+    the n replicas short of consensus with budget left, the rung vertex
+    floor(V r0) copying its neighbor drawn with r1, and last one ``beta``
+    (``standard_gamma`` at t_max = inf) draw of the consensus times of the
+    replicas that reached it.  A constant start draws nothing.  Also returns
+    each replica's event count."""
+    V = net.vertex_count
+    sampler = CSRSampler(_sampling_tables(net))
+    opinions = np.tile(initial, (size, 1))
+    ones = opinions.sum(axis=1)
+    settled = (ones == 0) | (ones == V)
+    cons_val = np.where(settled, ones > 0, -1).astype(np.int8)
+    cons_time = np.where(settled, 0.0, np.nan)
+    events = np.zeros(size, dtype=np.int64)
+    if settled.all():
+        return opinions, cons_val, cons_time, events
+    finite = np.isfinite(t_max)
+    budget = rng.poisson(V * t_max, size) if finite else np.full(size, np.iinfo(np.int64).max)
+    active = np.arange(size)
+    while True:
+        active = active[events[active] < budget[active]]
+        if active.size == 0:
+            break
+        r = rng.random((active.size, 2))
+        u = (r[:, 0] * V).astype(np.int64)
+        opinions[active, u] = opinions[active, sampler.draw(u, r[:, 1])]
+        events[active] += 1
+        ones = opinions[active].sum(axis=1)
+        done = (ones == 0) | (ones == V)
+        cons_val[active[done]] = ones[done] > 0
+        active = active[~done]
+    reached = np.flatnonzero(cons_val >= 0)
+    if reached.size:
+        k = events[reached]
+        cons_time[reached] = (t_max * rng.beta(k, budget[reached] - k + 1) if finite
+                              else rng.standard_gamma(k) / V)
+    return opinions, cons_val, cons_time, events
 
 
 def ct_chunk_loop(payload):

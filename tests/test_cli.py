@@ -37,7 +37,7 @@ from collisionlab.experiment_cli import (
     validate,
 )
 from collisionlab.graph_core import dense_bytes
-from collisionlab.models import SITE_BYTES
+from collisionlab.models import SITE_BYTES, gen_torus
 
 
 # peak resident growth a run may show beyond its charged arrays: allocator and
@@ -286,7 +286,9 @@ class TestValidate:
 
     def test_voter_peak_within_charge(self):
         # V + 17 bytes a replica: the final opinions, the consensus value and
-        # time; the pieces and a copy of the rows for the hash had doubled it
+        # time; the pieces and a copy of the rows for the hash had doubled it.
+        # The charge adds 16 for the event budget and count, which are held
+        # one chunk group at a time, so the rise stays within V + 17
         replicas, side = 1_000_000, 10
         rise = _peak_rise(kind="voter", model={"name": "torus", "side": side},
                           t_max=0.01, replicas=replicas)
@@ -439,6 +441,25 @@ class TestValidate:
         # a model of as many vertices is refused in validate
         torus = replace(cfg, network_file=None, model={"name": "torus", "side": 45})
         assert any(p.startswith("replicas:") for p in validate(torus))
+
+    def test_voter_event_budget_past_numpy_refused(self, tmp_path, monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr("collisionlab.experiment_cli.voter_ensemble", sample)
+        # the default t_max of 50 V^2 asks for 50 V^3 events, 9.26e18 on torus
+        # 755, past numpy's Poisson limit of 9.22e18
+        torus = _cfg(kind="voter", model={"name": "torus", "side": 755}, replicas=1)
+        assert [p.split(":")[0] for p in validate(torus)] == ["t_max"]
+        assert validate(replace(torus, model={"name": "torus", "side": 754})) == []
+        assert validate(replace(torus, t_max=float("inf"))) == []
+        # a file's vertex count is known only once it loads
+        path = tmp_path / "p3.json"
+        path.write_text(json.dumps(nets.p3().to_json_dict()))
+        cfg = _cfg(kind="voter", network_file=str(path), t_max=4e18)
+        assert validate(cfg) == []
+        with pytest.raises(ConfigError, match="t_max: V . t_max"):
+            run(cfg)
 
     def test_run_raises_typed_errors(self):
         with pytest.raises(CertificateViolationError):
@@ -626,11 +647,37 @@ class TestPinnedEnvelopes:
             "e33db87feed35f86308c8ece1adb19019b68e67209320594ed6388504365faaf"
         )
 
+    VOTER_TORUS = _cfg(kind="voter", model={"name": "torus", "side": 4}, replicas=600,
+                       master_seed=12)
+
     def test_voter_torus(self):
-        cfg = _cfg(kind="voter", model={"name": "torus", "side": 4},
-                   replicas=600, master_seed=12)
-        assert self._sha(cfg) == (
+        # re-pinned when the jump chain replaced the clock-driven rounds; the
+        # next test checks the old pin against the replaced law
+        assert self._sha(self.VOTER_TORUS) == (
+            "7f0fb1bfe5b3fd53eb2656f21bf27b6f6cd50693197a239390db8a53a561fb41"
+        )
+
+    def test_voter_torus_clock_law_keeps_old_pin(self, monkeypatch):
+        # the clock-driven chunk the jump chain replaced, through the same
+        # chunking, still gives the bytes pinned before the jump chain
+        monkeypatch.setattr(interacting, "_voter_chunk", oracles.voter_group_loop)
+        assert self._sha(self.VOTER_TORUS) == (
             "91e54e59ffd36a7b7fea6ce1db42f858e78a5e7c74bec77fd3b538079934c37c"
+        )
+
+    def test_voter_meta_counts_events(self):
+        # meta is outside the deterministic body, which keeps its pin
+        env = run(self.VOTER_TORUS)
+        initial = np.zeros(16, dtype=np.int8)
+        initial[0] = 1  # single:start, start 0
+        events = oracles.per_chunk(oracles.voter_jump_chunk_loop,
+                                   (gen_torus(4).network, initial, 50.0 * 16**2, 12), 600)[3]
+        assert env.meta["events"] == events.sum()
+        assert env.meta["events_per_s"] == env.meta["events"] / env.meta["wall_clock_s"]
+        bare = replace(env, meta={"wall_clock_s": env.meta["wall_clock_s"], "workers": 1})
+        assert bare.deterministic_bytes() == env.deterministic_bytes()
+        assert hashlib.sha256(env.deterministic_bytes()).hexdigest() == (
+            "7f0fb1bfe5b3fd53eb2656f21bf27b6f6cd50693197a239390db8a53a561fb41"
         )
 
     def test_identity_torus(self):

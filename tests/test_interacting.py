@@ -19,7 +19,7 @@ from collisionlab import (
     voter_simulate,
     walk_continuous,
 )
-from collisionlab import build_network, gen_torus
+from collisionlab import build_network, gen_torus, interacting
 from collisionlab._parallel import TAG_CTCOLLIDE, chunk_sizes
 from collisionlab.interacting import VoterConfiguration, _ct_chunk
 from collisionlab.walk_engine import JumpTrajectory, substream_rng
@@ -169,9 +169,9 @@ class TestVoterSimulate:
         cfg, t = voter_simulate(nets.p3(), cfg0, 400.0, seed=4)
         assert t is not None
 
-    def test_pinned_battery(self):
-        """sha256 of outcomes over 1,500 runs, fixed while voter_simulate still
-        had its own scalar loop: one replica of the batched run draws the same."""
+    @staticmethod
+    def _battery_sha():
+        """sha256 of outcomes over 1,500 runs."""
         h = hashlib.sha256()
         for net in (nets.p3(), nets.weighted_triangle(), nets.loop_triangle(),
                     nets.cycle(5), nets.star(4)):
@@ -181,7 +181,23 @@ class TestVoterSimulate:
                     cfg, t = voter_simulate(net, initial, t_max, seed)
                     h.update(cfg.opinions.tobytes())
                     h.update(repr((str(cfg.opinions.dtype), cfg.time, t)).encode())
-        assert h.hexdigest() == (
+        return h.hexdigest()
+
+    def test_pinned_battery(self):
+        # re-pinned when the jump chain replaced the clock-driven rounds; the
+        # next test checks the old pin against the replaced law
+        assert self._battery_sha() == (
+            "55fdf0ae07389265eddaaef7f66813917036d3b55f117d02353b143a289f4d3d"
+        )
+
+    def test_pinned_battery_old_law_keeps_old_pin(self, monkeypatch):
+        # the clock-driven law, swapped in for the jump chain, gives the pin
+        # fixed while voter_simulate still had its own scalar loop
+        def clock_batch(net, initial, t_max, group):
+            return oracles.voter_loop(net, initial, t_max, group.rngs[0], group.size)
+
+        monkeypatch.setattr(interacting, "_voter_batch", clock_batch)
+        assert self._battery_sha() == (
             "ea8d6d9fe0cf432aae5868d43ff2642826ac363be29d5f6a6f9bf0f5760066fc"
         )
 
@@ -231,6 +247,58 @@ class TestVoterEnsemble:
         ens = voter_ensemble(net, initial, 600.0, 30_000, seed=12)
         emp = (ens.consensus_value == 1).mean()
         assert abs(emp - exact) < 3 * np.sqrt(exact * (1 - exact) / 30_000)
+
+
+class TestVoterTimeLaw:
+    """The jump chain's consensus times against the exact 2^V chain."""
+
+    # (net, initial, t_max that about half the replicas reach consensus by)
+    NETS = [
+        (nets.p3(), [0, 1, 0], 0.7),
+        (nets.weighted_triangle(), [1, 0, 0], 0.7),
+        (nets.star(3), [0, 1, 0, 1], 1.2),
+    ]
+
+    @pytest.mark.parametrize("net,initial,half", NETS)
+    def test_consensus_time_distribution(self, net, initial, half):
+        replicas = 20_000
+        ens = voter_ensemble(net, initial, 50.0, replicas, seed=31)
+        for s in (0.5, 1.0, 2.0):
+            exact = oracles.voter_consensus_by_exact(net, initial, s)
+            emp = (ens.consensus_time <= s).mean()
+            assert abs(emp - exact) < 4 * np.sqrt(exact * (1 - exact) / replicas)
+
+    @pytest.mark.parametrize("net,initial,half", NETS)
+    def test_reached_by_t_max(self, net, initial, half):
+        replicas = 20_000
+        exact = oracles.voter_consensus_by_exact(net, initial, half)
+        assert 0.4 < exact < 0.6
+        ens = voter_ensemble(net, initial, half, replicas, seed=32)
+        reached = ens.consensus_value >= 0
+        assert abs(reached.mean() - exact) < 4 * np.sqrt(exact * (1 - exact) / replicas)
+        assert (ens.consensus_time[reached] <= half).all()
+        assert np.isnan(ens.consensus_time[~reached]).all()
+
+    def test_mean_time_without_horizon(self):
+        # either ring of the edge ends the run: Exponential(2), mean 0.5
+        replicas = 100_000
+        ens = voter_ensemble(nets.single_edge(), [0, 1], np.inf, replicas, seed=33)
+        assert ens.consensus_fraction() == 1.0
+        assert abs(ens.consensus_time.mean() - 0.5) < 4 * 0.5 / np.sqrt(replicas)
+
+    def test_rung_vertex_below_vertex_count(self):
+        # the largest uniform below 1 rings vertex V - 1, never V
+        m = np.arange(1, 41)
+        V = np.concatenate([2**m - 1, 2**m, 2**m + 1])
+        assert np.array_equal((np.nextafter(1.0, 0.0) * V).astype(np.int64), V - 1)
+
+    def test_refuses_budget_numpy_cannot_draw(self):
+        # V * t_max = 3e19 events is past numpy's Poisson limit; inf needs no budget
+        with pytest.raises(ValueError, match="t_max"):
+            voter_ensemble(nets.p3(), [0, 1, 0], 1e19, 10, seed=1)
+        with pytest.raises(ValueError, match="t_max"):
+            voter_simulate(nets.p3(), [0, 1, 0], 1e19, seed=1)
+        assert voter_simulate(nets.p3(), [0, 1, 0], np.inf, seed=1)[1] > 0
 
 
 class TestDuality:

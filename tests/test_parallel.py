@@ -133,12 +133,13 @@ class TestVoterGroups:
     @staticmethod
     def _check(net, initial, t_max, replicas, seed, workers):
         got = voter_ensemble(net, initial, t_max, replicas, seed, workers=workers)
-        ops, val, when = oracles.per_chunk(
-            oracles.voter_chunk_loop, (net, np.asarray(initial, dtype=np.int8), t_max, seed),
-            replicas)
+        ops, val, when, events = oracles.per_chunk(
+            oracles.voter_jump_chunk_loop,
+            (net, np.asarray(initial, dtype=np.int8), t_max, seed), replicas)
         assert np.array_equal(got.final_opinions, ops)
         assert np.array_equal(got.consensus_value, val)
         assert np.array_equal(got.consensus_time, when, equal_nan=True)
+        assert got.events == events.sum()
         return got
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -164,19 +165,25 @@ class TestVoterGroups:
         unreached = (got.consensus_value < 0)[:WIDE - WIDE % REPLICA_CHUNK]
         assert unreached.reshape(-1, REPLICA_CHUNK).any(axis=1).all()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_horizon(self, workers):
+        # t_max = inf draws no budget and Gamma(k) / V times
+        got = self._check(nets.weighted_triangle(), [0, 1, 1], np.inf, REMAINDER, 5, workers)
+        assert (got.consensus_value >= 0).all()
+
     @pytest.mark.parametrize("value", [0, 1])
     def test_constant_start(self, value):
         got = self._check(nets.weighted_triangle(), [value] * 3, 5.0, REMAINDER, 4, 1)
         assert (got.consensus_value == value).all() and (got.consensus_time == 0.0).all()
 
     def test_generator_state_after_run(self):
-        # a Generator used before the run ends where the one-call-a-round
-        # order of draws leaves it
+        # a Generator used before the run ends where the budget, one call a
+        # round and the time draw leave it
         net, initial = gen_torus(3).network, np.array([0, 1] * 4 + [0], dtype=np.int8)
         got, want = np.random.default_rng(8), np.random.default_rng(8)
         got.random(5), want.random(5)
         config, when = voter_simulate(net, initial, 30.0, got)
-        ops, _, cons_time = oracles.voter_loop(net, initial, 30.0, want, 1)
+        ops, _, cons_time, _ = oracles.voter_jump_loop(net, initial, 30.0, want, 1)
         assert np.array_equal(config.opinions, ops[0])
         assert when == cons_time[0]
         assert got.bit_generator.state == want.bit_generator.state
