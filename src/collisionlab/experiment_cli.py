@@ -125,8 +125,13 @@ class ExperimentConfig:
                 continue
             if isinstance(value, tuple):
                 value = list(value)
-            out[f.name] = value
+            out[f.name] = _echo(value)
         return out
+
+
+def _echo(value):
+    """An infinite limit (nan and -inf fail ``validate``) echoes as null: JSON has no inf."""
+    return None if value == math.inf else value
 
 
 def config_from_dict(doc):
@@ -646,7 +651,7 @@ def _run_voter(config, resolved):
     reached = ens.consensus_value >= 0
     payload = {
         "replicas": int(ens.replicas),
-        "t_max": float(t_max),
+        "t_max": _echo(float(t_max)),
         "consensus_fraction": float(reached.mean()),
         "consensus_ones_fraction": float((ens.consensus_value == 1).mean()),
         "mean_consensus_time": (

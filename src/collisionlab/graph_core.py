@@ -126,14 +126,14 @@ class Network:
         # edge ends per vertex, a self-loop counted once
         self.degrees = np.bincount(src, minlength=n)
 
-        order = np.lexsort((dst, src))
-        src, dst, ww = src[order], dst[order], ww[order]
-        new_group = np.ones(src.size, dtype=bool)
-        new_group[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        starts = np.flatnonzero(new_group)
-        targets = dst[starts]
+        # sorted by (src, dst) as lexsort would; n * n < 2**63 for any n whose
+        # arrays fit the memory budget
+        key = src * n + dst
+        order = np.argsort(key, kind="stable")
+        key, ww = key[order], ww[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        rows, targets = np.divmod(key[starts], n)
         weights = np.add.reduceat(ww, starts) if starts.size else np.zeros(0)
-        rows = src[starts]
 
         counts = np.bincount(rows, minlength=n)
         offsets = np.zeros(n + 1, dtype=np.int64)
@@ -142,9 +142,8 @@ class Network:
         self._targets = targets
         self._weights = weights
 
-        strength = np.zeros(n)
-        np.add.at(strength, rows, weights)
-        self.vertex_conductance = strength
+        # summed in input order, as np.add.at would; float even with no edges
+        self.vertex_conductance = np.bincount(rows, weights, n).astype(float, copy=False)
 
     def _check_connected(self):
         unreached = np.flatnonzero(component_labels(self.vertex_count, *self.ends.T))

@@ -25,9 +25,10 @@ experiment runners refuse horizons beyond it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -100,7 +101,12 @@ class RootedModel:
     start: Optional[int] = None
     certificate: Optional[TruncationCertificate] = None
     root_law: Optional[RootLaw] = None
-    coords: Optional[tuple] = None  # per-vertex labels, for debugging/tests
+    make_coords: Optional[Callable] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def coords(self):
+        """Per-vertex labels for tests and debugging, built once from ``make_coords``."""
+        return None if self.make_coords is None else tuple(self.make_coords())
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +141,16 @@ def _box_bonds(cols, rows, spine=False, wrap=False):
     here, so this is where the memory cap refuses a model before it is built.
     """
     require_sites(cols * rows)
-    site = np.arange(cols * rows)
-    x, y = np.divmod(site, rows)
-    to_x = np.where(x < cols - 1, site + rows, site - x * rows)
-    to_y = np.where(y < rows - 1, site + 1, site - y)
-    exists = np.stack([(x < cols - 1) | wrap, (y < rows - 1) | wrap], axis=1)
+    site = np.arange(cols * rows).reshape(cols, rows)
+    ends = np.empty((cols, rows, 2, 2), dtype=np.int64)  # site, bond (x, y), end
+    ends[..., 0] = site[..., None]
+    ends[..., 0, 1] = np.roll(site, -1, axis=0)  # x + 1, the last column to the first
+    ends[..., 1, 1] = np.roll(site, -1, axis=1)
+    exists = np.ones((cols, rows, 2), dtype=bool)
+    exists[-1, :, 0] = exists[:, -1, 1] = wrap
     if spine:
-        exists[:, 0] &= y == 0
-    ends = np.stack([np.repeat(site, 2), np.stack([to_x, to_y], axis=1).ravel()], axis=1)
-    return ends[exists.ravel()]
+        exists[:, 1:, 0] = False
+    return ends.reshape(-1, 2).compress(exists.ravel(), axis=0)
 
 
 # bytes a site charged for a model's arrays
@@ -166,8 +173,8 @@ def gen_torus(side):
     if side < 2:
         raise ValueError("side must be at least 2")
     bonds = _box_bonds(side, side, wrap=True)
-    coords = tuple(product(range(side), repeat=2))
-    return RootedModel(build_network(side * side, bonds), start=0, coords=coords)
+    return RootedModel(build_network(side * side, bonds), start=0,
+                       make_coords=lambda: product(range(side), repeat=2))
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +211,11 @@ def gen_percolation_cluster(n, p=CRITICAL_BOND_P, seed=0):
     relabel[members] = np.arange(members.size)
     inside = keep & (roots[a] == best_root)  # a kept bond lies in one cluster
     net = build_network(len(members), relabel[bonds[inside]])
-    coords = tuple(zip((members // side).tolist(), (members % side).tolist()))
     return RootedModel(
         net,
         start=0,
         root_law=apply_root_law(net, "uniform"),
-        coords=coords,
+        make_coords=lambda: zip((members // side).tolist(), (members % side).tolist()),
     )
 
 
@@ -242,6 +248,7 @@ def gen_wilson_ust(base, seed=0):
     offsets, targets, cum, deg, lo, hi = map(
         memoryview, (*tables, tables.deg, tables.lo, tables.hi))
     cum, search = cum.__getitem__, walk_engine._guide_search
+    first = memoryview(tables.first) if tables.ladder == 0 else None
     draws, i, block = [], 0, 8
     in_tree = [False] * n
     in_tree[0] = True
@@ -254,7 +261,7 @@ def gen_wilson_ust(base, seed=0):
             r = draws[i]
             i += 1
             at = offsets[u] + int(r * deg[u])
-            v = targets[search(cum, lo[at], hi[at], r)]
+            v = targets[search(cum, lo[at], hi[at], r)] if first is None else first[at]
             parent[u] = v
             u = v
         # the last exits from ``start`` trace the loop-erased path into the tree
@@ -323,10 +330,10 @@ class _CoordinateWalker:
         cols, rows, y0 = self._box(R)
         bonds = _box_bonds(cols, rows, spine=self.spine)
         xs = range(-R, R + 1)
-        coords = tuple(product(xs, range(-y0, rows - y0)) if self.planar else xs)
         cert = self.certificate
         return RootedModel(build_network(self.vertex_count, bonds), start=cert.start_vertex,
-                           certificate=cert, coords=coords)
+                           certificate=cert, make_coords=lambda: (
+                               product(xs, range(-y0, rows - y0)) if self.planar else xs))
 
 
 class PathLattice(_CoordinateWalker):

@@ -12,7 +12,8 @@ in ``u``'s row is the count of cumulative values ``<= r`` (so an ``r`` equal
 to an interior cumulative value moves past it).  A guide table (Chen and
 Asau 1974) read at bucket floor(r * deg(u)) narrows that count to a short
 range, which batched draws search in as many passes as the widest range
-needs (none on a unit-conductance torus) and single draws bisect.
+needs and single draws bisect.  Where every range is one index (unit-conductance
+tori, percolation clusters, spanning trees) a draw is one gather.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class SamplingTables(tuple):
     ``b = int(r * deg[u]) < d``, one float product at build and at draw time.
     Its draw lies in ``[lo[o + b], hi[o + b]]`` (int32 arrays): ``lo`` counts
     the entries ``<= r`` for every ``r`` of the bucket, ``hi`` those ``<= r``
-    for some.  ``ladder`` is the bit length of the widest range.
+    for some.  ``ladder`` is the bit length of the widest range; only at 0,
+    where ``lo == hi``, is there ``first = targets[lo]``, each bucket's draw.
     """
 
 
@@ -116,6 +118,8 @@ def _sampling_tables(net: Network):
         t.hi, t.lo = (np.bincount((c * d).astype(np.int64) + o + k, minlength=n + 1)[:n]
                       .cumsum(dtype=np.int32) for c, k in ((cum, 0), (below, 1)))
         t.ladder = int((t.hi - t.lo).max()).bit_length()
+        if t.ladder == 0:
+            t.first = targets[t.lo]
         net._tables = t
     return net._tables
 
@@ -123,29 +127,32 @@ def _sampling_tables(net: Network):
 class CSRSampler:
     """Batched one-step draws over the tables of :func:`_sampling_tables`.
 
-    A draw reads its bucket's guide range ``[lo, hi]``; if the ladder is not
-    empty, ``pos``, the last index known to hold a cumulative value ``<= r``
-    (``lo - 1`` at first), tries steps of 2^(p-1), ..., 2, 1 clamped to ``hi``,
-    p = ``ladder``.  ``cum[hi] > r``, so a clamped probe never moves ``pos``;
-    the drawn neighbor is ``targets[pos + 1]``.
+    With an empty ladder the draw is ``first`` at the bucket, one gather.
+    Otherwise it reads the bucket's guide range ``[lo, hi]``, and ``pos``, the
+    last index known to hold a cumulative value ``<= r`` (``lo - 1`` at
+    first), tries steps of 2^(p-1), ..., 2, 1 clamped to ``hi``, p =
+    ``ladder``.  ``cum[hi] > r``, so a clamped probe never moves ``pos``; the
+    drawn neighbor is ``targets[pos + 1]``.
     """
 
     def __init__(self, tables):
-        self.offsets, self.targets, self.cum = tables
-        self.deg, self.lo, self.hi = tables.deg, tables.lo, tables.hi
+        self.offsets, self.deg = tables[0], tables.deg
+        self.first = getattr(tables, "first", None)
+        if self.first is None:  # a pickled ladder-0 sampler carries only what it reads
+            self.targets, self.cum, self.lo, self.hi = *tables[1:], tables.lo, tables.hi
         self.steps = [1 << i for i in reversed(range(tables.ladder))]
 
     def draw(self, u, r):
         """Vertices reached from the vertices ``u`` with the uniforms ``r``."""
-        at = self.offsets[u] + (r * self.deg[u]).astype(np.int64)
-        pos = self.lo[at]
-        if self.steps:
-            pos, end, cum = pos - 1, self.hi[at], self.cum
-            for step in self.steps:
-                probe = np.minimum(pos + step, end)
-                pos = np.where(cum[probe] <= r, probe, pos)
-            pos += 1
-        return self.targets[pos]
+        at = (r * self.deg[u]).astype(np.int64)
+        at += self.offsets[u]
+        if self.first is not None:
+            return self.first[at]
+        pos, end, cum = self.lo[at] - 1, self.hi[at], self.cum
+        for step in self.steps:
+            probe = np.minimum(pos + step, end)
+            pos = np.where(cum[probe] <= r, probe, pos)
+        return self.targets[pos + 1]
 
 
 def _guide_search(cum, lo, hi, r):
@@ -163,12 +170,14 @@ def _guide_search(cum, lo, hi, r):
 def sample_step(net, u, rng):
     """One transition of the conductance-weighted walk from ``u``.
 
-    The same rule as :meth:`CSRSampler.draw`, by :func:`_guide_search`, for
-    callers that draw one step at a time.
+    The same rule as :meth:`CSRSampler.draw`, by :func:`_guide_search` where
+    the tables have no ``first``, for callers that draw one step at a time.
     """
     offsets, targets, cum = tables = _sampling_tables(net)
     r = rng.random()
     at = offsets.item(u) + int(r * tables.deg.item(u))
+    if tables.ladder == 0:
+        return tables.first.item(at)
     return targets.item(_guide_search(cum.item, tables.lo.item(at), tables.hi.item(at), r))
 
 

@@ -7,7 +7,12 @@ the package's backward recursion over all starts.  The one-step draw rule is
 the exception: :class:`PaddedSampler` reads the aggregated CSR adjacency, as
 the package's sampler does, and applies the padded-table rule the package
 used before its CSR sampler, a row search since narrowed by a guide table,
-so the two must agree bit for bit.
+so the two must agree bit for bit.  :func:`guide_range_step` is the guide's
+range search alone, the draw rule before the tables kept each bucket's
+neighbor where every range is one index.  :func:`adjacency_lexsort` builds
+the CSR adjacency and vertex conductances as ``Network`` did before its
+single-key sort and ``bincount``, and :func:`box_bonds_loop` lists a box's
+bonds in nested loops; both must agree bit for bit.
 :func:`percolation_cluster` is the per-bond loop version of the percolation
 generator, which must return the same cluster edge for edge, and
 :func:`one_step_rows` and :func:`adjacency_edges` are the loop versions of
@@ -215,6 +220,63 @@ class PaddedSampler:
 # ---------------------------------------------------------------------------
 # Exact continuous-time marginals
 # ---------------------------------------------------------------------------
+
+
+def guide_range_step(net, u, rng):
+    """One draw by bisecting the guide range ``[lo, hi]`` of ``r``'s bucket,
+    never reading ``first``: the neighbor after the last cumulative value
+    ``<= r``."""
+    tables = _sampling_tables(net)
+    offsets, targets, cum = tables
+    r = rng.random()
+    at = int(offsets[u]) + int(r * tables.deg[u])
+    lo, hi = int(tables.lo[at]), int(tables.hi[at])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cum[mid] <= r:
+            lo = mid + 1
+        else:
+            hi = mid
+    return int(targets[lo])
+
+
+def adjacency_lexsort(net):
+    """(offsets, targets, weights, vertex conductances) by ``lexsort`` and
+    ``np.add.at``: both directions of each non-loop edge, a loop once, sorted
+    by (source, target), parallel entries summed in sorted order."""
+    n = net.vertex_count
+    a, b = net.ends.T
+    w = net.conductances
+    loop = a == b
+    src = np.concatenate([a, b[~loop]])
+    dst = np.concatenate([b, a[~loop]])
+    ww = np.concatenate([w, w[~loop]])
+    order = np.lexsort((dst, src))
+    src, dst, ww = src[order], dst[order], ww[order]
+    new = np.ones(src.size, dtype=bool)
+    new[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    starts = np.flatnonzero(new)
+    weights = np.add.reduceat(ww, starts) if starts.size else np.zeros(0)
+    rows = src[starts]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    strength = np.zeros(n)
+    np.add.at(strength, rows, weights)
+    return offsets, dst[starts], weights, strength
+
+
+def box_bonds_loop(cols, rows, spine=False, wrap=False):
+    """Bonds of a cols x rows box in nested loops: each site x * rows + y in
+    turn, its bond to x + 1, then to y + 1; ``wrap`` joins the last column and
+    row to the first, ``spine`` keeps the x-bonds of row 0 only."""
+    bonds = []
+    for x in range(cols):
+        for y in range(rows):
+            if (x < cols - 1 or wrap) and (y == 0 or not spine):
+                bonds.append((x * rows + y, (x + 1) % cols * rows + y))
+            if y < rows - 1 or wrap:
+                bonds.append((x * rows + y, x * rows + (y + 1) % rows))
+    return np.array(bonds, dtype=np.int64).reshape(-1, 2)
 
 
 def percolation_cluster(n, p, seed):

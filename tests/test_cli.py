@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -474,6 +475,21 @@ class TestValidate:
             run(_cfg(kind="identity", model={"name": "nosuch"}, n_steps=4))
 
 
+# runs with an infinite float limit, which ``validate`` accepts
+_NO_LIMIT = [
+    ("voter", "t_max", {"replicas": 10}),
+    ("identity", "tolerance", {"n_steps": 4}),
+    ("mtp", "tolerance", {"transport": "adjacency"}),
+]
+
+
+def _strict_json(text):
+    """``text`` parsed as standard JSON, which has no Infinity or NaN."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestRun:
     def test_identity_payload(self):
         env = run(_cfg(kind="identity", model={"name": "path", "R": 2}, n_steps=4))
@@ -559,6 +575,18 @@ class TestRun:
         b = run(_cfg(kind="collide", model={"name": "path", "R": 51},
                      horizons=(50,), replicas=700, master_seed=5, workers=2))
         assert a.deterministic_bytes() == b.deterministic_bytes()
+
+    @pytest.mark.parametrize("kind,field,extra", _NO_LIMIT)
+    def test_infinite_limit_echoes_null(self, kind, field, extra, tmp_path):
+        # JSON has no infinity: "no limit" is null in both forms of the envelope
+        env = run(_cfg(kind=kind, model={"name": "torus", "side": 3}, **{field: math.inf},
+                       envelope_path=str(tmp_path / "env.json"), **extra))
+        doc = json.loads(env.deterministic_bytes())
+        assert doc["config"][field] is None
+        assert _strict_json(env.to_json()) == _strict_json((tmp_path / "env.json").read_text())
+        if kind == "voter":
+            assert doc["payload"]["t_max"] is None
+            assert doc["payload"]["consensus_fraction"] == 1.0
 
     def test_config_round_trip(self, tmp_path):
         cfg = _cfg(kind="identity", model={"name": "path", "R": 2}, n_steps=4,
@@ -836,6 +864,15 @@ class TestCommandLine:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["payload"]["total"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("kind,field,extra", _NO_LIMIT)
+    def test_main_echoes_infinite_limit_as_null(self, kind, field, extra, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": {"name": "torus", "side": 3}, field: math.inf,
+                                    **extra}))
+        assert "Infinity" in path.read_text()  # json writes and reads it
+        assert main([kind, "--config", str(path)]) == 0
+        assert _strict_json(capsys.readouterr().out)["config"][field] is None
 
     def test_main_reports_errors(self, capsys):
         rc = main(["collide", "--model", "path", "--model-param", "R=2",

@@ -306,6 +306,27 @@ class TestKernelInvariants:
         assert P.min() >= 0.0
 
 
+@st.composite
+def _multigraphs(draw):
+    """(n, edges): a path through every vertex plus extra edges, self-loops and
+    parallel edges among them, with uneven conductances, in a drawn order."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    weight = st.floats(min_value=1e-3, max_value=1e3)
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    path = [(i, i + 1, draw(weight)) for i in range(n - 1)]
+    extra = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=24))
+    return n, draw(st.permutations(path + extra))
+
+
+@given(_multigraphs())
+@settings(max_examples=200, deadline=None)
+def test_adjacency_matches_lexsort_oracle(graph):
+    net = build_network(*graph)
+    got = (*net.adjacency_csr(), net.vertex_conductance)
+    for a, b in zip(got, oracles.adjacency_lexsort(net)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestStationaryDistribution:
     def test_p3_degree_proportional(self):
         assert stationary_distribution(nets.p3()).tolist() == [0.25, 0.5, 0.25]

@@ -22,7 +22,7 @@ from collisionlab import (
     n_step_kernel,
 )
 from collisionlab._parallel import substream_rng
-from collisionlab.models import CombLattice, GridLattice, PathLattice, RootedModel
+from collisionlab.models import CombLattice, GridLattice, PathLattice, RootedModel, _box_bonds
 from collisionlab.walk_engine import _sampling_tables, sample_step
 
 
@@ -94,6 +94,35 @@ def test_box_coords_match_nested_loops(R):
     assert gen_comb(R).coords == tuple((x, y) for x in range(-R, R + 1) for y in range(R + 1))
     side = R + 1
     assert gen_torus(side).coords == tuple((x, y) for x in range(side) for y in range(side))
+
+
+@pytest.mark.parametrize("cols,rows", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 5), (5, 1),
+                                       (2, 7), (6, 3), (4, 4)])
+@pytest.mark.parametrize("spine,wrap", [(False, False), (False, True), (True, False),
+                                        (True, True)])
+def test_box_bonds_match_nested_loops(cols, rows, spine, wrap):
+    # percolation draws its keep mask in this bond order
+    got = _box_bonds(cols, rows, spine=spine, wrap=wrap)
+    want = oracles.box_bonds_loop(cols, rows, spine=spine, wrap=wrap)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make,labels", [
+    (lambda: gen_path_segment(3), lambda: tuple(range(-3, 4))),
+    (lambda: gen_grid_box(2),
+     lambda: tuple((x, y) for x in range(-2, 3) for y in range(-2, 3))),
+    (lambda: gen_comb(2), lambda: tuple((x, y) for x in range(-2, 3) for y in range(3))),
+    (lambda: gen_torus(3), lambda: tuple((x, y) for x in range(3) for y in range(3))),
+    (lambda: gen_percolation_cluster(15, 0.5, seed=6),
+     lambda: oracles.percolation_cluster(15, 0.5, 6)[1]),
+    (lambda: RootedModel(gen_wilson_ust(gen_torus(3).network, seed=1)), lambda: None),
+], ids=["path", "grid", "comb", "torus", "percolation", "no_labels"])
+def test_coords_built_on_first_access(make, labels):
+    model = make()
+    assert "coords" not in model.__dict__
+    assert model.coords == labels()
+    assert model.__dict__["coords"] is model.coords  # kept, not rebuilt
 
 
 @pytest.mark.parametrize("gen", [gen_path_segment, gen_grid_box, gen_comb])
@@ -292,6 +321,21 @@ class TestWilsonBlocks:
             steps.append(0)
             assert gen_wilson_ust(base, seed).edges == oracles.wilson_sample_step(base, seed).edges
         return steps
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_torus(8).network,
+        lambda: gen_percolation_cluster(12, 0.5, seed=2).network,
+        nets.skewed_hub,
+        lambda: nets.random_connected_network(5),
+        nets.parallel_and_loops,
+    ], ids=["torus8", "percolation12", "skewed_hub", "random_conductances",
+            "parallel_and_loops"])
+    def test_trees_match_guide_range_search(self, make, monkeypatch):
+        # the loop reads ``first`` on ladder-0 tables and bisects otherwise
+        base = make()
+        monkeypatch.setattr(oracles, "sample_step", oracles.guide_range_step)
+        for seed in (1, 2, 3):
+            assert gen_wilson_ust(base, seed).edges == oracles.wilson_sample_step(base, seed).edges
 
     def test_torus_crosses_full_blocks(self, monkeypatch):
         # blocks of 8, 16, ..., 4,096 draws reach 4,096 after 8,190 draws;

@@ -98,6 +98,30 @@ class TestSampler:
         # rows of at most 4 unit conductances: every bucket holds its answer alone
         assert CSRSampler(_sampling_tables(make())).steps == []
 
+    @pytest.mark.parametrize("make,fast", [
+        (lambda: gen_torus(6).network, True),
+        (lambda: gen_percolation_cluster(30, 0.5, seed=4).network, True),
+        (lambda: build_network(1, []), True),
+        # every row two entries of conductance 2: loops and parallel edges, ladder 0
+        (lambda: build_network(3, [(0, 0), (0, 1), (1, 2), (2, 2), (0, 0), (1, 0), (2, 1),
+                                   (2, 2)]), True),
+        (nets.skewed_hub, False),
+        (lambda: nets.random_connected_network(1), False),
+        (nets.parallel_and_loops, False),
+    ], ids=["torus6", "percolation30", "single_vertex", "unit_multigraph", "skewed_hub",
+            "random_conductances", "parallel_and_loops"])
+    def test_draws_match_guide_range_search(self, make, fast):
+        # ``first`` exists exactly on ladder-0 tables and gives the range search's draws
+        net = make()
+        tables = _sampling_tables(net)
+        assert (tables.ladder == 0) == fast == hasattr(tables, "first")
+        u, r = _draw_cases(net, oracles.PaddedSampler(net), seed=3)
+        expected = [oracles.guide_range_step(net, a, _FixedUniforms([b]))
+                    for a, b in zip(u.tolist(), r.tolist())]
+        assert CSRSampler(tables).draw(u, r).tolist() == expected
+        scalar = _FixedUniforms(r)
+        assert [sample_step(net, int(a), scalar) for a in u] == expected
+
     def test_single_vertex_stays_put(self):
         net = build_network(1, [])
         stepper = NetworkStepper(net, 0)
