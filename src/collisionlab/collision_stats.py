@@ -128,16 +128,17 @@ def horizon_estimates(net, u, N):
     ``qlast[n] = p_n(u, .)^2 * q0(., N - n)``; ``identity_total`` adds one
     dot product per n, in n order.
     """
-    rows = kernel_powers(net, N, start=u)
+    u = check_vertex(net, u)
+    # the recursion's P is freed before kernel_powers builds its own
     prof = q0_profile_all(net, N)
     qlast = np.empty((N + 1, net.vertex_count))
     total = 0.0
-    for n, row in enumerate(rows):
+    for n, row in enumerate(kernel_powers(net, N, start=u)):
         squared = row * row
         qlast[n] = squared * prof[N - n]
         total += float(squared @ prof[N - n])
     return HorizonEstimates(
-        start=int(u), horizon=int(N), q0=prof, qlast=qlast, identity_total=total
+        start=u, horizon=int(N), q0=prof, qlast=qlast, identity_total=total
     )
 
 

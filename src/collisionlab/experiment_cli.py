@@ -20,7 +20,9 @@ per-replica results (a voter run's opinion rows on a network file once it
 loads), the per-replica CSV rows when ``output`` is set (voter and ctcollide
 build them only then) and the dump.  It also refuses a voter ``t_max`` whose
 V·t_max events are too many for one Poisson draw of a replica's event
-budget, when V is known (a network file's, once it loads).  Flags are described once
+budget, when V is known (a network file's, once it loads), and an output,
+envelope or dump path that is a directory or whose directory does not
+exist, so no run fails at its write after sampling.  Flags are described once
 too: ``_FLAGS`` maps each flag to the config field it sets, ``_SUBCOMMANDS``
 lists the flags of each run subcommand, and ``validate`` takes all of them,
 so it checks any run's command line.
@@ -441,7 +443,23 @@ def _violations(config):
         out.append(Violation("grid", "grid * t_max must be below 2**53"))
     if resolved is not None:
         out.extend(_memory_violations(config, resolved, window))
-    return out, config
+    return out + _path_violations(config), config
+
+
+def _path_violations(config):
+    """Output paths that no run could write, refused before any sampling."""
+    out = []
+    for field in ("output", "envelope_path", "dump_trajectories"):
+        path = getattr(config, field)
+        if not path:
+            continue
+        if not isinstance(path, (str, os.PathLike)):
+            out.append(Violation(field, f"expected a file path, got {path!r}"))
+        elif os.path.isdir(path):
+            out.append(Violation(field, f"{path} is a directory"))
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            out.append(Violation(field, f"the directory of {path} does not exist"))
+    return out
 
 
 def _memory_violations(config, resolved, window):
@@ -854,8 +872,11 @@ def config_from_args(args):
     """Merge defaults, config file, environment seed, and flags (in that order)."""
     doc = {}
     if args.config:
-        with open(args.config) as fh:
-            doc.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                doc.update(json.load(fh))
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"config: no config read ({type(exc).__name__}: {exc})") from None
 
     kind = args.command if args.command != "validate" else (args.kind or doc.get("kind"))
     if kind is None:

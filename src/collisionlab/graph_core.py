@@ -16,11 +16,13 @@ of :func:`is_bipartite` (on the bipartite double cover) and the clusters of
 the percolation generator.
 
 Exact kernels are dense.  Every power of the one-step matrix comes from
-:func:`kernel_powers` (P^0 .. P^N, whole or as the rows of one start) or,
-for a single n, from :func:`n_step_kernel`.  ``MEMORY_BUDGET`` is the one
-size policy of the package: :func:`require_memory` refuses any estimate above
-it, here the dense kernels' :func:`dense_bytes` before their first array, and
-in ``models`` and ``experiment_cli`` the generators and a run's results.
+:func:`kernel_powers` (P^0 .. P^N, whole or as the rows of one start), and
+:func:`n_step_kernel` is its last power.  Each call builds its own P and no
+V x V array is kept on a :class:`Network`, which stays O(E).
+``MEMORY_BUDGET`` is the one size policy of the package: :func:`require_memory`
+refuses any estimate above it, here the dense kernels' :func:`dense_bytes`
+before their first array, and in ``models`` and ``experiment_cli`` the
+generators and a run's results.
 Large graphs are handled by the Monte Carlo machinery instead.
 """
 
@@ -72,7 +74,6 @@ class Network:
         "_offsets",
         "_targets",
         "_weights",
-        "_dense",
         "_tables",
     )
 
@@ -111,7 +112,6 @@ class Network:
         self.conductances.flags.writeable = False
         self._build_adjacency()
         self._check_connected()
-        self._dense = None
         self._tables = None
 
     def _build_adjacency(self):
@@ -178,16 +178,14 @@ class Network:
         return 0.0
 
     def one_step_matrix(self):
-        """Dense one-step transition matrix (cached)."""
-        if self._dense is None:
-            n = self.vertex_count
-            require_memory(dense_bytes(n), f"the dense kernels on {n} vertices")
-            # an isolated vertex (only in the single-vertex network) is a constant chain
-            P = np.diag((self.vertex_conductance == 0.0).astype(float))
-            rows = np.repeat(np.arange(n), np.diff(self._offsets))
-            P[rows, self._targets] = self._weights / self.vertex_conductance[rows]
-            self._dense = P
-        return self._dense
+        """Dense one-step transition matrix, a new V x V array on every call."""
+        n = self.vertex_count
+        require_memory(dense_bytes(n), f"the dense kernels on {n} vertices")
+        # an isolated vertex (only in the single-vertex network) is a constant chain
+        P = np.diag((self.vertex_conductance == 0.0).astype(float))
+        rows = np.repeat(np.arange(n), np.diff(self._offsets))
+        P[rows, self._targets] = self._weights / self.vertex_conductance[rows]
+        return P
 
     def to_json_dict(self):
         """Interchange form {"vertices": N, "edges": [[a, b, c], ...]}.
@@ -251,9 +249,9 @@ def require_memory(nbytes, what):
 def dense_bytes(V, N=0):
     """Peak bytes of the dense kernels on V vertices over a window of N steps.
 
-    Seven V x V float arrays bound the largest set alive at once (measured
-    at V = 1,600: 4.3 for the identities, 6.3 for the qlast transport), plus
-    the (N + 1) x V tables of q0 and qlast.
+    Seven V x V float arrays bound the largest set alive at once (a fresh
+    process at V = 1,600, N = 10 rises by 4.3 for the identity and 5.4 for
+    the qlast transport), plus the (N + 1) x V tables of q0 and qlast.
     """
     return 8 * (7 * V * V + 2 * (N + 1) * V)
 
@@ -276,10 +274,10 @@ def transition_prob(net, u, v):
 
 
 def n_step_kernel(net, n):
-    """n-step transition kernel as a dense matrix power; n = 0 is the identity."""
-    if n < 0:
-        raise ValueError("step count must be nonnegative")
-    return TransitionKernel(np.linalg.matrix_power(net.one_step_matrix(), n), steps=n)
+    """P^n as a kernel: the last power of :func:`kernel_powers`, holding one at a time."""
+    for Pn in kernel_powers(net, n):
+        pass
+    return TransitionKernel(Pn, steps=n)
 
 
 def kernel_powers(net, N, start=None):

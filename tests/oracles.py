@@ -19,6 +19,9 @@ generator, which must return the same cluster edge for edge, and
 the two dense builders, which must return the same matrices bit for bit.
 :func:`bipartite_dfs` is the depth-first two-coloring that ``is_bipartite``
 replaced, which must return the same verdict and colors.
+:func:`matrix_power_kernel` is the binary matrix power that served
+``n_step_kernel`` before every P^n came from ``kernel_powers``; it agrees to
+1e-14 and still gives the ``mtp`` pin made before.
 :func:`ct_chunk_scalar` is the per-replica continuous-time chunk that the
 batched pair chain replaced, and :func:`ct_pair_scalar` runs that pair chain
 one event at a time and returns both trajectories.
@@ -46,7 +49,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from collisionlab._parallel import TAG_CTCOLLIDE, TAG_GROWTH, TAG_VOTER, chunk_sizes
-from collisionlab.graph_core import build_network
+from collisionlab.graph_core import TransitionKernel, build_network
 from collisionlab.interacting import collision_measure, discretization_integral
 from collisionlab.walk_engine import (CSRSampler, JumpTrajectory, _sampling_tables,
                                       sample_step, substream_rng, walk_continuous)
@@ -90,6 +93,12 @@ def adjacency_edges(net):
         F[a, b] = 1.0
         F[b, a] = 1.0
     return F
+
+
+def matrix_power_kernel(net, n):
+    """P^n by ``np.linalg.matrix_power``, the path ``n_step_kernel`` took
+    before it became the last power of ``kernel_powers``."""
+    return TransitionKernel(np.linalg.matrix_power(net.one_step_matrix(), n), steps=n)
 
 
 def bipartite_dfs(net):

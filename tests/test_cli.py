@@ -22,6 +22,7 @@ from collisionlab import (
     ResourceLimitError,
     experiment_cli,
     interacting,
+    mtp_check,
     network_from_json,
 )
 from collisionlab.experiment_cli import (
@@ -715,8 +716,11 @@ class TestPinnedEnvelopes:
         )
 
     @pytest.mark.parametrize("transport,root_law,sha", [
+        # re-pinned when n_step_kernel became the last power of kernel_powers
+        # (P^5 and P^10 moved by 5.6e-17); the next test checks the old pin
+        # against the replaced matrix power
         ("qlast:10:20", "uniform",
-         "9572dc694329365f6a47e014366e38ca12242e72a448821ebaf5a64e7df52c92"),
+         "50f3d7b3d6131c9d4c4a9c0aba41d4322bce1177a80d2609c17989a63be04894"),
         ("adjacency", "biased",
          "5504ca1e04da80947a39df8ca2c76303794d19cbca42ed1366459de26e9ee894"),
     ])
@@ -724,6 +728,16 @@ class TestPinnedEnvelopes:
         cfg = _cfg(kind="mtp", model={"name": "grid", "R": 5}, transport=transport,
                    root_law=root_law)
         assert self._sha(cfg) == sha
+
+    def test_mtp_grid_matrix_power_keeps_old_pin(self, monkeypatch):
+        # the binary matrix power that served n_step_kernel before still gives
+        # the bytes pinned before every P^n came from kernel_powers
+        monkeypatch.setattr(mtp_check, "n_step_kernel", oracles.matrix_power_kernel)
+        cfg = _cfg(kind="mtp", model={"name": "grid", "R": 5}, transport="qlast:10:20",
+                   root_law="uniform")
+        assert self._sha(cfg) == (
+            "9572dc694329365f6a47e014366e38ca12242e72a448821ebaf5a64e7df52c92"
+        )
 
     def test_ctcollide_torus(self):
         # re-pinned when the pair chain replaced two walks per replica; the
@@ -795,6 +809,48 @@ class TestConfigDict:
         cfg = config_from_dict({"kind": "collide", "horizons": [4, 2],
                                 "model": {"name": "path", "R": 9}})
         assert cfg.horizons == (4, 2)
+
+
+class TestOutputPaths:
+    """An output path that no run could write is refused before sampling."""
+
+    FIELDS = [("output", "--output"), ("envelope_path", "--envelope"),
+              ("dump_trajectories", "--dump-trajectories")]
+
+    @pytest.fixture(autouse=True)
+    def _no_sampling(self, monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr("collisionlab.experiment_cli.collision_growth", sample)
+
+    @staticmethod
+    def _path(tmp_path, where):
+        return {"missing": str(tmp_path / "absent" / "x.csv"), "directory": str(tmp_path),
+                "number": 5}[where]
+
+    @pytest.mark.parametrize("where,message", [
+        ("missing", "does not exist"), ("directory", "is a directory"),
+        ("number", "expected a file path"),
+    ])
+    @pytest.mark.parametrize("field", [field for field, _ in FIELDS])
+    def test_validate_and_run_name_field(self, field, where, message, tmp_path):
+        cfg = _cfg(kind="collide", model={"name": "path", "R": 11}, horizons=(5,),
+                   replicas=10, **{field: self._path(tmp_path, where)})
+        problems = validate(cfg)
+        assert len(problems) == 1
+        assert problems[0].startswith(f"{field}:") and message in problems[0]
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            run(cfg)
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    @pytest.mark.parametrize("field,flag", FIELDS)
+    def test_main_reports_field(self, field, flag, where, tmp_path, capsys):
+        rc = main(["collide", "--model", "path", "--model-param", "R=11", "--horizons", "5",
+                   "--replicas", "10", flag, self._path(tmp_path, where)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
+        assert not (tmp_path / "absent").exists()
 
 
 class TestCommandLine:
@@ -897,6 +953,24 @@ class TestCommandLine:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_main_rejects_missing_config_file(self, tmp_path, capsys):
+        rc = main(["identity", "--config", str(tmp_path / "absent.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "FileNotFoundError" in err
+
+    @pytest.mark.parametrize("text,error", [
+        ('{"kind": "identity", "n_steps": ', "JSONDecodeError"),
+        ("[1, 2]", "TypeError"),  # JSON, but not an object of fields
+    ])
+    def test_main_rejects_malformed_config_file(self, tmp_path, capsys, text, error):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        rc = main(["identity", "--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and error in err
 
     def test_main_rejects_missing_network_file(self, tmp_path, capsys):
         rc = main(["identity", "--network", str(tmp_path / "absent.json"), "--N", "4"])

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,10 @@ from collisionlab import (
     gen_torus,
     is_bipartite,
     kernel_powers,
+    last_collision_identity,
     n_step_kernel,
     network_from_json,
+    qlast_transport,
     stationary_distribution,
     transition_prob,
 )
@@ -238,9 +242,12 @@ class TestNStepKernel:
 class TestKernelPowers:
     @pytest.mark.parametrize("name,net", nets.small_named())
     def test_matches_n_step_kernel(self, name, net):
+        # n_step_kernel is the last power of kernel_powers; both are checked
+        # against the binary matrix power it replaced
         rows = kernel_powers(net, 6, start=0)
         for n, (Pn, row) in enumerate(zip(kernel_powers(net, 6), rows)):
-            assert np.abs(Pn - n_step_kernel(net, n).matrix).max() < 1e-14
+            assert np.abs(Pn - oracles.matrix_power_kernel(net, n).matrix).max() < 1e-14
+            assert np.array_equal(n_step_kernel(net, n).matrix, Pn)
             assert np.abs(row - Pn[0]).max() < 1e-14
 
     def test_yields_zero_through_N(self):
@@ -259,6 +266,16 @@ class TestKernelPowers:
     def test_dense_cap_checked_on_call(self):
         with pytest.raises(ResourceLimitError):
             kernel_powers(nets.path_n(7000), 2)
+
+    def test_network_keeps_no_dense_array(self):
+        # a Network stays O(E) after the dense kernels ran on it, so pickling
+        # it for a worker ships no V x V matrix
+        net = gen_torus(30).network
+        size = len(pickle.dumps(net))
+        last_collision_identity(net, 0, 2)
+        qlast_transport(1, 2).matrix(net)
+        assert len(pickle.dumps(net)) == size
+        assert net.one_step_matrix() is not net.one_step_matrix()
 
 
 class TestKernelInvariants:
