@@ -51,7 +51,10 @@ GROUP_CHUNKS = 16
 # blocks of 1 / 8 / 16 / 32 / 64 / 128 steps.  The bound caps a group's block
 # at BLOCK_STEPS x rows x GROUP_CHUNKS x 512 doubles: 4 MiB per worker for the
 # two rows of a pair state, 512 KiB at 1,024 replicas, plus one chunk's draw
-# of 256 KiB on its way into the block.
+# of 256 KiB on its way into the block.  It also bounds a voter block's
+# rounds: their uniform pairs, rung vertices, neighbors and one-counts take
+# about 48 bytes a round and replica at peak (tracemalloc), under 56 x
+# BLOCK_STEPS x the group's width, 14 MiB per worker at 8,192 replicas.
 BLOCK_STEPS = 32
 
 # stream namespace tags, one per replica-chunked experiment family, and the

@@ -31,8 +31,8 @@ Results are wrapped in a :class:`ResultEnvelope` whose deterministic body
 (version, canonical config echo, payload) is byte-identical across runs and
 across worker counts; wall-clock time and the worker count live in the
 envelope's ``meta`` section, outside the deterministic body, and so do
-collide's walker steps, the voter's events, their rates and collide's
-chunk-group count.
+collide's walker steps, the voter's events and rounds, their rates and
+collide's chunk-group count.
 """
 
 from __future__ import annotations
@@ -678,7 +678,7 @@ def _run_voter(config, resolved):
         "rows_sha256": _sha256_voter_rows(ens),
     }
     rows = (["replica", "consensus_value", "consensus_time"], _voter_rows(ens))
-    return payload, rows, {"events": ens.events}
+    return payload, rows, {"events": ens.events, "rounds": ens.rounds}
 
 
 def _ct_t_max(config):

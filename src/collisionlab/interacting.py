@@ -16,11 +16,13 @@ its next event passes ``t_max``.  The voter runs as a jump chain with no
 clock: a replica's rings up to ``t_max`` are a Poisson(V·t_max) number of
 events, drawn up front as its budget, and a round makes one event of every
 active replica from one uniform pair, the rung vertex and the neighbor it
-copies.  A replica stays active until consensus or until its budget is
-spent, and the consensus times are drawn afterwards from the event counts
-(:func:`_voter_batch`).  The voter keeps only the active replicas' state, in
-compact arrays, so a round costs one generator call a chunk and a few numpy
-calls however many are active.
+copies.  Rounds run in blocks of up to ``BLOCK_STEPS``: a block costs one
+generator call a chunk and one neighbor lookup for all its rounds, and a
+round only the copies, a few numpy calls however many are active.  A
+replica stays active until consensus or until its budget is spent, checked
+at block ends, and the consensus times are drawn afterwards from the event
+counts (:func:`_voter_batch`).  The voter keeps only the active replicas'
+state, in compact arrays.
 
 The voter model here rings each vertex at rate 1; on a ring the vertex
 adopts the opinion of a neighbor chosen with probability proportional to
@@ -38,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import (TAG_CTCOLLIDE, TAG_VOTER, ChunkGroup, _as_rng, chunk_groups,
-                        run_chunked)
+from ._parallel import (BLOCK_STEPS, TAG_CTCOLLIDE, TAG_VOTER, ChunkGroup, _as_rng,
+                        chunk_groups, run_chunked)
 from .errors import HorizonMismatchError
 from .graph_core import check_vertex
 from .walk_engine import (
@@ -141,8 +143,10 @@ POISSON_MEAN_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 def check_event_budget(vertex_count, t_max):
-    """ValueError unless V·t_max, a voter replica's mean event budget, is
-    below :data:`POISSON_MEAN_MAX`; t_max = inf draws no budget."""
+    """ValueError unless t_max > 0 and V·t_max, a voter replica's mean event
+    budget, is below :data:`POISSON_MEAN_MAX`; t_max = inf draws no budget."""
+    if not t_max > 0:
+        raise ValueError("t_max must be positive")
     mean = vertex_count * t_max
     if not np.isinf(t_max) and not mean < POISSON_MEAN_MAX:
         raise ValueError(f"V * t_max = {mean:.4g} voter events must be below "
@@ -157,7 +161,7 @@ def voter_simulate(net, initial, t_max, seed):
     """
     ops = _initial_opinions(net, initial)
     check_event_budget(net.vertex_count, t_max)
-    opinions, _, when, _ = _voter_batch(net, ops, t_max, ChunkGroup([_as_rng(seed)], (1,)))
+    opinions, _, when = _voter_batch(net, ops, t_max, ChunkGroup([_as_rng(seed)], (1,)))[:3]
     if np.isnan(when[0]):
         return VoterConfiguration(opinions[0], float(t_max)), None
     return VoterConfiguration(opinions[0], float(when[0])), float(when[0])
@@ -166,66 +170,75 @@ def voter_simulate(net, initial, t_max, seed):
 def _voter_batch(net, initial, t_max, group):
     """Voter runs of every replica of ``group``, one jump chain for all its chunks.
 
-    Returns (opinions, consensus values, consensus times, total events).  A
-    replica's rings up to ``t_max`` are N ~ Poisson(V·t_max) events, and
-    given N its k-th event time is t_max·Beta(k, N - k + 1), the k-th of N
-    sorted uniforms (t_max = inf: no N, and the time is Gamma(k) / V).  So
-    chunk c draws from its own generator, for its own replicas: their
-    budgets N in one ``poisson`` call; then each round one ``random((n, 2))``
-    call for its n active replicas, the rung vertex floor(V·r0) (at most
-    V - 1 while V < 2**53, off uniform by a relative V·2**-53) and the
-    neighbor it copies; last, the times of those that reached consensus, in
-    one ``beta`` (or ``standard_gamma``) call.  A replica leaves at consensus
-    after k <= N events, or unreached, at its configuration at ``t_max``,
-    when its budget is spent.  The active replicas' one-counts and row
-    starts are compact arrays aligned with ``k``, filtered only when one
-    leaves.
+    Returns (opinions, consensus values, consensus times, total events,
+    rounds stepped).  A replica's rings up to ``t_max`` are N ~
+    Poisson(V·t_max) events, and given N its k-th event time is
+    t_max·Beta(k, N - k + 1), the k-th of N sorted uniforms (t_max = inf: no
+    N, and the time is Gamma(k) / V).  So chunk c draws from its own
+    generator, for its own replicas: their budgets N in one ``poisson``
+    call; then the rounds' uniform pairs; last, the times of those that
+    reached consensus, in one ``beta`` (or ``standard_gamma``) call.
+
+    Rounds run in blocks of 1, 2, 4, ... up to ``BLOCK_STEPS``, so block
+    edges depend on the round index alone.  A block draws, in one
+    ``random((b, n, 2))`` call per chunk for its n replicas active at the
+    block's start, the b rounds' rung vertices floor(V·r0) (at most V - 1
+    while V < 2**53, off uniform by a relative V·2**-53) and the neighbors
+    they copy.  Round j of a replica whose budget is at most j copies its
+    rung vertex's own opinion, a no-op, and a replica at consensus is
+    absorbed, so the rounds a block steps past a replica's last event change
+    nothing.  Only the copies run round by round.  At the block's end a
+    replica that reached consensus leaves with k = its first consensus round
+    + 1 events, and one whose budget is spent leaves unreached, at its
+    configuration at ``t_max``; the active replicas' one-counts are a compact
+    array aligned with ``k``, filtered only there.
     """
     V = net.vertex_count
     size = group.size
     opinions = np.tile(initial, (size, 1))
     start = int(initial.sum(dtype=np.int64))
     if start in (0, V):  # every replica starts at consensus
-        return opinions, np.full(size, start > 0, dtype=np.int8), np.zeros(size), 0
+        return opinions, np.full(size, start > 0, dtype=np.int8), np.zeros(size), 0, 0
     sampler = CSRSampler(_sampling_tables(net))
     flat = opinions.reshape(-1)  # replica k's vertex u is flat[k * V + u]
-    k = np.arange(size)
-    chunks = group.parts(k)
+    chunks = group.parts(np.arange(size))
     finite = not np.isinf(t_max)  # else no budget: every replica runs to consensus
     budget = (np.concatenate([rng.poisson(V * t_max, hi - lo) for rng, lo, hi in chunks])
               if finite else np.full(size, np.iinfo(np.int64).max))
     events = budget.copy()  # an unreached replica spends its budget
     cons_val = np.full(size, -1, dtype=np.int8)
     consensus = np.isin(np.arange(V + 1), (0, V))  # by one-count
-    count, row = np.full(size, start, dtype=np.int64), k * V
-    uniforms = np.empty((size, 2))
+    k = np.flatnonzero(budget)  # a replica with no events never draws
+    count = np.full(k.size, start, dtype=np.int64)
     rounds = 0
     while k.size:
-        # the next round at which a budget runs out
-        spent = budget[k].min()
-        if rounds == spent:
-            keep = budget[k] > rounds
-            k, count, row = k[keep], count[keep], row[keep]
-            continue
-        # each active chunk draws into its own slice of r, which holds until
-        # a replica leaves
-        n = k.size
-        r = uniforms[:n]
-        parts = [(rng, r[lo:hi]) for rng, lo, hi in group.parts(k)]
-        while k.size == n and rounds < spent:
-            for rng, r_c in parts:
-                rng.random(out=r_c)
-            rounds += 1
-            u = (r[:, 0] * V).astype(np.int64)
-            at_u = row + u
-            new = flat[row + sampler.draw(u, r[:, 1])]
-            count += new - flat[at_u]
-            flat[at_u] = new
-            done = consensus[count]
-            if done.any():
-                cons_val[k[done]] = count[done] > 0
-                events[k[done]] = rounds
-                k, count, row = k[~done], count[~done], row[~done]
+        b = min(BLOCK_STEPS, rounds + 1)
+        r = np.concatenate([rng.random((b, hi - lo, 2)) for rng, lo, hi in group.parts(k)],
+                           axis=1)
+        u = (r[..., 0] * V).astype(np.int64)
+        w = sampler.draw(u, r[..., 1])
+        del r
+        left = budget[k]
+        if left.min() < rounds + b:  # a budget runs out in this block
+            np.copyto(w, u, where=left <= np.arange(rounds, rounds + b)[:, None])
+        row = k * V
+        u += row
+        w += row
+        counts = np.empty((b, k.size), dtype=np.int64)
+        for j in range(b):
+            new = flat[w[j]]
+            count += new - flat[u[j]]
+            flat[u[j]] = new
+            counts[j] = count
+        del u, w  # so that the next block's draws reuse their room
+        done = consensus[count]
+        if done.any():
+            d = k[done]
+            cons_val[d] = count[done] > 0
+            events[d] = rounds + 1 + consensus[counts[:, done]].argmax(axis=0)
+        rounds += b
+        keep = ~done & (left > rounds)
+        k, count = k[keep], count[keep]
     cons_time = np.full(size, np.nan)
     for rng, lo, hi in chunks:
         reached = np.flatnonzero(cons_val[lo:hi] >= 0) + lo
@@ -233,7 +246,7 @@ def _voter_batch(net, initial, t_max, group):
             steps = events[reached]
             cons_time[reached] = (t_max * rng.beta(steps, budget[reached] - steps + 1)
                                   if finite else rng.standard_gamma(steps) / V)
-    return opinions, cons_val, cons_time, int(events.sum())
+    return opinions, cons_val, cons_time, int(events.sum()), rounds
 
 
 def _voter_chunk(payload):
@@ -251,6 +264,7 @@ class VoterEnsembleResult:
     t_max: float
     seed: int
     events: int  # voter events simulated over all replicas
+    rounds: int  # rounds stepped, summed over chunk groups
 
     @property
     def replicas(self):
@@ -271,14 +285,15 @@ def voter_ensemble(net, initial, t_max, replicas, seed, workers=1):
     final = np.empty((replicas, net.vertex_count), dtype=np.int8)
     value = np.empty(replicas, dtype=np.int8)
     when = np.empty(replicas)
-    done = events = 0
-    for opinions, cons_val, cons_time, n in run_chunked(_voter_chunk, payloads, workers=workers):
+    done = events = rounds = 0
+    for opinions, cons_val, cons_time, n, steps in run_chunked(_voter_chunk, payloads,
+                                                               workers=workers):
         rows = slice(done, done + len(cons_val))
         final[rows], value[rows], when[rows] = opinions, cons_val, cons_time
-        done, events = rows.stop, events + n
+        done, events, rounds = rows.stop, events + n, rounds + steps
     return VoterEnsembleResult(final_opinions=final, consensus_value=value,
                                consensus_time=when, t_max=float(t_max), seed=int(seed),
-                               events=events)
+                               events=events, rounds=rounds)
 
 
 def dual_walker_positions(net, start, t, replicas, seed):

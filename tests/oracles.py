@@ -25,15 +25,18 @@ replaced, which must return the same verdict and colors.
 :func:`ct_chunk_scalar` is the per-replica continuous-time chunk that the
 batched pair chain replaced, and :func:`ct_pair_scalar` runs that pair chain
 one event at a time and returns both trajectories.
-:func:`growth_chunk_loop`, :func:`voter_jump_chunk_loop` and
+:func:`growth_chunk_loop`, :func:`voter_block_chunk_loop` and
 :func:`ct_chunk_loop` step one 512-replica chunk at a time on the chunk's own
 generator, as the replica loops did before chunk groups; the group engines
-must give the same results bit for bit.  :func:`voter_jump_loop`, the body
-of the voter one, keeps full-size state.  :func:`voter_loop` is the
-clock-driven voter law the jump chain replaced, an exponential wait, a
-vertex and a uniform per event; through :func:`voter_chunk_loop` and
-:func:`voter_group_loop`, swapped in for the engine, it still gives the
-voter pins made before the jump chain.
+must give the same results bit for bit.  :func:`voter_block_loop`, the body
+of the voter one, keeps full-size state and masks each round's copies where
+the engine compacts.  :func:`voter_jump_loop` is the jump chain of one draw
+a round that the blocks of rounds replaced, and :func:`voter_loop` the
+clock-driven law before it, an exponential wait, a vertex and a uniform per
+event; through :func:`voter_jump_chunk_loop`, :func:`voter_chunk_loop` and
+:func:`voter_group_loop`, swapped in for the engine, they still give the
+voter pins made before.  :func:`voter_law_exact` is the law of the whole
+configuration at a time t, from the 2^V chain.
 :func:`wilson_incidence` is Wilson's algorithm over per-vertex incidence
 lists, as ``gen_wilson_ust`` ran before it stepped through the CSR sampler;
 it still gives the trees pinned then.  :func:`wilson_sample_step` is the
@@ -47,8 +50,11 @@ from collections import defaultdict
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import expm_multiply
 
-from collisionlab._parallel import TAG_CTCOLLIDE, TAG_GROWTH, TAG_VOTER, chunk_sizes
+from collisionlab._parallel import (BLOCK_STEPS, TAG_CTCOLLIDE, TAG_GROWTH, TAG_VOTER,
+                                    chunk_groups, chunk_sizes)
 from collisionlab.graph_core import TransitionKernel, build_network
 from collisionlab.interacting import collision_measure, discretization_integral
 from collisionlab.walk_engine import (CSRSampler, JumpTrajectory, _sampling_tables,
@@ -392,6 +398,15 @@ def voter_consensus_by_exact(net, initial, t):
     return float(row[index[(0,) * n]] + row[index[(1,) * n]])
 
 
+def voter_law_exact(net, initial, t):
+    """(states as a (2^V, V) array, P(state at time t)) from the 2^V chain,
+    by ``expm_multiply`` on its sparse generator, for V up to about 12."""
+    states, index, Q = _voter_generator(net)
+    p0 = np.zeros(len(states))
+    p0[index[tuple(int(x) for x in initial)]] = 1.0
+    return np.array(states), expm_multiply(t * csr_matrix(Q).T, p0)
+
+
 def voter_consensus_ones_exact(net, initial):
     """Exact absorption probability into the all-ones consensus."""
     states, index, Q = _voter_generator(net)
@@ -480,11 +495,13 @@ def ct_group_scalar(payload):
 def per_chunk(loop, head, replicas, axis=0):
     """``loop((*head, i, size))`` for every chunk i of ``replicas``, joined on ``axis``.
 
-    A loop returning a tuple is joined element by element.
+    A loop returning a tuple is joined element by element; a scalar element
+    becomes an array of one value a chunk.
     """
     pieces = [loop((*head, i, size)) for i, size in enumerate(chunk_sizes(replicas))]
     if isinstance(pieces[0], tuple):
-        return tuple(np.concatenate(p, axis=axis) for p in zip(*pieces))
+        return tuple(np.concatenate(p, axis=axis) if np.ndim(p[0]) else np.array(p)
+                     for p in zip(*pieces))
     return np.concatenate(pieces, axis=axis)
 
 
@@ -513,20 +530,28 @@ def voter_chunk_loop(payload):
     return voter_loop(net, initial, t_max, substream_rng(seed, TAG_VOTER, chunk_index), size)
 
 
-def voter_group_loop(payload):
-    """:func:`voter_chunk_loop` on each chunk of a chunk-group payload, in
-    chunk order, with the events summed, as ``_voter_chunk`` returns them."""
+def voter_group_loop(payload, loop=voter_chunk_loop):
+    """``loop`` on each chunk of a chunk-group payload, in chunk order, with
+    the events summed and the rounds of its longest chunk, as
+    ``_voter_chunk`` returns them."""
     *head, first, sizes = payload
-    pieces = [voter_chunk_loop((*head, first + c, size)) for c, size in enumerate(sizes)]
-    opinions, cons_val, cons_time, events = (np.concatenate(p) for p in zip(*pieces))
-    return opinions, cons_val, cons_time, int(events.sum())
+    pieces = [loop((*head, first + c, size)) for c, size in enumerate(sizes)]
+    opinions, cons_val, cons_time, events = (np.concatenate(p) for p in list(zip(*pieces))[:4])
+    return opinions, cons_val, cons_time, int(events.sum()), max(p[4] for p in pieces)
+
+
+def group_rounds(chunk_rounds, replicas, workers):
+    """The rounds of ``voter_ensemble``'s chunk groups, summed, from the
+    rounds each chunk steps alone: a group steps until its last chunk ends."""
+    return sum(int(chunk_rounds[first:first + len(sizes)].max())
+               for first, sizes in chunk_groups(replicas, workers))
 
 
 def voter_loop(net, initial, t_max, rng, size):
     """The voter runs of ``size`` replicas on ``rng`` by the clock-driven law
     the jump chain replaced: each round draws the Exponential(V) waits, the
     rung vertices (``integers``) and the uniforms of all active replicas, one
-    call each.  Also returns each replica's event count."""
+    call each.  Also returns each replica's event count and the rounds run."""
     V = net.vertex_count
     sampler = CSRSampler(_sampling_tables(net))
     opinions = np.tile(initial, (size, 1))
@@ -540,7 +565,9 @@ def voter_loop(net, initial, t_max, rng, size):
     cons_val[settled] = (ones[settled] > 0).astype(np.int8)
     cons_time[settled] = 0.0
     active = np.flatnonzero(~settled)
+    rounds = 0
     while active.size:
+        rounds += 1
         k = active
         dt = rng.exponential(1.0 / V, k.size)
         u = rng.integers(0, V, k.size)
@@ -565,7 +592,7 @@ def voter_loop(net, initial, t_max, rng, size):
             cons_val[d] = count[done] > 0
             cons_time[d] = t[d]
         active = k[~done]
-    return opinions, cons_val, cons_time, events
+    return opinions, cons_val, cons_time, events, rounds
 
 
 def voter_jump_chunk_loop(payload):
@@ -584,7 +611,7 @@ def voter_jump_loop(net, initial, t_max, rng, size):
     floor(V r0) copying its neighbor drawn with r1, and last one ``beta``
     (``standard_gamma`` at t_max = inf) draw of the consensus times of the
     replicas that reached it.  A constant start draws nothing.  Also returns
-    each replica's event count."""
+    each replica's event count and the rounds run."""
     V = net.vertex_count
     sampler = CSRSampler(_sampling_tables(net))
     opinions = np.tile(initial, (size, 1))
@@ -594,14 +621,16 @@ def voter_jump_loop(net, initial, t_max, rng, size):
     cons_time = np.where(settled, 0.0, np.nan)
     events = np.zeros(size, dtype=np.int64)
     if settled.all():
-        return opinions, cons_val, cons_time, events
+        return opinions, cons_val, cons_time, events, 0
     finite = np.isfinite(t_max)
     budget = rng.poisson(V * t_max, size) if finite else np.full(size, np.iinfo(np.int64).max)
     active = np.arange(size)
+    rounds = 0
     while True:
         active = active[events[active] < budget[active]]
         if active.size == 0:
             break
+        rounds += 1
         r = rng.random((active.size, 2))
         u = (r[:, 0] * V).astype(np.int64)
         opinions[active, u] = opinions[active, sampler.draw(u, r[:, 1])]
@@ -610,12 +639,70 @@ def voter_jump_loop(net, initial, t_max, rng, size):
         done = (ones == 0) | (ones == V)
         cons_val[active[done]] = ones[done] > 0
         active = active[~done]
+    _voter_times(cons_val, cons_time, events, budget, t_max, V, rng)
+    return opinions, cons_val, cons_time, events, rounds
+
+
+def _voter_times(cons_val, cons_time, events, budget, t_max, V, rng):
+    """Fill in the consensus times of the replicas that reached consensus
+    after ``events`` of their ``budget``, in one draw."""
     reached = np.flatnonzero(cons_val >= 0)
     if reached.size:
         k = events[reached]
-        cons_time[reached] = (t_max * rng.beta(k, budget[reached] - k + 1) if finite
-                              else rng.standard_gamma(k) / V)
-    return opinions, cons_val, cons_time, events
+        cons_time[reached] = (t_max * rng.beta(k, budget[reached] - k + 1)
+                              if np.isfinite(t_max) else rng.standard_gamma(k) / V)
+
+
+def voter_block_chunk_loop(payload):
+    """(opinions, consensus values, consensus times, events, rounds) of one
+    voter chunk, by the block law of :func:`voter_block_loop`."""
+    net, initial, t_max, seed, chunk_index, size = payload
+    return voter_block_loop(net, initial, t_max, substream_rng(seed, TAG_VOTER, chunk_index),
+                            size)
+
+
+def voter_block_loop(net, initial, t_max, rng, size):
+    """The voter runs of ``size`` replicas on ``rng`` as a jump chain stepped
+    in blocks, with full-size state: one ``poisson(V * t_max, size)`` draw of
+    event budgets (none at t_max = inf), then blocks of b = 1, 2, 4, ...,
+    ``BLOCK_STEPS`` rounds.  A block makes one ``random((b, n, 2))`` draw for
+    the n replicas short of consensus with budget left at its start; each
+    round j of it, every one of them short of consensus whose budget exceeds
+    j copies to its rung vertex floor(V r0) the opinion of the neighbor drawn
+    with r1, and the others draw in vain.  Last, one ``beta`` (``standard_gamma``
+    at t_max = inf) draw of the consensus times of the replicas that reached
+    it.  A constant start draws nothing.  Also returns each replica's event
+    count and the rounds run, a whole number of blocks."""
+    V = net.vertex_count
+    sampler = CSRSampler(_sampling_tables(net))
+    opinions = np.tile(initial, (size, 1))
+    ones = opinions.sum(axis=1)
+    settled = (ones == 0) | (ones == V)
+    cons_val = np.where(settled, ones > 0, -1).astype(np.int8)
+    cons_time = np.where(settled, 0.0, np.nan)
+    events = np.zeros(size, dtype=np.int64)
+    if settled.all():
+        return opinions, cons_val, cons_time, events, 0
+    budget = (rng.poisson(V * t_max, size) if np.isfinite(t_max)
+              else np.full(size, np.iinfo(np.int64).max))
+    rounds = 0
+    while True:
+        active = np.flatnonzero((cons_val < 0) & (budget > rounds))
+        if active.size == 0:
+            break
+        b = min(BLOCK_STEPS, rounds + 1)
+        r = rng.random((b, active.size, 2))
+        for j in range(b):
+            ring = (cons_val[active] < 0) & (budget[active] > rounds + j)
+            a, r_j = active[ring], r[j, ring]
+            u = (r_j[:, 0] * V).astype(np.int64)
+            opinions[a, u] = opinions[a, sampler.draw(u, r_j[:, 1])]
+            events[a] += 1
+            ones = opinions[a].sum(axis=1)
+            cons_val[a] = np.where((ones == 0) | (ones == V), ones > 0, -1)
+        rounds += b
+    _voter_times(cons_val, cons_time, events, budget, t_max, V, rng)
+    return opinions, cons_val, cons_time, events, rounds
 
 
 def ct_chunk_loop(payload):

@@ -40,6 +40,7 @@ from collisionlab import (
     qlast_transport,
     q0_profile,
     received_mass_identity_all,
+    stationary_distribution,
     voter_ensemble,
     walk_continuous,
     MtpVerdict,
@@ -293,6 +294,47 @@ def test_c10_voter_duality_and_consensus():
     _report("C10", "voter consensus and coalescing-walk duality",
             f"100% consensus on {len(consensus_nets)} networks; "
             f"P(all-ones)={ones:.4f}; " + "; ".join(details))
+
+
+# Exact references beside C10, on a weighted 10-vertex multigraph (ladder 3).
+# The replicas' P(consensus on 1) at t_max = inf is the martingale's
+# sum_v pi(v) eta_0(v), and the law at a t_max cut is the 2^V chain's.
+
+C10_NET_SEED, C10_INITIAL = 1, [0, 1] * 5
+
+
+def test_c10_exact_consensus_on_ones():
+    net = nets.random_connected_network(C10_NET_SEED)
+    exact = float(stationary_distribution(net) @ np.array(C10_INITIAL))
+    replicas = 20_000
+    ens = voter_ensemble(net, C10_INITIAL, np.inf, replicas, seed=1014, workers=WORKERS)
+    assert ens.consensus_fraction() == 1.0
+    ones = (ens.consensus_value == 1).mean()
+    z = (ones - exact) / np.sqrt(exact * (1 - exact) / replicas)
+    assert abs(z) < 4, f"P(all ones) {ones:.4f} vs exact {exact:.4f}, z {z:.2f} (seed 1014)"
+    _report("C10", "voter consensus on ones at t_max = inf",
+            f"{ones:.4f} vs sum pi eta_0 = {exact:.4f}, z {z:+.2f}")
+
+
+def test_c10_exact_law_at_t_max_cut():
+    net = nets.random_connected_network(C10_NET_SEED)
+    V, t_max = net.vertex_count, 20.0
+    states, law = oracles.voter_law_exact(net, C10_INITIAL, t_max)
+    ones = states.sum(axis=1)
+    exact = {"reached": law[(ones == 0) | (ones == V)].sum(), "all ones": law[ones == V].sum(),
+             "eta(0)": law @ states[:, 0]}
+    assert np.allclose(list(exact.values()), [0.7749, 0.3302, 0.4365], atol=5e-5)
+    replicas = 20_000
+    ens = voter_ensemble(net, C10_INITIAL, t_max, replicas, seed=1015, workers=WORKERS)
+    final_ones = ens.final_opinions.sum(axis=1)
+    emp = {"reached": (ens.consensus_value >= 0).mean(), "all ones": (final_ones == V).mean(),
+           "eta(0)": ens.final_opinions[:, 0].mean()}
+    details = []
+    for name, p in exact.items():
+        z = (emp[name] - p) / np.sqrt(p * (1 - p) / replicas)
+        assert abs(z) < 4, f"{name}: {emp[name]:.4f} vs exact {p:.4f}, z {z:.2f} (seed 1015)"
+        details.append(f"{name} {emp[name]:.4f} vs {p:.4f}")
+    _report("C10", "voter law at a t_max cut against the 2^V chain", "; ".join(details))
 
 
 # -- C11 --------------------------------------------------------------------

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -680,8 +681,18 @@ class TestPinnedEnvelopes:
                        master_seed=12)
 
     def test_voter_torus(self):
-        # re-pinned when the jump chain replaced the clock-driven rounds; the
-        # next test checks the old pin against the replaced law
+        # re-pinned when the jump chain replaced the clock-driven rounds, and
+        # again when it stepped in blocks of rounds; the next tests check the
+        # old pins against the replaced laws
+        assert self._sha(self.VOTER_TORUS) == (
+            "85e33692e781dfccc73099a5a605906cf43311c4b64151678ab8581d451c705d"
+        )
+
+    def test_voter_torus_jump_law_keeps_old_pin(self, monkeypatch):
+        # the jump chain of one draw a round, through the same chunking,
+        # still gives the bytes pinned before the blocks of rounds
+        monkeypatch.setattr(interacting, "_voter_chunk",
+                            partial(oracles.voter_group_loop, loop=oracles.voter_jump_chunk_loop))
         assert self._sha(self.VOTER_TORUS) == (
             "7f0fb1bfe5b3fd53eb2656f21bf27b6f6cd50693197a239390db8a53a561fb41"
         )
@@ -694,19 +705,36 @@ class TestPinnedEnvelopes:
             "91e54e59ffd36a7b7fea6ce1db42f858e78a5e7c74bec77fd3b538079934c37c"
         )
 
+    def _voter_torus_chunks(self):
+        """(events, rounds) of each chunk of ``VOTER_TORUS``, by the block oracle."""
+        initial = np.zeros(16, dtype=np.int8)
+        initial[0] = 1  # single:start, start 0
+        return oracles.per_chunk(oracles.voter_block_chunk_loop,
+                                 (gen_torus(4).network, initial, 50.0 * 16**2, 12), 600)[3:]
+
     def test_voter_meta_counts_events(self):
         # meta is outside the deterministic body, which keeps its pin
         env = run(self.VOTER_TORUS)
-        initial = np.zeros(16, dtype=np.int8)
-        initial[0] = 1  # single:start, start 0
-        events = oracles.per_chunk(oracles.voter_jump_chunk_loop,
-                                   (gen_torus(4).network, initial, 50.0 * 16**2, 12), 600)[3]
+        events, rounds = self._voter_torus_chunks()
         assert env.meta["events"] == events.sum()
         assert env.meta["events_per_s"] == env.meta["events"] / env.meta["wall_clock_s"]
+        # one chunk group: the round loop runs until its longer chunk ends
+        assert env.meta["rounds"] == rounds.max() < events.sum()
+        assert env.meta["rounds_per_s"] == env.meta["rounds"] / env.meta["wall_clock_s"]
         bare = replace(env, meta={"wall_clock_s": env.meta["wall_clock_s"], "workers": 1})
         assert bare.deterministic_bytes() == env.deterministic_bytes()
         assert hashlib.sha256(env.deterministic_bytes()).hexdigest() == (
-            "7f0fb1bfe5b3fd53eb2656f21bf27b6f6cd50693197a239390db8a53a561fb41"
+            "85e33692e781dfccc73099a5a605906cf43311c4b64151678ab8581d451c705d"
+        )
+
+    def test_voter_meta_sums_rounds_over_groups(self):
+        # at two workers each chunk is its own group
+        env = run(replace(self.VOTER_TORUS, workers=2))
+        events, rounds = self._voter_torus_chunks()
+        assert env.meta["events"] == events.sum()
+        assert env.meta["rounds"] == rounds.sum() == oracles.group_rounds(rounds, 600, 2)
+        assert hashlib.sha256(env.deterministic_bytes()).hexdigest() == (
+            "85e33692e781dfccc73099a5a605906cf43311c4b64151678ab8581d451c705d"
         )
 
     def test_identity_torus(self):

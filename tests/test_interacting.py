@@ -20,7 +20,7 @@ from collisionlab import (
     walk_continuous,
 )
 from collisionlab import build_network, gen_torus, interacting
-from collisionlab._parallel import TAG_CTCOLLIDE, chunk_sizes
+from collisionlab._parallel import TAG_CTCOLLIDE, TAG_VOTER, ChunkGroup, chunk_sizes
 from collisionlab.interacting import VoterConfiguration, _ct_chunk
 from collisionlab.walk_engine import JumpTrajectory, substream_rng
 
@@ -184,8 +184,20 @@ class TestVoterSimulate:
         return h.hexdigest()
 
     def test_pinned_battery(self):
-        # re-pinned when the jump chain replaced the clock-driven rounds; the
-        # next test checks the old pin against the replaced law
+        # re-pinned when the jump chain replaced the clock-driven rounds, and
+        # again when it stepped in blocks of rounds; the next tests check the
+        # old pins against the replaced laws
+        assert self._battery_sha() == (
+            "9944787a7fd1767735d1e5e587f20b84b9c1a094e95edb74f1f237640094c0ef"
+        )
+
+    def test_pinned_battery_jump_law_keeps_old_pin(self, monkeypatch):
+        # the jump chain of one draw a round, swapped in for the blocks,
+        # gives the pin fixed before the blocks of rounds
+        def jump_batch(net, initial, t_max, group):
+            return oracles.voter_jump_loop(net, initial, t_max, group.rngs[0], group.size)
+
+        monkeypatch.setattr(interacting, "_voter_batch", jump_batch)
         assert self._battery_sha() == (
             "55fdf0ae07389265eddaaef7f66813917036d3b55f117d02353b143a289f4d3d"
         )
@@ -299,6 +311,48 @@ class TestVoterTimeLaw:
         with pytest.raises(ValueError, match="t_max"):
             voter_simulate(nets.p3(), [0, 1, 0], 1e19, seed=1)
         assert voter_simulate(nets.p3(), [0, 1, 0], np.inf, seed=1)[1] > 0
+
+    @pytest.mark.parametrize("t_max", [-np.inf, np.nan, -1.0, 0.0])
+    def test_refuses_t_max_not_positive(self, t_max):
+        # unchecked, -inf would run as +inf, nan and -1 would fail in the
+        # budget check or numpy's poisson, and 0 would leave every replica
+        # unreached
+        net, initial = gen_torus(3).network, [0, 1] * 4 + [0]
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            voter_ensemble(net, initial, t_max, 10, seed=1)
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            voter_simulate(net, initial, t_max, seed=1)
+
+
+class _CountingRng:
+    """A generator that counts the uniforms its ``random`` calls return."""
+
+    def __init__(self, rng):
+        self.rng, self.uniforms = rng, 0
+
+    def random(self, size):
+        self.uniforms += int(np.prod(size))
+        return self.rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestVoterBlocks:
+    def test_short_budgets_waste_few_draws(self):
+        # budgets of about one event (V * t_max = 1) end within the first
+        # blocks of 1, 2 and 4 rounds, so the uniforms drawn stay well within
+        # twice the two a replica uses per event: 1.24 times on average for
+        # Poisson(1) budgets, 1.6 if replicas with no budget drew in block 0
+        net = gen_torus(10).network
+        initial = np.arange(100, dtype=np.int8) % 2
+        rngs = [_CountingRng(substream_rng(41, TAG_VOTER, c)) for c in range(4)]
+        group = ChunkGroup(rngs, (512,) * 4)
+        _, cons_val, _, events, rounds = interacting._voter_batch(net, initial, 0.01, group)
+        assert (cons_val < 0).all() and 0 < events < 2048 * 2
+        drawn = sum(rng.uniforms for rng in rngs)
+        assert 2 * events <= drawn <= 1.4 * (2 * events)
+        assert rounds == 2 ** rounds.bit_length() - 1  # whole blocks of 1, 2, 4, ...
 
 
 class TestDuality:

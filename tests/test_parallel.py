@@ -133,13 +133,14 @@ class TestVoterGroups:
     @staticmethod
     def _check(net, initial, t_max, replicas, seed, workers):
         got = voter_ensemble(net, initial, t_max, replicas, seed, workers=workers)
-        ops, val, when, events = oracles.per_chunk(
-            oracles.voter_jump_chunk_loop,
+        ops, val, when, events, rounds = oracles.per_chunk(
+            oracles.voter_block_chunk_loop,
             (net, np.asarray(initial, dtype=np.int8), t_max, seed), replicas)
         assert np.array_equal(got.final_opinions, ops)
         assert np.array_equal(got.consensus_value, val)
         assert np.array_equal(got.consensus_time, when, equal_nan=True)
         assert got.events == events.sum()
+        assert got.rounds == oracles.group_rounds(rounds, replicas, workers)
         return got
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -166,6 +167,15 @@ class TestVoterGroups:
         assert unreached.reshape(-1, REPLICA_CHUNK).any(axis=1).all()
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_short_budgets(self, workers):
+        # V * t_max = 0.9 events: a replica with no budget draws nothing, and
+        # the others end within the first blocks of 1, 2 and 4 rounds
+        initial = [0, 1] * 4 + [0]
+        got = self._check(gen_torus(3).network, initial, 0.1, WIDE, 23, workers)
+        assert (got.consensus_value < 0).all()
+        assert got.events < got.replicas
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_no_horizon(self, workers):
         # t_max = inf draws no budget and Gamma(k) / V times
         got = self._check(nets.weighted_triangle(), [0, 1, 1], np.inf, REMAINDER, 5, workers)
@@ -178,12 +188,12 @@ class TestVoterGroups:
 
     def test_generator_state_after_run(self):
         # a Generator used before the run ends where the budget, one call a
-        # round and the time draw leave it
+        # block and the time draw leave it
         net, initial = gen_torus(3).network, np.array([0, 1] * 4 + [0], dtype=np.int8)
         got, want = np.random.default_rng(8), np.random.default_rng(8)
         got.random(5), want.random(5)
         config, when = voter_simulate(net, initial, 30.0, got)
-        ops, _, cons_time, _ = oracles.voter_jump_loop(net, initial, 30.0, want, 1)
+        ops, _, cons_time, _, _ = oracles.voter_block_loop(net, initial, 30.0, want, 1)
         assert np.array_equal(config.opinions, ops[0])
         assert when == cons_time[0]
         assert got.bit_generator.state == want.bit_generator.state
