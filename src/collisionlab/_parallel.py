@@ -30,9 +30,7 @@ because re-seeding would change every pinned output.
 
 from __future__ import annotations
 
-import multiprocessing
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -52,8 +50,8 @@ GROUP_CHUNKS = 16
 # at BLOCK_STEPS x rows x GROUP_CHUNKS x 512 doubles: 4 MiB per worker for the
 # two rows of a pair state, 512 KiB at 1,024 replicas, plus one chunk's draw
 # of 256 KiB on its way into the block.  It also bounds a voter block's
-# rounds: their uniform pairs, rung vertices, neighbors and one-counts take
-# about 48 bytes a round and replica at peak (tracemalloc), under 56 x
+# rounds: their uniform pairs, rung vertices, neighbors and copied opinions
+# take about 42 bytes a round and replica at peak (tracemalloc), under 56 x
 # BLOCK_STEPS x the group's width, 14 MiB per worker at 8,192 replicas.
 BLOCK_STEPS = 32
 
@@ -173,6 +171,10 @@ def run_chunked(worker, payloads, workers=1):
     if workers <= 1 or len(payloads) <= 1:
         yield from map(worker, payloads)
         return
+    # imported here: together they take 20-27 ms, and one worker needs neither
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(workers, len(payloads))
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:

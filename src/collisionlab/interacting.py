@@ -18,7 +18,8 @@ events, drawn up front as its budget, and a round makes one event of every
 active replica from one uniform pair, the rung vertex and the neighbor it
 copies.  Rounds run in blocks of up to ``BLOCK_STEPS``: a block costs one
 generator call a chunk and one neighbor lookup for all its rounds, and a
-round only the copies, a few numpy calls however many are active.  A
+round only the copies, one gather and one scatter however many replicas
+are active; the one-counts are brought up to date at the block's end.  A
 replica stays active until consensus or until its budget is spent, checked
 at block ends, and the consensus times are drawn afterwards from the event
 counts (:func:`_voter_batch`).  The voter keeps only the active replicas'
@@ -187,11 +188,16 @@ def _voter_batch(net, initial, t_max, group):
     they copy.  Round j of a replica whose budget is at most j copies its
     rung vertex's own opinion, a no-op, and a replica at consensus is
     absorbed, so the rounds a block steps past a replica's last event change
-    nothing.  Only the copies run round by round.  At the block's end a
-    replica that reached consensus leaves with k = its first consensus round
-    + 1 events, and one whose budget is spent leaves unreached, at its
-    configuration at ``t_max``; the active replicas' one-counts are a compact
-    array aligned with ``k``, filtered only there.
+    nothing.  Only the copies run round by round, two numpy calls a round:
+    one gather of the old and new opinions of every active replica, at its
+    rung vertex and at the neighbor, into a byte buffer, and one scatter of
+    the new ones.  At the block's end the one-counts move by the sum of new
+    - old, and a replica at consensus then reached it in the block (it
+    absorbs): it leaves with k = its first consensus round + 1 events, the
+    round of its last nonzero new - old, since no copy changes a count at
+    consensus.  One whose budget is spent leaves unreached, at its
+    configuration at ``t_max``.  The active replicas' one-counts are a
+    compact array aligned with ``k``, filtered only at block ends.
     """
     V = net.vertex_count
     size = group.size
@@ -221,24 +227,27 @@ def _voter_batch(net, initial, t_max, group):
         left = budget[k]
         if left.min() < rounds + b:  # a budget runs out in this block
             np.copyto(w, u, where=left <= np.arange(rounds, rounds + b)[:, None])
+        pair = np.empty((b, 2, k.size), dtype=np.int64)  # round j: u, w as indices of flat
         row = k * V
-        u += row
-        w += row
-        counts = np.empty((b, k.size), dtype=np.int64)
-        for j in range(b):
-            new = flat[w[j]]
-            count += new - flat[u[j]]
-            flat[u[j]] = new
-            counts[j] = count
-        del u, w  # so that the next block's draws reuse their room
-        done = consensus[count]
+        np.add(u, row, out=pair[:, 0])
+        np.add(w, row, out=pair[:, 1])
+        del u, w
+        got = np.empty(pair.shape, dtype=np.int8)  # round j's old and new opinions
+        for p, g in zip(pair, got):
+            g[...] = flat[p]
+            flat[p[0]] = g[1]
+        step = got[:, 1]
+        step -= got[:, 0]  # new - old
+        end = count + step.sum(axis=0, dtype=np.int64)
+        done = consensus[end]  # consensus absorbs: reached in the block iff held at its end
         if done.any():
             d = k[done]
-            cons_val[d] = count[done] > 0
-            events[d] = rounds + 1 + consensus[counts[:, done]].argmax(axis=0)
+            cons_val[d] = end[done] > 0
+            events[d] = rounds + b - (step[::-1, done] != 0).argmax(axis=0)
+        del pair, got, step, p, g  # so that the next block's draws reuse their room
         rounds += b
         keep = ~done & (left > rounds)
-        k, count = k[keep], count[keep]
+        k, count = k[keep], end[keep]
     cons_time = np.full(size, np.nan)
     for rng, lo, hi in chunks:
         reached = np.flatnonzero(cons_val[lo:hi] >= 0) + lo

@@ -231,9 +231,11 @@ def gen_wilson_ust(base, seed=0):
     conductances (uniform for unit conductances).  The walks take the steps
     of :func:`~collisionlab.walk_engine.sample_step`, the network sampler,
     and the sweep is rooted at vertex 0; the law does not depend on that
-    choice.  The loop reads the tables through memoryviews (no copy) and
-    draws uniforms in blocks of 8, 16, ..., 4,096, exactly the per-step draws:
-    ``Generator.random`` takes one 64-bit word per double.
+    choice.  On ladder-0 tables the loop reads each vertex's buckets from a
+    Python list of ``first``; otherwise it bisects the guide, read through
+    memoryviews (no copy).  It draws uniforms in blocks of 8, 16, ..., 4,096,
+    exactly the per-step draws: ``Generator.random`` takes one 64-bit word
+    per double.
     The edges are (u, parent[u]) for u = 1..V-1.  On a multigraph a tree edge
     carries the aggregated c(u, v) of all the edges joining u and v, not the
     conductance of one parallel edge, so the tree is the weighted uniform
@@ -245,23 +247,30 @@ def gen_wilson_ust(base, seed=0):
         return Network(1, [])
     rng = _as_rng(seed)
     tables = walk_engine._sampling_tables(base)
-    offsets, targets, cum, deg, lo, hi = map(
-        memoryview, (*tables, tables.deg, tables.lo, tables.hi))
-    cum, search = cum.__getitem__, walk_engine._guide_search
-    first = memoryview(tables.first) if tables.ladder == 0 else None
-    draws, i, block = [], 0, 8
+    deg, rows = tables.deg.tolist(), None
+    if tables.ladder == 0:
+        first, cut = tables.first.tolist(), tables.buckets.tolist()
+        rows = [first[a:b] for a, b in zip(cut, cut[1:])]
+    else:
+        buckets, targets, cum, lo, hi = map(
+            memoryview, (tables.buckets, *tables[1:], tables.lo, tables.hi))
+        cum, search = cum.__getitem__, walk_engine._guide_search
+    draws, block = iter(()), 8
     in_tree = [False] * n
     in_tree[0] = True
     parent = [0] * n  # the exit taken on the last visit
     for start in range(1, n):
         u = start
         while not in_tree[u]:
-            if i == len(draws):
-                draws, i, block = rng.random(block).tolist(), 0, min(2 * block, 4096)
-            r = draws[i]
-            i += 1
-            at = offsets[u] + int(r * deg[u])
-            v = targets[search(cum, lo[at], hi[at], r)] if first is None else first[at]
+            r = next(draws, None)
+            if r is None:
+                draws, block = iter(rng.random(block).tolist()), min(2 * block, 4096)
+                r = next(draws)
+            if rows is not None:
+                v = rows[u][int(r * deg[u])]
+            else:
+                at = buckets[u] + int(r * deg[u])
+                v = targets[search(cum, lo[at], hi[at], r)]
             parent[u] = v
             u = v
         # the last exits from ``start`` trace the loop-erased path into the tree

@@ -12,8 +12,12 @@ in ``u``'s row is the count of cumulative values ``<= r`` (so an ``r`` equal
 to an interior cumulative value moves past it).  A guide table (Chen and
 Asau 1974) read at bucket floor(r * deg(u)) narrows that count to a short
 range, which batched draws search in as many passes as the widest range
-needs and single draws bisect.  Where every range is one index (unit-conductance
-tori, percolation clusters, spanning trees) a draw is one gather.
+needs and single draws bisect.  A row with a bucket that holds two
+cumulative values has its buckets split 2, 4, ... up to 2^``GUIDE_SPLITS``
+fold, so that on most weighted networks every range is at most two indices
+and a draw takes one comparison.  Where every range is one index
+(unit-conductance tori, percolation clusters, spanning trees) a draw is one
+gather.
 """
 
 from __future__ import annotations
@@ -71,16 +75,100 @@ class JumpTrajectory:
         return JumpTrajectory(verts, times, t_max=t1 - t0)
 
 
+# Finest split of a crowded row's guide.  A row whose buckets hold more than
+# one cumulative value gets deg * 2^s buckets, the smallest s <= GUIDE_SPLITS
+# that leaves at most one in each.  On a perfbench pa_tree_20000 network
+# (39,998 entries, conductances 0.5-2; 2,048 walkers, medians of 15
+# alternating rounds in one process, 2 vCPUs) caps of 1 / 2 / 3 / 4 / 5 gave
+# ladders of 2 / 1 / 1 / 1 / 1 passes, draws of 72.7 / 32.8 / 37.3 / 33.0 /
+# 35.8 us a step and tables of 1.53 / 1.56 / 1.56 / 1.56 / 1.56 MB (1.28 MB
+# unsplit).  Caps past 2 changed nothing there; the cap bounds rows that
+# never separate, such as two 2^-60 conductances beside 1, at
+# 2^GUIDE_SPLITS buckets an entry.
+GUIDE_SPLITS = 4
+
+
 class SamplingTables(tuple):
     """The arrays ``(offsets, targets, cum)``, which unpack as a 3-tuple, and their guide.
 
-    Row ``u`` (offset ``o``, ``d`` entries) has ``d`` buckets and ``r`` falls in
-    ``b = int(r * deg[u]) < d``, one float product at build and at draw time.
-    Its draw lies in ``[lo[o + b], hi[o + b]]`` (int32 arrays): ``lo`` counts
-    the entries ``<= r`` for every ``r`` of the bucket, ``hi`` those ``<= r``
-    for some.  ``ladder`` is the bit length of the widest range; only at 0,
-    where ``lo == hi``, is there ``first = targets[lo]``, each bucket's draw.
+    Row ``u`` has ``deg[u]`` buckets (a float), its degree times 2^s, s = 0
+    unless the row split, and ``r`` falls in ``b = int(r * deg[u]) <
+    deg[u]``, one float product at build and at draw time.  Keyed ``k =
+    buckets[u] + b``, its draw lies in ``[lo[k], hi[k]]`` (int32 arrays):
+    ``lo`` counts the entries ``<= r`` for every ``r`` of the bucket, ``hi``
+    those ``<= r`` for some.  Where no row split, ``buckets`` is ``offsets``
+    itself and the tables hold no second array of row starts.  ``ladder`` is
+    the bit length of the widest range; only at 0, where ``lo == hi``, is
+    there ``first = targets[lo]``, each bucket's draw.
     """
+
+    @property
+    def buckets(self):
+        return self.__dict__.get("_buckets", self[0])
+
+
+def _guide(cum, below, d, degs, buckets):
+    """The guide ``(hi, lo)`` of rows of ``degs`` entries, entry ``j`` in a
+    row of ``d[j]`` buckets (a float) keyed from ``buckets[u]``.  Entry
+    ``j`` counts in ``hi`` from bucket ``int(cum[j] * d[j])`` on and in
+    ``lo`` past ``int(below[j] * d[j])``, ``below[j]`` the float before
+    ``cum[j]``; one running count over the entries given serves all rows."""
+    o, n = np.repeat(buckets[:-1], degs), int(buckets[-1])
+    return (np.bincount((c * d).astype(np.int64) + o + k, minlength=n + 1)[:n]
+            .cumsum(dtype=np.int32) for c, k in ((cum, 0), (below, 1)))
+
+
+def _rows_of(at, offsets):
+    """A mask of the rows that hold the entries ``at``."""
+    rows = np.zeros(offsets.size - 1, dtype=bool)
+    rows[np.searchsorted(offsets, at, side="right") - 1] = True
+    return rows
+
+
+def _split_rows(t, below, rows):
+    """Split the buckets of ``rows`` (sorted), each of which has one holding
+    two cumulative values or more, in 2, 4, ... until none does or
+    ``GUIDE_SPLITS`` is reached, then re-key those rows alone.
+
+    A bucket holds entry ``j`` when the float before ``cum[j]`` falls in it
+    too, so it holds two exactly when two neighbors in a row, both held,
+    share it; a row's last entry, 1.0, is never held.  The other rows'
+    buckets move to their new keys unchanged.
+    """
+    offsets, _, cum = t
+    degs = np.diff(offsets)
+    n = degs[rows]
+    start = np.concatenate(([0], np.cumsum(n)))  # the rows' entries, joined
+    base = offsets[rows] - start[:-1]  # joined index + base = entry index
+    at = np.repeat(base, n) + np.arange(start[-1])
+    c, b = cum[at], below[at]
+    size, crowded = n.copy(), np.ones(rows.size, dtype=bool)
+    for _ in range(GUIDE_SPLITS):
+        size[crowded] *= 2
+        d = np.repeat(size.astype(float), n)
+        high, low = (c * d).astype(np.int64), (b * d).astype(np.int64)
+        held = high == low
+        two = np.flatnonzero(held[1:] & held[:-1] & (high[1:] == high[:-1]))
+        if not two.size:
+            break
+        crowded = _rows_of(two, start)
+    keys = np.concatenate(([0], np.cumsum(size)))
+    entry = np.repeat(base, size)  # joined count + entry = entry index
+    count = degs.copy()
+    count[rows] = size
+    buckets = np.concatenate(([0], np.cumsum(count)))
+    grow = np.zeros(offsets[-1], dtype=np.int64)
+    grow[offsets[rows + 1] - 1] = size - n
+    kept = np.cumsum(grow)  # each old bucket's new key: the buckets added before it
+    kept += np.arange(offsets[-1])
+    moved = np.repeat(buckets[rows] - keys[:-1], size) + np.arange(keys[-1])
+    for name, joined in zip(("hi", "lo"), _guide(c, b, d, n, keys)):
+        guide = np.empty(int(buckets[-1]), dtype=np.int32)
+        guide[kept] = getattr(t, name)  # a split row's buckets are overwritten next
+        joined += entry
+        guide[moved] = joined
+        setattr(t, name, guide)
+    t.deg, t._buckets = count.astype(float), buckets
 
 
 def _sampling_tables(net: Network):
@@ -90,11 +178,12 @@ def _sampling_tables(net: Network):
     holds each row's running conductance sum divided by the row total, the
     row's last entry pinned to 1.0 so a uniform draw in [0, 1) always selects
     a real neighbor.  Memory is O(E) whatever the degrees.  The running sums
-    are built in column passes, left to right within every row, so they
-    equal a per-row ``np.cumsum`` bit for bit.  A single-vertex network with
-    no edges gets one self-loop row.  Entry ``j`` counts in ``hi`` from bucket
-    ``int(cum[j] * d)`` on and in ``lo`` past ``int(prev(cum[j]) * d)``; keyed
-    ``o + b``, one running count serves all rows.
+    are built in column passes, left to right within every row, and the
+    last few long rows one at a time, so they equal a per-row ``np.cumsum``
+    bit for bit.  A single-vertex network with no edges gets one self-loop
+    row.  The guide is built once with one bucket an entry, keyed
+    ``offsets[u] + b``; rows with a bucket that holds two cumulative values
+    or more are then split (:func:`_split_rows`).
     """
     if net._tables is None:
         offsets, targets, weights = net.adjacency_csr()
@@ -104,9 +193,13 @@ def _sampling_tables(net: Network):
             )
         degs = np.diff(offsets)
         cum = weights.copy()
-        rows = np.arange(degs.size)
-        for k in range(1, int(degs.max())):
+        rows, top = np.arange(degs.size), int(degs.max())
+        for k in range(1, top):
             rows = rows[degs[rows] > k]
+            if rows.size < top - k:  # fewer rows left than passes: finish row by row
+                for a, b in zip(offsets[rows].tolist(), offsets[rows + 1].tolist()):
+                    np.add.accumulate(weights[a:b], out=cum[a:b])
+                break
             at = offsets[rows] + k
             cum[at] += cum[at - 1]
         cum /= np.repeat(cum[offsets[1:] - 1], degs)
@@ -114,10 +207,13 @@ def _sampling_tables(net: Network):
         t = SamplingTables((offsets, targets, cum))
         t.deg = degs.astype(float)
         below = np.maximum(cum.view(np.int64) - 1, 0).view(float)  # prev(cum), 0 kept
-        d, o, n = np.repeat(t.deg, degs), np.repeat(offsets[:-1], degs), cum.size
-        t.hi, t.lo = (np.bincount((c * d).astype(np.int64) + o + k, minlength=n + 1)[:n]
-                      .cumsum(dtype=np.int32) for c, k in ((cum, 0), (below, 1)))
-        t.ladder = int((t.hi - t.lo).max()).bit_length()
+        t.hi, t.lo = _guide(cum, below, np.repeat(t.deg, degs), degs, offsets)
+        width = t.hi - t.lo
+        widest = int(width.max())
+        if widest > 1:  # bucket k of this guide is entry k
+            _split_rows(t, below, np.flatnonzero(_rows_of(np.flatnonzero(width > 1), offsets)))
+            widest = int((t.hi - t.lo).max())
+        t.ladder = widest.bit_length()
         if t.ladder == 0:
             t.first = targets[t.lo]
         net._tables = t
@@ -128,31 +224,36 @@ class CSRSampler:
     """Batched one-step draws over the tables of :func:`_sampling_tables`.
 
     With an empty ladder the draw is ``first`` at the bucket, one gather.
-    Otherwise it reads the bucket's guide range ``[lo, hi]``, and ``pos``, the
-    last index known to hold a cumulative value ``<= r`` (``lo - 1`` at
-    first), tries steps of 2^(p-1), ..., 2, 1 clamped to ``hi``, p =
-    ``ladder``.  ``cum[hi] > r``, so a clamped probe never moves ``pos``; the
-    drawn neighbor is ``targets[pos + 1]``.
+    Otherwise it counts from ``j = lo``, the bucket's first possible draw.
+    Passes of 2^(p-1), ..., 2, p = ``ladder``, add the step where the
+    cumulative value ``step - 1`` on, clamped to ``hi``, is ``<= r``
+    (``cum[hi] > r``, so a clamped probe adds nothing).  The last pass adds
+    ``cum[j] <= r`` with no clamp, since ``j <= hi`` by then, and the drawn
+    neighbor is ``targets[j]``: a ladder of 1 needs no ``hi``.
     """
 
     def __init__(self, tables):
-        self.offsets, self.deg = tables[0], tables.deg
+        self.buckets, self.deg = tables.buckets, tables.deg
         self.first = getattr(tables, "first", None)
-        if self.first is None:  # a pickled ladder-0 sampler carries only what it reads
-            self.targets, self.cum, self.lo, self.hi = *tables[1:], tables.lo, tables.hi
+        if self.first is None:  # a pickled sampler carries only what it reads
+            self.targets, self.cum, self.lo = *tables[1:], tables.lo
+            if tables.ladder > 1:
+                self.hi = tables.hi
         self.steps = [1 << i for i in reversed(range(tables.ladder))]
 
     def draw(self, u, r):
         """Vertices reached from the vertices ``u`` with the uniforms ``r``."""
         at = (r * self.deg[u]).astype(np.int64)
-        at += self.offsets[u]
+        at += self.buckets[u]
         if self.first is not None:
             return self.first[at]
-        pos, end, cum = self.lo[at] - 1, self.hi[at], self.cum
-        for step in self.steps:
-            probe = np.minimum(pos + step, end)
-            pos = np.where(cum[probe] <= r, probe, pos)
-        return self.targets[pos + 1]
+        j, cum = self.lo[at].astype(np.int64), self.cum
+        if len(self.steps) > 1:
+            end = self.hi[at]
+            for step in self.steps[:-1]:
+                j += (cum[np.minimum(j + (step - 1), end)] <= r) * step
+        j += cum[j] <= r
+        return self.targets[j]
 
 
 def _guide_search(cum, lo, hi, r):
@@ -173,9 +274,9 @@ def sample_step(net, u, rng):
     The same rule as :meth:`CSRSampler.draw`, by :func:`_guide_search` where
     the tables have no ``first``, for callers that draw one step at a time.
     """
-    offsets, targets, cum = tables = _sampling_tables(net)
+    _, targets, cum = tables = _sampling_tables(net)
     r = rng.random()
-    at = offsets.item(u) + int(r * tables.deg.item(u))
+    at = tables.buckets.item(u) + int(r * tables.deg.item(u))
     if tables.ladder == 0:
         return tables.first.item(at)
     return targets.item(_guide_search(cum.item, tables.lo.item(at), tables.hi.item(at), r))

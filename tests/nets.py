@@ -63,11 +63,32 @@ def parallel_and_loops():
 
 def skewed_hub(hub=0):
     """A hub whose conductances 2^-k crowd most of its row into its last
-    guide buckets, a ladder of 6 passes.  Vertex v of the hub-at-0 net is
-    vertex (v + hub) % 52."""
+    guide buckets, a ladder of 6 passes even once the row splits 16-fold.
+    Vertex v of the hub-at-0 net is vertex (v + hub) % 52."""
     edges = ([(0, k + 1, 2.0**-k) for k in range(51)]
              + [(0, 1, 0.25), (0, 40, 2.0**-45), (0, 51, 2.0**-3), (0, 0, 2.0**-30), (7, 8, 1.0)])
     return build_network(52, [((a + hub) % 52, (b + hub) % 52, w) for a, b, w in edges])
+
+
+def weighted_star(leaves=200, center=1, cycle=False):
+    """A star whose conductances, 2^u for u uniform in [-1, 1], put two
+    cumulative values in some of the center's buckets, so that row splits.
+    With ``cycle`` the leaves also form a unit-conductance cycle, and most of
+    their rows, of three entries, do not split."""
+    rng = np.random.default_rng(np.random.SeedSequence((0x57A2, leaves)))
+    ring = [v for v in range(leaves + 1) if v != center]
+    edges = [(center, v, float(w)) for v, w in zip(ring, 2.0 ** rng.uniform(-1.0, 1.0, leaves))]
+    if cycle:
+        edges += [(a, b, 1.0) for a, b in zip(ring, ring[1:] + ring[:1])]
+    return build_network(leaves + 1, edges)
+
+
+def tiny_beside_unit():
+    """Vertex 3's row holds two conductances of 2^-60 before one of 1: the
+    running sums 2^-60 and 2^-59 share bucket 0 however finely it is split,
+    so the row stays wide at the cap."""
+    return build_network(4, [(3, 0, 2.0**-60), (3, 1, 2.0**-60), (3, 2, 1.0), (0, 2, 1.0),
+                             (1, 2, 1.0)])
 
 
 #: named small networks used across module tests

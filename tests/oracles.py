@@ -242,9 +242,9 @@ def guide_range_step(net, u, rng):
     never reading ``first``: the neighbor after the last cumulative value
     ``<= r``."""
     tables = _sampling_tables(net)
-    offsets, targets, cum = tables
+    _, targets, cum = tables
     r = rng.random()
-    at = int(offsets[u]) + int(r * tables.deg[u])
+    at = int(tables.buckets[u]) + int(r * tables.deg[u])
     lo, hi = int(tables.lo[at]), int(tables.hi[at])
     while lo < hi:
         mid = (lo + hi) // 2

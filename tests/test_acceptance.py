@@ -296,7 +296,8 @@ def test_c10_voter_duality_and_consensus():
             f"P(all-ones)={ones:.4f}; " + "; ".join(details))
 
 
-# Exact references beside C10, on a weighted 10-vertex multigraph (ladder 3).
+# Exact references beside C10, on a weighted 10-vertex multigraph (ladder 1,
+# four of its rows split).
 # The replicas' P(consensus on 1) at t_max = inf is the martingale's
 # sum_v pi(v) eta_0(v), and the law at a t_max cut is the 2^V chain's.
 

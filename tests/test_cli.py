@@ -628,7 +628,8 @@ class TestStartRange:
 
 def _weighted_hub():
     """14 vertices; the hub has 12 distinct neighbors (one through parallel
-    edges) of uneven conductance, so a draw there takes two ladder passes."""
+    edges) of uneven conductance, so its row splits into 48 guide buckets
+    and a draw there takes one ladder pass."""
     edges = [(0, i, 0.3 * (1 + i % 5)) for i in range(1, 13)]
     edges += [(i, i + 1, 1.7) for i in range(1, 12)]
     edges += [(0, 3, 0.45), (5, 5, 0.8), (12, 13, 2.5)]

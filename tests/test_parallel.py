@@ -4,9 +4,15 @@ Every group engine must give, bit for bit, what its chunks give when each is
 stepped alone by the per-chunk loops in ``oracles``, whatever the grouping.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import collisionlab
 import oracles
 import nets
 from collisionlab._parallel import (
@@ -45,6 +51,15 @@ class TestRunChunked:
         assert calls == []
         assert next(results) == 4 and calls == [4]
         assert list(results) == [5, 6] and calls == [4, 5, 6]
+
+    def test_cli_import_leaves_out_the_pool(self):
+        # only workers > 1 starts a pool, so a fresh import loads neither module
+        script = ("import sys, collisionlab.experiment_cli\n"
+                  "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
+        src = str(Path(collisionlab.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
 
 class TestChunkGroups:
@@ -159,8 +174,9 @@ class TestVoterGroups:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_t_max_cuts_many_chunks(self, workers):
-        # a weighted net whose sampler bisects (ladder 3); t_max cuts while
-        # every full chunk still has about a quarter of its replicas running
+        # a weighted net whose sampler searches (ladder 1, four rows split);
+        # t_max cuts while every full chunk still has about a quarter of its
+        # replicas running
         net = nets.random_connected_network(1)
         got = self._check(net, [0, 1] * 5, 20.0, WIDE, 21, workers)
         unreached = (got.consensus_value < 0)[:WIDE - WIDE % REPLICA_CHUNK]

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import pickle
 
 import numpy as np
@@ -21,6 +22,7 @@ from collisionlab import (
 )
 from collisionlab._parallel import TAG_PAIR
 from collisionlab.walk_engine import (
+    GUIDE_SPLITS,
     CSRSampler,
     NetworkStepper,
     _sampling_tables,
@@ -135,6 +137,137 @@ class TestSampler:
         net = nets.star(4000)
         assert sum(a.nbytes for a in _sampling_tables(net)) < 1_000_000
         assert len(pickle.dumps(NetworkStepper(net, 0))) < 1_000_000
+
+
+class _Replay(np.random.Generator):
+    """Generator whose ``random`` replays a fixed array, one value a draw."""
+
+    def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
+        self.values, self.used = values, 0
+
+    def random(self, size=None):
+        n = 1 if size is None else size
+        out = self.values[self.used:self.used + n]
+        self.used += n
+        return float(out[0]) if size is None else out
+
+
+def _boundary_cases(net):
+    """(u, r) pairs: every cumulative value of u's row and every edge b /
+    deg[u] of its buckets, as many as the tables give it after any split,
+    each with the floats on either side."""
+    tables = _sampling_tables(net)
+    offsets, _, cum = tables
+    us, rs = [], []
+    for u in range(net.vertex_count):
+        d = tables.deg[u]
+        at = np.concatenate([cum[offsets[u]:offsets[u + 1]], np.arange(int(d)) / d])
+        at = np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)])
+        at = at[at < 1.0]
+        us.extend([u] * at.size)
+        rs.extend(at)
+    return np.array(us, dtype=np.int64), np.array(rs)
+
+
+def _tables_digest(tables):
+    h = hashlib.sha256(" ".join(sorted(vars(tables))).encode())
+    for a in (*tables, *(getattr(tables, k) for k in ("deg", "lo", "hi", "first")
+                         if hasattr(tables, k))):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+_SPLIT_NETS = [
+    ("weighted_star", nets.weighted_star()),
+    ("tiny_beside_unit", nets.tiny_beside_unit()),
+    ("partly_split", nets.weighted_star(60, cycle=True)),
+    ("skewed_hub", nets.skewed_hub()),
+]
+
+# bases with cycles, so that the trees depend on the draws
+_WILSON_NETS = [*_SPLIT_NETS[1:], ("torus5", gen_torus(5).network)]
+
+
+class TestSplitGuide:
+    """Rows whose buckets hold two cumulative values get 2^s times as many."""
+
+    @pytest.mark.parametrize("name,net", _SPLIT_NETS, ids=[n for n, _ in _SPLIT_NETS])
+    def test_boundary_draws_match_padded_rule(self, name, net):
+        ref = oracles.PaddedSampler(net)
+        u, r = _boundary_cases(net)
+        expected = [ref.draw(a, b) for a, b in zip(u, r)]
+        assert CSRSampler(_sampling_tables(net)).draw(u, r).tolist() == expected
+        scalar = _FixedUniforms(r)
+        assert [sample_step(net, int(a), scalar) for a in u] == expected
+
+    @pytest.mark.parametrize("name,net", _WILSON_NETS, ids=[n for n, _ in _WILSON_NETS])
+    def test_wilson_trees_match_padded_rule(self, name, net, monkeypatch):
+        # the reference walk takes at each vertex the next of that row's own
+        # boundary cases; the loop gets the same uniforms in the same order.
+        # torus5 is on ladder-0 tables, which the loop reads as lists
+        ref = oracles.PaddedSampler(net)
+        u, r = _boundary_cases(net)
+        cases = {a: itertools.cycle(r[u == a].tolist()) for a in range(net.vertex_count)}
+        used = []
+
+        def step(_, a, rng):
+            assert len(used) < 100_000
+            used.append(next(cases[a]))
+            return ref.draw(a, used[-1])
+
+        monkeypatch.setattr(oracles, "sample_step", step)
+        tree = oracles.wilson_sample_step(net).edges
+        assert gen_wilson_ust(net, _Replay(np.array(used + [0.5] * 4096))).edges == tree
+
+    @pytest.mark.parametrize("name,row,splits,ladder", [
+        ("weighted_star", 1, 1, 1),
+        ("tiny_beside_unit", 3, GUIDE_SPLITS, 2),
+        ("partly_split", 1, 1, 1),
+        ("skewed_hub", 0, GUIDE_SPLITS, 6),
+    ], ids=[n for n, _ in _SPLIT_NETS])
+    def test_crowded_rows_split(self, name, row, splits, ladder):
+        # the row's degree times 2^splits buckets; ladders past 1 stay at the cap
+        tables = _sampling_tables(dict(_SPLIT_NETS)[name])
+        offsets, _, cum = tables
+        degs = np.diff(offsets)
+        assert tables.deg[row] == degs[row] << splits
+        assert tables.ladder == ladder
+        # a row splits when one of its degree's buckets holds two cumulative
+        # values: the bucket of each value that the float before it shares
+        crowded = []
+        for u, d in enumerate(degs.tolist()):
+            held = [int(c * d) for c in cum[offsets[u]:offsets[u + 1]]
+                    if int(c * d) == int(np.nextafter(c, 0.0) * d)]
+            crowded.append(len(set(held)) < len(held))
+        assert (tables.deg != degs).tolist() == crowded
+        assert sum(crowded) < (degs > 2).sum() or name != "partly_split"
+        assert np.array_equal(tables.buckets, np.concatenate(([0], np.cumsum(tables.deg))))
+
+    @pytest.mark.parametrize("name,net", _SAMPLER_NETS + _SPLIT_NETS,
+                             ids=[n for n, _ in _SAMPLER_NETS + _SPLIT_NETS])
+    def test_bucket_count_bounded(self, name, net):
+        tables = _sampling_tables(net)
+        entries = int(tables[0][-1])
+        assert tables.lo.size == tables.hi.size == int(tables.buckets[-1])
+        assert tables.lo.size <= 2**GUIDE_SPLITS * entries
+        assert tables.lo.dtype == tables.hi.dtype == np.int32
+
+    @pytest.mark.parametrize("make,digest", [
+        (lambda: gen_torus(6).network,
+         "b435f3d3bae55da344d51d70062bbe8b0225141960aaadbc94ca031cbb96b99e"),
+        (lambda: gen_percolation_cluster(30, 0.5, seed=4).network,
+         "c37f7d92ee54a1b63d58c22b1f9fa2028ad048f6b70c0dc5072f88d682a0a273"),
+        (nets.parallel_and_loops,
+         "f82f241cef167ceb281fbbed56ce10239a16110a178a83eda4769639306627a0"),
+    ], ids=["torus6", "percolation30", "parallel_and_loops_ladder1"])
+    def test_unsplit_tables_unchanged(self, make, digest):
+        # digests of the tables built before rows could split: the same arrays
+        # and attributes, and no second array of row starts
+        tables = _sampling_tables(make())
+        assert tables.buckets is tables[0]
+        assert _tables_digest(tables) == digest
 
 
 class TestStartRange:
