@@ -12,12 +12,17 @@ draw, so a chunk makes the draws it would make alone, in the same order, and
 the results do not depend on how the chunks are grouped.  Groups are
 contiguous so that concatenating their results in group order is chunk order.
 
-Fixed-width draws, one per step, come in blocks (:meth:`ChunkGroup.uniforms`):
-a chunk of m replicas draws the next n <= ``BLOCK_STEPS`` steps' uniforms as
-one ``random((n, rows, m))`` call.  ``Generator.random`` takes one 64-bit
-word per double, in order, so that call returns exactly the n per-step
-``random(rows * m)`` draws, and a chunk's draws do not depend on the block
-length.
+Fixed-width draws, one per step, come in blocks of about ``BLOCK_BYTES``
+(:meth:`ChunkGroup.uniforms`): a chunk of m replicas draws the next n steps'
+uniforms as one ``random((n, rows, m))`` call.  ``Generator.random`` takes
+one 64-bit word per double, in order, so that call returns exactly the n
+per-step ``random(rows * m)`` draws, and a chunk's draws do not depend on
+the block length.  When a run has more than one block and the process may
+use more CPUs than there are processes stepping groups, a draw thread fills
+the next block while the caller steps the current one: ``Generator.random``
+releases the GIL while it fills.  Two pool workers on two CPUs draw inline:
+with a draw thread each, collision_growth of 1,024 and 16,384 pairs at
+workers=2 took 0.98-1.10x the time of drawing inline (2 vCPUs).
 
 Every generator comes from :func:`substream_rng`, the percolation and Wilson
 models' too: :func:`_as_rng` gives them the stream (seed, 0).  Stream paths
@@ -30,6 +35,9 @@ because re-seeding would change every pinned output.
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from collections import deque
 
 import numpy as np
@@ -42,18 +50,23 @@ REPLICA_CHUNK = 512
 # / 64 chunks.  The bound also caps a group's working memory at 16 x 512
 # replicas.
 GROUP_CHUNKS = 16
-# steps per block of fixed-width draws.  Longer blocks make fewer generator
-# calls until the block leaves the cache: collision_growth of 1,024 pairs
-# (best of 5, 2 vCPUs) took 111 / 78 / 92 / 76 / 84 / 87 ms on path R=5001
-# (T=5000) and 30 / 20 / 20 / 19 / 19 / 22 ms on grid R=1251 (T=1250) with
-# blocks of 1 / 8 / 16 / 32 / 64 / 128 steps.  The bound caps a group's block
-# at BLOCK_STEPS x rows x GROUP_CHUNKS x 512 doubles: 4 MiB per worker for the
-# two rows of a pair state, 512 KiB at 1,024 replicas, plus one chunk's draw
-# of 256 KiB on its way into the block.  It also bounds a voter block's
-# rounds: their uniform pairs, rung vertices, neighbors and copied opinions
-# take about 42 bytes a round and replica at peak (tracemalloc), under 56 x
-# BLOCK_STEPS x the group's width, 14 MiB per worker at 8,192 replicas.
+# rounds per voter block.  Longer blocks make fewer generator calls until
+# the block leaves the cache.  A voter block's uniform pairs, rung vertices,
+# neighbors and copied opinions take about 42 bytes a round and replica at
+# peak (tracemalloc), under 56 x BLOCK_STEPS x the group's width, 14 MiB per
+# worker at 8,192 replicas.  The block edges depend on this constant, so it
+# fixes the voter's draws.
 BLOCK_STEPS = 32
+# bytes of a block of fixed-width draws, of which a run holds two while its
+# draw thread fills one ahead.  Every block costs a few GIL handoffs between
+# the draw thread and the stepping loop, so small blocks lose: collision_growth
+# of 1,024 pairs (2 vCPUs, median of 25 alternating runs) took 0.98 / 0.83 /
+# 0.75 / 0.75x the time of inline 32-step blocks on path R=5001 (T=5000) and
+# 1.00 / 0.87 / 0.81 / 0.82x on grid R=1251 (T=1250) with blocks of 256 KiB /
+# 512 KiB / 1 MiB / 2 MiB drawn ahead.  A block holds 64 steps of a pair state
+# at 1,024 replicas and 8 at the widest group, whose chunk draws on their way
+# into the block take 64 KiB each.
+BLOCK_BYTES = 2**20
 
 # stream namespace tags, one per replica-chunked experiment family, and the
 # tag of walk_pair's per-replica walker streams
@@ -85,6 +98,11 @@ def _as_rng(seed):
     if isinstance(seed, np.random.Generator):
         return seed
     return substream_rng(seed, 0)
+
+
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
 
 
 def chunk_sizes(replicas):
@@ -129,23 +147,60 @@ class ChunkGroup:
         """The group of chunks first, first + 1, ... of the family ``tag``."""
         return cls([substream_rng(seed, tag, first + c) for c in range(len(sizes))], sizes)
 
-    def uniforms(self, rows, steps):
+    def uniforms(self, rows, steps, processes=1):
         """Yield ``steps`` draws, each a flat (rows x size) array of uniforms.
 
         Chunk c's slices of a draw's rows, row 0 first, are the one
         ``random(rows * m)`` draw of its m replicas alone.  Draws come in
-        blocks of at most ``BLOCK_STEPS`` steps, one ``random((n, rows, m))``
-        call per chunk, so no chunk draws past step ``steps``.  A yielded
-        array is overwritten by a later block: use it before the next draw.
+        blocks of about ``BLOCK_BYTES``, one ``random((n, rows, m))`` call
+        per chunk, so no chunk draws past step ``steps``.  With more than
+        one block, and more usable CPUs than the ``processes`` that step
+        groups at once, a draw thread fills the next block while the caller
+        uses this one; its errors are raised here, and closing the generator
+        stops and joins it.  A yielded array is overwritten by a later
+        block: use it before the next draw.
         """
-        bounds = self.bounds.tolist()
-        block = np.empty((min(steps, BLOCK_STEPS), rows, self.size))
-        draws = block.reshape(len(block), -1)  # one flat row a step
-        for done in range(0, steps, BLOCK_STEPS):
-            n = min(BLOCK_STEPS, steps - done)
-            for rng, a, b in zip(self.rngs, bounds[:-1], bounds[1:]):
-                block[:n, :, a:b] = rng.random((n, rows, b - a))
-            yield from draws[:n]
+        n = max(1, min(steps, BLOCK_BYTES // (8 * rows * self.size)))
+        lengths = [min(n, steps - done) for done in range(0, steps, n)]
+        ahead = len(lengths) > 1 and _usable_cpus() > processes
+        blocks = [np.empty((n, rows, self.size)) for _ in range(1 + ahead)]
+        if not ahead:
+            for k in lengths:
+                self._fill(blocks[0], k)
+                yield from blocks[0].reshape(n, -1)[:k]
+            return
+        free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+
+        def draw():  # one token from ``free`` per block, False to stop
+            try:
+                for i, k in enumerate(lengths):
+                    if not free.get():
+                        return
+                    self._fill(blocks[i % 2], k)
+                    ready.put(None)
+            except BaseException as exc:  # raised in the caller
+                ready.put(exc)
+
+        free.put(True)
+        free.put(True)
+        thread = threading.Thread(target=draw, name="uniforms", daemon=True)
+        thread.start()
+        try:
+            for i, k in enumerate(lengths):
+                exc = ready.get()
+                if exc is not None:
+                    raise exc
+                yield from blocks[i % 2].reshape(n, -1)[:k]
+                free.put(True)
+        finally:
+            free.put(False)
+            thread.join()
+
+    def _fill(self, block, n):
+        """Fill the first ``n`` steps of ``block``, one draw per chunk."""
+        rows = block.shape[1]
+        for rng, a, b in zip(self.rngs, self.bounds[:-1].tolist(), self.bounds[1:].tolist()):
+            block[:n, :, a:b] = rng.random((n, rows, b - a))
 
     def parts(self, active):
         """(generator, lo, hi) of every chunk holding active replicas.

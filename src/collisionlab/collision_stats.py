@@ -28,12 +28,14 @@ one (2, n) pair state of its n pairs, the x row before the y row, with one
 x == y.  The uniforms come from ``ChunkGroup.uniforms`` in blocks of steps:
 chunk c of m pairs draws n steps at once as one (n, 2, m) array, whose row
 for each step is the 2m draw, x slice then y slice, it would make alone.
+With a CPU to spare, a draw thread fills the next block meanwhile.
 ``run_chunked`` yields one group's counts at a time, each copied into the
 merged counts at once, so a run holds no other group's counts beside them.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 
@@ -199,21 +201,22 @@ class GrowthResult:
 
 def _growth_chunk(payload):
     """Collision counts at each horizon for one chunk group, stepping the pair state."""
-    stepper, origin, horizons, seed, first, sizes = payload
+    stepper, origin, horizons, seed, first, sizes, processes = payload
     group = ChunkGroup.streams(seed, TAG_GROWTH, first, sizes)
     size = group.size
     state = np.repeat(origin, size)
     x, y = state[:size], state[size:]
-    uniforms = group.uniforms(2, horizons[-1])
     counters = np.zeros(size, dtype=np.int64)
     out = np.empty((len(horizons), size), dtype=np.int64)
     walked = 0
-    for i, h in enumerate(horizons):  # ascending
-        for _ in range(h - walked):
-            stepper.advance(state, next(uniforms))
-            counters += x == y
-        walked = h
-        out[i] = counters
+    # closed on the way out, so a draw thread never outlives the group
+    with closing(group.uniforms(2, horizons[-1], processes)) as uniforms:
+        for i, h in enumerate(horizons):  # ascending
+            for _ in range(h - walked):
+                stepper.advance(state, next(uniforms))
+                counters += x == y
+            walked = h
+            out[i] = counters
     return out
 
 
@@ -261,9 +264,12 @@ def collision_growth(
         for T in horizons:
             certificate.require(T)
     stepper, origin = _resolve_pair(graph, start)
+    groups = chunk_groups(replicas, workers)
+    # run_chunked steps this many groups at once, one a process
+    processes = max(1, min(workers, len(groups)))
     payloads = [
-        (stepper, origin, tuple(horizons), int(seed), first, sizes)
-        for first, sizes in chunk_groups(replicas, workers)
+        (stepper, origin, tuple(horizons), int(seed), first, sizes, processes)
+        for first, sizes in groups
     ]
     counts = np.empty((len(horizons), replicas), dtype=np.int64)
     done = 0

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -214,8 +214,25 @@ def build_network(vertex_count, edge_list):
 
 
 def network_from_json(obj):
-    """Rebuild a network from its interchange dict."""
-    return Network(obj["vertices"], obj["edges"])
+    """Rebuild a network from its interchange dict.
+
+    Edge rows that are all lists of one width, as ``json`` parses them, are
+    read with one ``np.fromiter`` instead of a nested-list ``np.asarray``
+    (both take ``float()`` of each entry).  Any other edge list, or one that
+    ``fromiter`` refuses, goes to :class:`Network` as it is, which names the
+    fault.
+    """
+    edges = obj["edges"]
+    if type(edges) is list and edges and set(map(type, edges)) == {list}:
+        widths = set(map(len, edges))
+        if len(widths) == 1:
+            width = widths.pop()
+            try:
+                edges = np.fromiter(chain.from_iterable(edges), float,
+                                    width * len(edges)).reshape(len(edges), width)
+            except (TypeError, ValueError):
+                pass
+    return Network(obj["vertices"], edges)
 
 
 @dataclass(frozen=True)

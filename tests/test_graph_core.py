@@ -1,3 +1,4 @@
+import json
 import pickle
 
 import numpy as np
@@ -12,6 +13,7 @@ import oracles
 from collisionlab import (
     DisconnectedGraphError,
     EndpointOutOfRangeError,
+    Network,
     NonpositiveConductanceError,
     ResourceLimitError,
     build_network,
@@ -146,6 +148,55 @@ class TestBuildNetwork:
         again = network_from_json(net.to_json_dict())
         assert again.edges == net.edges
         assert again.vertex_count == net.vertex_count
+
+
+def _nested_list_load(obj):
+    """The loader before ``fromiter``: the parsed edge rows straight to Network."""
+    return Network(obj["vertices"], obj["edges"])
+
+
+def _outcome(load, text):
+    try:
+        net = load(json.loads(text))
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+    return net.vertex_count, net.ends.tolist(), net.conductances.tobytes()
+
+
+class TestNetworkFromJson:
+    @pytest.mark.parametrize("net", [nets.weighted_triangle(), gen_torus(5).network,
+                                     gen_comb(4).network, build_network(1, [])],
+                             ids=["triangle", "torus", "comb", "single"])
+    def test_valid_files_match_nested_list_load(self, net):
+        text = json.dumps(net.to_json_dict())
+        fast, slow = network_from_json(json.loads(text)), _nested_list_load(json.loads(text))
+        assert np.array_equal(fast.ends, slow.ends)
+        assert fast.conductances.tobytes() == slow.conductances.tobytes()
+        assert fast.ends.dtype == slow.ends.dtype and fast.ends.shape == slow.ends.shape
+
+    @pytest.mark.parametrize("edges", [
+        "[[0, 1], [1, 2]]",  # pairs
+        '[[0, 1, 1.5], [1, 2, "2.5"]]',  # a number as a string, as asarray reads it
+        "[[0, 1, true], [1, 2, 1e300]]",
+        "[[0, 1, 1.0], [1, 2]]",  # a triple and a pair
+        "[[0, 1, 1.0], [1, 2, null]]",
+        "[[0, 1, [1.0]], [1, 2, 1.0]]",  # nested
+        '[[0, 1, {"c": 1}], [1, 2, 1.0]]',
+        '[[0, 1, "x"], [1, 2, 1.0]]',
+        '["01", "12"]',  # strings of one width are not rows
+        '[{"a": 0, "b": 1}, {"a": 1, "b": 2}]',
+        "[[0, 1, 1, 1], [1, 2, 1, 1]]",
+        "[[], []]",
+        "[0, 1]",
+        "[]",
+        "7",
+        "[[0, 1e400], [1, 2]]",
+        "[[0, 5], [1, 2]]",
+        "[[0, 1, -1.0], [1, 2, 1.0]]",
+    ])
+    def test_error_or_network_matches_nested_list_load(self, edges):
+        text = f'{{"vertices": 3, "edges": {edges}}}'
+        assert _outcome(network_from_json, text) == _outcome(_nested_list_load, text)
 
 
 class TestTransitionProb:

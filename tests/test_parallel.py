@@ -7,6 +7,7 @@ stepped alone by the per-chunk loops in ``oracles``, whatever the grouping.
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ import pytest
 import collisionlab
 import oracles
 import nets
+from collisionlab import _parallel
 from collisionlab._parallel import (
-    BLOCK_STEPS,
+    BLOCK_BYTES,
     GROUP_CHUNKS,
     REPLICA_CHUNK,
     TAG_GROWTH,
@@ -77,43 +79,205 @@ class TestChunkGroups:
         assert max(widths) <= GROUP_CHUNKS
         assert max(widths) - min(widths) <= 1
 
-    @pytest.mark.parametrize("sizes", [(512, 512, 77), (300,)])
-    def test_block_draws_are_each_chunks_lone_draws(self, sizes):
-        # two full blocks and a short last one
-        steps = 2 * BLOCK_STEPS + 5
-        group = ChunkGroup.streams(7, TAG_GROWTH, 4, sizes)
-        draws = [d.reshape(2, group.size).copy() for d in group.uniforms(2, steps)]
-        assert len(draws) == steps
-        for c, (a, b) in enumerate(zip(group.bounds[:-1], group.bounds[1:])):
-            alone = substream_rng(7, TAG_GROWTH, 4 + c)
-            for r in draws:
-                assert np.array_equal(np.concatenate([r[0, a:b], r[1, a:b]]),
-                                      alone.random(2 * sizes[c]))
+    @pytest.mark.parametrize("sizes", [(512, 512, 77), (300,), (REPLICA_CHUNK,) * GROUP_CHUNKS])
+    def test_block_draws_are_each_chunks_lone_draws(self, sizes, monkeypatch):
+        # two full blocks and a short last one, drawn inline and ahead
+        steps = 2 * _block_steps(sum(sizes)) + 5
+        for cpus in (1, 4):
+            monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
+            group = ChunkGroup.streams(7, TAG_GROWTH, 4, sizes)
+            draws = [d.reshape(2, group.size).copy() for d in group.uniforms(2, steps)]
+            assert len(draws) == steps
+            for c, (a, b) in enumerate(zip(group.bounds[:-1], group.bounds[1:])):
+                alone = substream_rng(7, TAG_GROWTH, 4 + c)
+                for r in draws:
+                    assert np.array_equal(np.concatenate([r[0, a:b], r[1, a:b]]),
+                                          alone.random(2 * sizes[c]))
+
+    @pytest.mark.parametrize("chunks,steps", [(2, 64), (GROUP_CHUNKS, 8)])
+    def test_block_holds_block_bytes(self, chunks, steps):
+        # 64 steps of a pair state at 1,024 replicas, 8 at the widest group
+        rngs = [_Draws(c) for c in range(chunks)]
+        group = ChunkGroup(rngs, (REPLICA_CHUNK,) * chunks)
+        assert sum(1 for _ in group.uniforms(2, 2 * steps + 5)) == 2 * steps + 5
+        for rng in rngs:
+            assert rng.sizes == [(steps, 2, REPLICA_CHUNK)] * 2 + [(5, 2, REPLICA_CHUNK)]
 
     def test_parts_split_active_by_chunk(self):
         group = ChunkGroup([None, None, None], (4, 4, 4))
         assert [(lo, hi) for _, lo, hi in group.parts(np.array([1, 2, 9, 11]))] == [(0, 2), (2, 4)]
 
 
-# horizons on both sides of block edges, with a short last block
-BLOCK_EDGES = (0, 1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 7)
+def _block_steps(width, rows=2):
+    """Steps in a block of ``uniforms`` for a group of ``width`` replicas."""
+    return max(1, BLOCK_BYTES // (8 * rows * width))
+
+
+def _block_edges(replicas, workers):
+    """Horizons on both sides of every group's block edges, with a short last block."""
+    edges = {0, 1}
+    for _, sizes in chunk_groups(replicas, workers):
+        n = _block_steps(sum(sizes))
+        edges |= {n - 1, n, n + 1, 2 * n + 7}
+    return tuple(sorted(edges))
+
+
+class _Draws:
+    """A generator that records the sizes of its ``random`` calls and raises on
+    call ``fail`` (counted from 1)."""
+
+    def __init__(self, seed, fail=0):
+        self.rng, self.sizes, self.fail = np.random.default_rng(seed), [], fail
+
+    def random(self, size):
+        self.sizes.append(size)
+        if len(self.sizes) == self.fail:
+            raise RuntimeError(f"draw {self.fail} failed")
+        return self.rng.random(size)
+
+
+class TestDrawThread:
+    """The thread that fills the next block of ``ChunkGroup.uniforms``."""
+
+    @staticmethod
+    def _cpus(monkeypatch, cpus):
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
+
+    @staticmethod
+    def _starts(monkeypatch):
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(_parallel.threading, "Thread", Thread)
+        return started
+
+    @pytest.mark.parametrize("cpus,blocks,processes,threads", [
+        (2, 3, 1, 1),
+        (1, 3, 1, 0),  # one usable CPU
+        (2, 1, 1, 0),  # a single block
+        (2, 3, 2, 0),  # every CPU steps a group already
+        (4, 3, 2, 1),
+    ])
+    def test_thread_only_with_blocks_and_a_spare_cpu(self, monkeypatch, cpus, blocks,
+                                                     processes, threads):
+        self._cpus(monkeypatch, cpus)
+        started = self._starts(monkeypatch)
+        group = ChunkGroup.streams(3, TAG_GROWTH, 0, (512, 512))
+        steps = blocks * _block_steps(group.size)
+        assert sum(1 for _ in group.uniforms(2, steps, processes)) == steps
+        assert len(started) == threads
+        assert not any(t.is_alive() for t in started)
+
+    def test_close_mid_block_stops_the_thread(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        before = threading.active_count()
+        group = ChunkGroup.streams(3, TAG_GROWTH, 0, (512, 512))
+        n = _block_steps(group.size)
+        draws = group.uniforms(2, 10 * n)
+        for _ in range(n + n // 2):  # into the second block
+            next(draws)
+        assert threading.active_count() == before + 1
+        draws.close()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_draw_error_is_raised_in_the_caller(self, monkeypatch, cpus):
+        # one chunk, so the third random call draws the third block
+        self._cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        n = _block_steps(300)
+        group = ChunkGroup([_Draws(5, fail=3)], (300,))
+        want = np.random.default_rng(5).random((2 * n, 2, 300)).reshape(2 * n, -1)
+        got, raised = [], []
+
+        def consume():  # in a thread of its own, so a lost error cannot hang the test
+            try:
+                for d in group.uniforms(2, 5 * n):
+                    got.append(d.copy())
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=30)
+        assert not consumer.is_alive()
+        assert [str(e) for e in raised] == ["draw 3 failed"]
+        assert np.array_equal(np.array(got), want)
+        assert threading.active_count() == before
+
+    def test_error_in_the_caller_stops_the_thread(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        before = threading.active_count()
+
+        class Broken(PathLattice):
+            calls = 0
+
+            def advance(self, state, r):
+                Broken.calls += 1
+                if Broken.calls == 100:  # in the second block
+                    raise ZeroDivisionError
+                super().advance(state, r)
+
+        # the traceback keeps the group's frame alive, so only closing the
+        # draws on the way out can have stopped the thread
+        with pytest.raises(ZeroDivisionError) as caught:
+            collision_growth(Broken(600), None, [500], 1024, seed=1)
+        assert threading.active_count() == before
+        del caught
+
+    def test_handoffs_under_fast_switching(self, monkeypatch):
+        # three groups drawn at once, six threads on fewer CPUs, many small
+        # blocks and a switch every microsecond: a block refilled before its
+        # caller is done with it would change that caller's draws
+        monkeypatch.setattr(_parallel, "BLOCK_BYTES", 8 * 2 * 600 * 3)
+        self._cpus(monkeypatch, 1)
+        want = [np.array([d.copy() for d in ChunkGroup.streams(s, TAG_GROWTH, 0, (512, 88))
+                          .uniforms(2, 400)]) for s in range(3)]
+        self._cpus(monkeypatch, 2)
+        got = [None] * 3
+
+        def consume(s):
+            group = ChunkGroup.streams(s, TAG_GROWTH, 0, (512, 88))
+            got[s] = np.array([d.copy() for d in group.uniforms(2, 400)])
+
+        consumers = [threading.Thread(target=consume, args=(s,), daemon=True) for s in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in consumers:
+                t.start()
+            for t in consumers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in consumers)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestGrowthGroups:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("replicas", [REMAINDER, WIDE])
     @pytest.mark.parametrize("graph,start", [
-        (CombLattice(80), None),
-        (PathLattice(80), None),
+        (CombLattice(300), None),
+        (PathLattice(300), None),
         (gen_torus(6).network, 0),
         (gen_torus(6).network, (0, 7)),
     ], ids=["comb", "path", "torus", "torus_pair"])
-    def test_block_edges_match_per_chunk_loop(self, graph, start, replicas, workers):
-        got = collision_growth(graph, start, BLOCK_EDGES, replicas, seed=31, workers=workers)
+    def test_block_edges_match_per_chunk_loop(self, graph, start, replicas, workers,
+                                              monkeypatch):
+        edges = _block_edges(replicas, workers)
         stepper, origin = _resolve_pair(graph, start)
         want = oracles.per_chunk(oracles.growth_chunk_loop,
-                                 (stepper, origin, BLOCK_EDGES, 31), replicas, axis=1)
-        assert np.array_equal(got.counts, want)
+                                 (stepper, origin, edges, 31), replicas, axis=1)
+        for cpus in (1, 4):  # drawn inline, and ahead in every process
+            monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
+            got = collision_growth(graph, start, edges, replicas, seed=31, workers=workers)
+            assert np.array_equal(got.counts, want)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("replicas", [REMAINDER, WIDE])
