@@ -25,9 +25,10 @@ seed streams, so the per-replica counts are independent of the worker count.
 A worker steps a group of contiguous chunks (``_parallel.ChunkGroup``) as
 one (2, n) pair state of its n pairs, the x row before the y row, with one
 ``advance`` on the flat state per step, and counts a collision wherever
-x == y.  The uniforms come from ``ChunkGroup.uniforms`` in blocks of steps:
-chunk c of m pairs draws n steps at once as one (n, 2, m) array, whose row
-for each step is the 2m draw, x slice then y slice, it would make alone.
+x == y, in an int8 tally added to the counts at least every 127 steps.
+The uniforms come from ``ChunkGroup.uniforms`` in blocks of steps: chunk c
+of m pairs draws n steps at once as one (n, 2, m) array, whose row for each
+step is the 2m draw, x slice then y slice, it would make alone.
 With a CPU to spare, a draw thread fills the next block meanwhile.
 ``run_chunked`` yields one group's counts at a time, each copied into the
 merged counts at once, so a run holds no other group's counts beside them.
@@ -200,22 +201,36 @@ class GrowthResult:
 
 
 def _growth_chunk(payload):
-    """Collision counts at each horizon for one chunk group, stepping the pair state."""
+    """Collision counts at each horizon for one chunk group, stepping the pair state.
+
+    Each step's meetings are added, as bytes, into an int8 tally, which is
+    added to the counts every 127 steps, the most it can hold, and at each
+    horizon.  The counts are int32 while the last horizon fits, so the
+    group's result crosses a process boundary at half the size.
+    """
     stepper, origin, horizons, seed, first, sizes, processes = payload
     group = ChunkGroup.streams(seed, TAG_GROWTH, first, sizes)
     size = group.size
     state = np.repeat(origin, size)
     x, y = state[:size], state[size:]
-    counters = np.zeros(size, dtype=np.int64)
-    out = np.empty((len(horizons), size), dtype=np.int64)
+    met = np.empty(size, dtype=bool)
+    tally, met_bytes = np.zeros(size, dtype=np.int8), met.view(np.int8)
+    dtype = np.int32 if horizons[-1] < 1 << 31 else np.int64
+    counters = np.zeros(size, dtype=dtype)
+    out = np.empty((len(horizons), size), dtype=dtype)
     walked = 0
     # closed on the way out, so a draw thread never outlives the group
     with closing(group.uniforms(2, horizons[-1], processes)) as uniforms:
         for i, h in enumerate(horizons):  # ascending
-            for _ in range(h - walked):
-                stepper.advance(state, next(uniforms))
-                counters += x == y
-            walked = h
+            while walked < h:
+                steps = min(h - walked, 127)
+                for _ in range(steps):
+                    stepper.advance(state, next(uniforms))
+                    np.equal(x, y, out=met)
+                    tally += met_bytes
+                counters += tally
+                tally.fill(0)
+                walked += steps
             out[i] = counters
     return out
 

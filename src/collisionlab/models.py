@@ -11,10 +11,13 @@ The class's ``_box(R) -> (cols, rows, y0)`` is the truncation's box: site
 (x + R) * rows + (y + y0) is vertex (x, y), and the center R * rows + y0 is
 the certificate's start.
 
-A walker's state is a flat int64 array of codes, x on the line and
-x * 2^32 + y on the grid and the comb (y >= 0 there), unique for radius
-< 2^31: two walks meet exactly when their codes are equal, and a step adds a
-delta gathered from a small table.  ``coords`` decodes to vertex labels.
+A walker's state is a flat int64 array of codes: on the line the number of
+right steps taken so far, on the grid and the comb x * 2^32 + y (y >= 0
+there), unique for radius < 2^31.  The walks of a pair have always taken the
+same number of steps, so they meet exactly when their codes are equal.  A
+line step adds [r >= 1/2]; a grid or comb step adds a delta gathered from a
+small table at floor(4r) or floor(6r).  ``coords(state, steps)`` decodes
+codes to vertex labels, the line's as x = 2 * code - steps.
 
 A truncation with safety radius ``R`` reproduces the infinite lattice's walk
 law exactly for any horizon ``T <= R - 1`` started from the designated center:
@@ -295,10 +298,10 @@ CODE_RADIUS_LIMIT = 1 << 31
 _HIGH = 1 << 32
 _LOW = _HIGH - 1
 
-_PATH_MOVES = np.array([-1, 1], dtype=np.int64)  # by floor(2r)
 _GRID_MOVES = np.array([-_HIGH, _HIGH, -1, 1], dtype=np.int64)  # by floor(4r)
-# by 4 * on_tooth + [r >= 1/3] + [r >= 1/2] + [r >= 2/3]
-_COMB_MOVES = np.array([-_HIGH, _HIGH, _HIGH, 1, -1, -1, 1, 1], dtype=np.int64)
+# by 6 * on_tooth + floor(6r): the spine's thirds, then the tooth's halves
+_COMB_MOVES = np.array([-_HIGH, -_HIGH, _HIGH, _HIGH, 1, 1,
+                        -1, -1, -1, 1, 1, 1], dtype=np.int64)
 
 
 class _CoordinateWalker:
@@ -328,8 +331,9 @@ class _CoordinateWalker:
     def new_state(self, m):
         return np.zeros(m, dtype=np.int64)
 
-    def coords(self, state):
-        """The truncation's ``coords`` labels of the codes in ``state``."""
+    def coords(self, state, steps=0):
+        """The truncation's ``coords`` labels of the codes in ``state`` after
+        ``steps`` steps (only the line's codes need it)."""
         x = (state + (1 << 31)) >> 32
         return list(zip(x.tolist(), (state - (x << 32)).tolist()))
 
@@ -346,17 +350,21 @@ class _CoordinateWalker:
 
 
 class PathLattice(_CoordinateWalker):
-    """Walk on the integer line; the code is x and a draw r < 1/2 steps left."""
+    """Walk on the integer line; a draw r < 1/2 steps left, else right.
+
+    The code is the number of right steps so far, so after n steps the walk
+    is at x = 2 * code - n; two walks after the same n steps meet exactly
+    when their codes are equal.
+    """
 
     planar = False
     _box = staticmethod(lambda R: (2 * R + 1, 1, 0))
 
     def advance(self, state, r):
-        r *= 2  # exact, so floor(2r) is [r >= 1/2]
-        state += _PATH_MOVES[r.astype(np.intp)]
+        state += r >= 0.5
 
-    def coords(self, state):
-        return state.tolist()
+    def coords(self, state, steps=0):
+        return (2 * state - steps).tolist()
 
 
 class GridLattice(_CoordinateWalker):
@@ -375,19 +383,21 @@ class CombLattice(_CoordinateWalker):
 
     The tooth height y >= 0 is ``code & (2^32 - 1)``.  On the spine the
     thirds of [0, 1) step left, right and up the tooth; on a tooth the halves
-    step down and up.  Within the certified horizon the walk cannot reach
-    tooth tips or spine ends, so these unbounded rules realize the
-    truncation's law exactly.
+    step down and up.  One floor(6r) finds both: its value k in 0..5 puts r
+    in the thirds as k // 2 and in the halves as k // 3.  Within the
+    certified horizon the walk cannot reach tooth tips or spine ends, so
+    these unbounded rules realize the truncation's law exactly.
     """
 
     spine = True
     _box = staticmethod(lambda R: (2 * R + 1, R + 1, 0))
 
     def advance(self, state, r):
-        # 3r is not exact, so the thirds are found by comparison
+        # the rounded 6r is monotone in r and reaches 2, 3 and 4 exactly at
+        # the doubles 1/3, 1/2 and 2/3, so floor(6r) makes the same cuts as
+        # comparing r with them, and stays below 6 for every r < 1
         move = np.minimum(state & _LOW, 1)
-        move <<= 2
-        move += r >= 1 / 3
-        move += r >= 0.5
-        move += r >= 2 / 3
+        move *= 6
+        r *= 6
+        move += r.astype(np.intp)
         state += _COMB_MOVES[move]

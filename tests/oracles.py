@@ -28,10 +28,16 @@ one event at a time and returns both trajectories.
 :func:`growth_chunk_loop`, :func:`voter_block_chunk_loop` and
 :func:`ct_chunk_loop` step one 512-replica chunk at a time on the chunk's own
 generator, as the replica loops did before chunk groups; the group engines
-must give the same results bit for bit.  :func:`voter_block_loop`, the body
-of the voter one, keeps full-size state and masks each round's copies where
-the engine compacts.  :func:`voter_jump_loop` is the jump chain of one draw
-a round that the blocks of rounds replaced, and :func:`voter_loop` the
+must give the same results bit for bit.  :func:`growth_chunk_loop` also
+counts meetings straight into int64, as before the engine's int8 tally.
+:class:`PositionPathLattice` and :class:`CompareCombLattice` are the line
+walker on position codes and the comb walker by three comparisons, as they
+stepped before the count code and the floor(6r) table; on the same uniforms
+they must give the same labels and collision counts.
+:func:`voter_block_loop`, the body of the voter one, keeps full-size state
+and masks each round's copies where the engine compacts.
+:func:`voter_jump_loop` is the jump chain of one draw a round that the
+blocks of rounds replaced, and :func:`voter_loop` the
 clock-driven law before it, an exponential wait, a vertex and a uniform per
 event; through :func:`voter_jump_chunk_loop`, :func:`voter_chunk_loop` and
 :func:`voter_group_loop`, swapped in for the engine, they still give the
@@ -57,6 +63,7 @@ from collisionlab._parallel import (BLOCK_STEPS, TAG_CTCOLLIDE, TAG_GROWTH, TAG_
                                     chunk_groups, chunk_sizes)
 from collisionlab.graph_core import TransitionKernel, build_network
 from collisionlab.interacting import collision_measure, discretization_integral
+from collisionlab.models import CombLattice, PathLattice
 from collisionlab.walk_engine import (CSRSampler, JumpTrajectory, _sampling_tables,
                                       sample_step, substream_rng, walk_continuous)
 
@@ -521,6 +528,32 @@ def growth_chunk_loop(payload):
         walked = h
         out[i] = counters
     return out
+
+
+class PositionPathLattice(PathLattice):
+    """The line walker on position codes x, as it stepped before its codes
+    counted right steps: floor(2r) gathers the step -1 or +1."""
+
+    def advance(self, state, r):
+        r *= 2  # exact, so floor(2r) is [r >= 1/2]
+        state += np.array([-1, 1])[r.astype(np.intp)]
+
+    def coords(self, state, steps=0):
+        return state.tolist()
+
+
+class CompareCombLattice(CombLattice):
+    """The comb walker as it stepped before one floor(6r) found its moves:
+    4 * on_tooth plus three comparisons of r with 1/3, 1/2 and 2/3."""
+
+    def advance(self, state, r):
+        high = 1 << 32
+        move = np.minimum(state & (high - 1), 1)
+        move <<= 2
+        move += r >= 1 / 3
+        move += r >= 0.5
+        move += r >= 2 / 3
+        state += np.array([-high, high, high, 1, -1, -1, 1, 1])[move]
 
 
 def voter_chunk_loop(payload):

@@ -23,8 +23,9 @@ from collisionlab import (
     walk_pair,
 )
 from collisionlab import collision_stats
-from collisionlab.collision_stats import NetworkStepper
-from collisionlab.models import PathLattice, gen_percolation_cluster, gen_torus
+from collisionlab.collision_stats import NetworkStepper, _resolve_pair
+from collisionlab.models import (CombLattice, GridLattice, PathLattice, gen_percolation_cluster,
+                                 gen_torus)
 
 
 class TestCountCollisions:
@@ -267,6 +268,36 @@ class TestCollisionGrowth:
         assert hashlib.sha256(g.counts.astype("<i8").tobytes()).hexdigest() == (
             "232dede24765e248b25d0524f604f651742fef230e23a9473b04e2a5bf82ffe2"
         )
+
+    @pytest.mark.parametrize("graph,reference,start", [
+        (PathLattice(301), oracles.PositionPathLattice(301), None),
+        (CombLattice(301), oracles.CompareCombLattice(301), None),
+        (GridLattice(301), GridLattice(301), None),
+        (gen_torus(6).network, gen_torus(6).network, 0),
+        (nets.single_edge(), nets.single_edge(), 0),
+    ], ids=["path", "comb", "grid", "torus", "edge"])
+    @pytest.mark.parametrize("horizons", [(1, 126, 127, 128, 254, 255, 300), (300,)],
+                             ids=["straddling", "one"])
+    def test_counts_match_int64_loop_across_tally_flushes(self, graph, reference, start,
+                                                         horizons):
+        # the int8 tally is added to the counts at each horizon and after 127
+        # steps without one: horizons on both sides of those flushes, and one
+        # horizon far past 127 steps.  On one edge the walks meet at every
+        # step, so a tally held past 127 meetings would wrap
+        replicas = 1100
+        got = collision_growth(graph, start, horizons, replicas, seed=23)
+        stepper, origin = _resolve_pair(reference, start)
+        want = oracles.per_chunk(oracles.growth_chunk_loop, (stepper, origin, horizons, 23),
+                                 replicas, axis=1)
+        assert np.array_equal(got.counts, want)
+
+    def test_group_counts_travel_as_int32(self):
+        # half the bytes through a pool's pipe; the merged counts stay int64
+        stepper, origin = _resolve_pair(PathLattice(20), None)
+        piece = collision_stats._growth_chunk((stepper, origin, (5, 19), 1, 0, (512,), 1))
+        assert piece.dtype == np.int32
+        g = collision_growth(PathLattice(20), None, [5, 19], 512, seed=1)
+        assert g.counts.dtype == np.int64 and np.array_equal(g.counts, piece)
 
     def test_certificate_enforced(self):
         lat = PathLattice(10)

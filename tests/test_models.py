@@ -152,7 +152,7 @@ def test_lattice_walker_matches_explicit_kernel(walker_cls, gen):
     state = walker.new_state(20_000)
     for _ in range(3):
         walker.advance(state, rng.random(state.size))
-    labels = walker.coords(state)
+    labels = walker.coords(state, 3)
     row = n_step_kernel(m.network, 3).matrix[m.start]
     support = [v for v in range(len(row)) if row[v] > 0]
     counts = [sum(1 for s in labels if s == m.coords[v]) for v in support]
@@ -203,12 +203,50 @@ def test_lattice_walker_steps_along_edges(walker_cls):
     rng = np.random.default_rng(3)
     state = walker.new_state(400)
     before = walker.coords(state)
-    for _ in range(11):
+    for n in range(1, 12):
         walker.advance(state, rng.random(state.size))
-        after = walker.coords(state)
+        after = walker.coords(state, n)
         assert all(frozenset((index[a], index[b])) in adjacent
                    for a, b in zip(before, after))
         before = after
+
+
+def test_comb_floor_cuts_match_comparisons():
+    # The rounded product fl(6r) is monotone in r, so each set {r: floor(6r)
+    # >= k} is all the doubles from some cut up.  The move table changes only
+    # at k = 2, 3 and 4 (the spine's thirds, the tooth's halves); if fl(6r)
+    # reaches k at the double 1/3, 1/2 or 2/3 and stays below it at the double
+    # just below, those cuts are the comparisons' cuts, and by the same
+    # monotonicity floor(6r) stays in 0..5 if it does so at 0 and at the
+    # largest double below 1.  These doubles and their neighbours then decide
+    # every other double.
+    cuts = [1 / 3, 0.5, 2 / 3]
+    r = np.array([0.0, np.nextafter(1.0, 0.0)]
+                 + [v for c in cuts for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))])
+    assert np.floor(6 * r).tolist() == [0, 5, 1, 2, 2, 2, 3, 3, 3, 4, 4]
+    walker, reference = CombLattice(10), oracles.CompareCombLattice(10)
+    # on the spine at x = 0 and x = -3, and on teeth of heights 1 and 7
+    for code in (0, -3 << 32, (2 << 32) + 1, (-1 << 32) + 7):
+        got, want = np.full(r.size, code), np.full(r.size, code)
+        walker.advance(got, r.copy())
+        reference.advance(want, r.copy())
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("walker,reference", [
+    (PathLattice(301), oracles.PositionPathLattice(301)),
+    (CombLattice(301), oracles.CompareCombLattice(301)),
+], ids=["path", "comb"])
+def test_walker_matches_oracle_advance(walker, reference):
+    # the count-code line and the floor(6r) comb give the labels of the
+    # position-code line and the comparison comb at every step
+    rng = np.random.default_rng(23)
+    state, oracle_state = walker.new_state(4096), reference.new_state(4096)
+    for n in range(1, 301):
+        r = rng.random(state.size)
+        walker.advance(state, r.copy())
+        reference.advance(oracle_state, r)
+        assert walker.coords(state, n) == reference.coords(oracle_state, n)
 
 
 class TestPercolation:
