@@ -449,8 +449,11 @@ def _violations(config):
 def _path_violations(config):
     """Output paths that no run could write, refused before any sampling."""
     out = []
-    for field in ("output", "envelope_path", "dump_trajectories"):
-        path = getattr(config, field)
+    paths = [(field, getattr(config, field)) for field in ("output", "envelope_path",
+                                                           "dump_trajectories")]
+    if config.kind == "gen" and config.output and isinstance(config.output, (str, os.PathLike)):
+        paths.append(("output", _sidecar_path(config.output)))  # written after the network
+    for field, path in paths:
         if not path:
             continue
         if not isinstance(path, (str, os.PathLike)):
@@ -607,11 +610,9 @@ def _run_mtp(config, resolved):
     result = check_mtp(
         RootedDistribution.single(net, law), transport, tolerance=config.tolerance
     )
-    return {
-        "out": result.mass_out,
-        "in": result.mass_in,
-        "verdict": result.verdict.value,
-    }, None, {}
+    # an indeterminate check has no masses: null, as JSON has no NaN
+    out, into = (None if math.isnan(m) else m for m in (result.mass_out, result.mass_in))
+    return {"out": out, "in": into, "verdict": result.verdict.value}, None, {}
 
 
 def _initial_ones(spec, V):

@@ -49,7 +49,7 @@ from .walk_engine import (
     CSRSampler,
     JumpTrajectory,
     _sampling_tables,
-    sample_step,
+    network_sampler,
 )
 from .walk_engine import walk_continuous  # noqa: F401  perfbench traces it here
 
@@ -354,7 +354,7 @@ def coalescing_walks(net, starts, t_max, seed):
         label[i] = occupied.setdefault(s, i)
     positions = {i: s for s, i in occupied.items()}
     roots = sorted(positions)
-    rng = _as_rng(seed)
+    rng, step = _as_rng(seed), network_sampler(net).step
     t = 0.0
     while True:
         m = len(roots)
@@ -363,7 +363,7 @@ def coalescing_walks(net, starts, t_max, seed):
             break
         root = roots[int(rng.integers(m))]
         old = positions[root]
-        v = sample_step(net, old, rng)
+        v = step(old, rng.random())
         if v == old:
             continue
         del occupied[old]

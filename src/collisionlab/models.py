@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, count, product
 from typing import Callable, Optional
 
 import numpy as np
@@ -232,11 +232,9 @@ def gen_wilson_ust(base, seed=0):
 
     The tree has probability proportional to the product of its edge
     conductances (uniform for unit conductances).  The walks take the steps
-    of :func:`~collisionlab.walk_engine.sample_step`, the network sampler,
-    and the sweep is rooted at vertex 0; the law does not depend on that
-    choice.  On ladder-0 tables the loop reads each vertex's buckets from a
-    Python list of ``first``; otherwise it bisects the guide, read through
-    memoryviews (no copy).  It draws uniforms in blocks of 8, 16, ..., 4,096,
+    of :func:`~collisionlab.walk_engine.sample_step`, the network sampler's
+    one-vertex draws, and the sweep is rooted at vertex 0; the law does not
+    depend on that choice.  It draws uniforms in blocks of 8, 16, ..., 4,096,
     exactly the per-step draws: ``Generator.random`` takes one 64-bit word
     per double.
     The edges are (u, parent[u]) for u = 1..V-1.  On a multigraph a tree edge
@@ -249,33 +247,19 @@ def gen_wilson_ust(base, seed=0):
     if n == 1:
         return Network(1, [])
     rng = _as_rng(seed)
-    tables = walk_engine._sampling_tables(base)
-    deg, rows = tables.deg.tolist(), None
-    if tables.ladder == 0:
-        first, cut = tables.first.tolist(), tables.buckets.tolist()
-        rows = [first[a:b] for a, b in zip(cut, cut[1:])]
-    else:
-        buckets, targets, cum, lo, hi = map(
-            memoryview, (tables.buckets, *tables[1:], tables.lo, tables.hi))
-        cum, search = cum.__getitem__, walk_engine._guide_search
-    draws, block = iter(()), 8
+    walk = walk_engine.network_sampler(base).walk
+    draws = chain.from_iterable(rng.random(8 << min(i, 9)).tolist() for i in count())
     in_tree = [False] * n
     in_tree[0] = True
     parent = [0] * n  # the exit taken on the last visit
     for start in range(1, n):
+        if in_tree[start]:
+            continue
         u = start
-        while not in_tree[u]:
-            r = next(draws, None)
-            if r is None:
-                draws, block = iter(rng.random(block).tolist()), min(2 * block, 4096)
-                r = next(draws)
-            if rows is not None:
-                v = rows[u][int(r * deg[u])]
-            else:
-                at = buckets[u] + int(r * deg[u])
-                v = targets[search(cum, lo[at], hi[at], r)]
-            parent[u] = v
-            u = v
+        for v in walk(start, draws):
+            parent[u] = u = v  # parent[u] is set before u moves
+            if in_tree[v]:
+                break
         # the last exits from ``start`` trace the loop-erased path into the tree
         u = start
         while not in_tree[u]:

@@ -11,13 +11,14 @@ uniform ``r`` in [0, 1).  The step from ``u`` takes the neighbor whose index
 in ``u``'s row is the count of cumulative values ``<= r`` (so an ``r`` equal
 to an interior cumulative value moves past it).  A guide table (Chen and
 Asau 1974) read at bucket floor(r * deg(u)) narrows that count to a short
-range, which batched draws search in as many passes as the widest range
-needs and single draws bisect.  A row with a bucket that holds two
+range, which every draw searches in as many passes as the widest range
+needs: batched draws on arrays, one-vertex draws by the same passes on
+Python lists made once per network.  A row with a bucket that holds two
 cumulative values has its buckets split 2, 4, ... up to 2^``GUIDE_SPLITS``
 fold, so that on most weighted networks every range is at most two indices
 and a draw takes one comparison.  Where every range is one index
 (unit-conductance tori, percolation clusters, spanning trees) a draw is one
-gather.
+gather.  Only this module reads the tables' guide.
 """
 
 from __future__ import annotations
@@ -106,69 +107,56 @@ class SamplingTables(tuple):
     def buckets(self):
         return self.__dict__.get("_buckets", self[0])
 
-
-def _guide(cum, below, d, degs, buckets):
-    """The guide ``(hi, lo)`` of rows of ``degs`` entries, entry ``j`` in a
-    row of ``d[j]`` buckets (a float) keyed from ``buckets[u]``.  Entry
-    ``j`` counts in ``hi`` from bucket ``int(cum[j] * d[j])`` on and in
-    ``lo`` past ``int(below[j] * d[j])``, ``below[j]`` the float before
-    ``cum[j]``; one running count over the entries given serves all rows."""
-    o, n = np.repeat(buckets[:-1], degs), int(buckets[-1])
-    return (np.bincount((c * d).astype(np.int64) + o + k, minlength=n + 1)[:n]
-            .cumsum(dtype=np.int32) for c, k in ((cum, 0), (below, 1)))
+    def __getstate__(self):  # the one-vertex sampler is remade where it is used
+        return {k: v for k, v in vars(self).items() if k != "sampler"}
 
 
-def _rows_of(at, offsets):
-    """A mask of the rows that hold the entries ``at``."""
-    rows = np.zeros(offsets.size - 1, dtype=bool)
-    rows[np.searchsorted(offsets, at, side="right") - 1] = True
-    return rows
+def _bucket_keys(cum, below, count, degs):
+    """Each entry's buckets ``int(cum * d)`` and ``int(below * d)``, ``d`` the
+    float bucket count of its row (``count``, over rows of ``degs``
+    entries) and ``below`` the float before ``cum``."""
+    d = np.repeat(count.astype(float), degs)
+    return (cum * d).astype(np.int64), (below * d).astype(np.int64)
 
 
-def _split_rows(t, below, rows):
-    """Split the buckets of ``rows`` (sorted), each of which has one holding
-    two cumulative values or more, in 2, 4, ... until none does or
-    ``GUIDE_SPLITS`` is reached, then re-key those rows alone.
+def _crowded(high, low):
+    """The entries that share a bucket with the entry before them, both held.
 
-    A bucket holds entry ``j`` when the float before ``cum[j]`` falls in it
-    too, so it holds two exactly when two neighbors in a row, both held,
-    share it; a row's last entry, 1.0, is never held.  The other rows'
-    buckets move to their new keys unchanged.
+    A bucket holds an entry when the float before its cumulative value falls
+    in it too, so a bucket holds two exactly when two neighbors in a row,
+    both held, share it; a row's last entry, 1.0, is never held, so no pair
+    spans two rows.
     """
-    offsets, _, cum = t
+    held = high == low
+    return 1 + np.flatnonzero(held[1:] & held[:-1] & (high[1:] == high[:-1]))
+
+
+def _bucket_counts(offsets, cum, below, high, low):
+    """Each row's bucket count: its degree, doubled while one of its buckets
+    holds two cumulative values, at most ``GUIDE_SPLITS`` times.  ``high``
+    and ``low`` are the entries' buckets at one bucket an entry; each later
+    pass reads only the rows still crowded."""
     degs = np.diff(offsets)
-    n = degs[rows]
-    start = np.concatenate(([0], np.cumsum(n)))  # the rows' entries, joined
-    base = offsets[rows] - start[:-1]  # joined index + base = entry index
-    at = np.repeat(base, n) + np.arange(start[-1])
-    c, b = cum[at], below[at]
-    size, crowded = n.copy(), np.ones(rows.size, dtype=bool)
+    count, two = degs.copy(), _crowded(high, low)
     for _ in range(GUIDE_SPLITS):
-        size[crowded] *= 2
-        d = np.repeat(size.astype(float), n)
-        high, low = (c * d).astype(np.int64), (b * d).astype(np.int64)
-        held = high == low
-        two = np.flatnonzero(held[1:] & held[:-1] & (high[1:] == high[:-1]))
         if not two.size:
             break
-        crowded = _rows_of(two, start)
-    keys = np.concatenate(([0], np.cumsum(size)))
-    entry = np.repeat(base, size)  # joined count + entry = entry index
-    count = degs.copy()
-    count[rows] = size
-    buckets = np.concatenate(([0], np.cumsum(count)))
-    grow = np.zeros(offsets[-1], dtype=np.int64)
-    grow[offsets[rows + 1] - 1] = size - n
-    kept = np.cumsum(grow)  # each old bucket's new key: the buckets added before it
-    kept += np.arange(offsets[-1])
-    moved = np.repeat(buckets[rows] - keys[:-1], size) + np.arange(keys[-1])
-    for name, joined in zip(("hi", "lo"), _guide(c, b, d, n, keys)):
-        guide = np.empty(int(buckets[-1]), dtype=np.int32)
-        guide[kept] = getattr(t, name)  # a split row's buckets are overwritten next
-        joined += entry
-        guide[moved] = joined
-        setattr(t, name, guide)
-    t.deg, t._buckets = count.astype(float), buckets
+        rows = np.unique(np.searchsorted(offsets, two, side="right") - 1)
+        count[rows] *= 2
+        n = degs[rows]
+        at = np.repeat(offsets[rows] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        two = at[_crowded(*_bucket_keys(cum[at], below[at], count[rows], n))]
+    return count
+
+
+def _guide(high, low, degs, buckets):
+    """The guide ``(hi, lo)`` of rows of ``degs`` entries, keyed from
+    ``buckets[u]``: entry ``j`` counts in ``hi`` from its bucket ``high[j]``
+    on and in ``lo`` past ``low[j]``.  One running count over all entries
+    serves all rows."""
+    o, n = np.repeat(buckets[:-1], degs), int(buckets[-1])
+    return (np.bincount(b + o + k, minlength=n + 1)[:n].cumsum(dtype=np.int32)
+            for b, k in ((high, 0), (low, 1)))
 
 
 def _sampling_tables(net: Network):
@@ -181,9 +169,8 @@ def _sampling_tables(net: Network):
     are built in column passes, left to right within every row, and the
     last few long rows one at a time, so they equal a per-row ``np.cumsum``
     bit for bit.  A single-vertex network with no edges gets one self-loop
-    row.  The guide is built once with one bucket an entry, keyed
-    ``offsets[u] + b``; rows with a bucket that holds two cumulative values
-    or more are then split (:func:`_split_rows`).
+    row.  Each row's bucket count comes first (:func:`_bucket_counts`), then
+    the guide of all rows in one pass.
     """
     if net._tables is None:
         offsets, targets, weights = net.adjacency_csr()
@@ -205,15 +192,18 @@ def _sampling_tables(net: Network):
         cum /= np.repeat(cum[offsets[1:] - 1], degs)
         cum[offsets[1:] - 1] = 1.0
         t = SamplingTables((offsets, targets, cum))
-        t.deg = degs.astype(float)
         below = np.maximum(cum.view(np.int64) - 1, 0).view(float)  # prev(cum), 0 kept
-        t.hi, t.lo = _guide(cum, below, np.repeat(t.deg, degs), degs, offsets)
-        width = t.hi - t.lo
-        widest = int(width.max())
-        if widest > 1:  # bucket k of this guide is entry k
-            _split_rows(t, below, np.flatnonzero(_rows_of(np.flatnonzero(width > 1), offsets)))
-            widest = int((t.hi - t.lo).max())
-        t.ladder = widest.bit_length()
+        high, low = _bucket_keys(cum, below, degs, degs)
+        count = _bucket_counts(offsets, cum, below, high, low)
+        split = not np.array_equal(count, degs)
+        if split:
+            high, low = _bucket_keys(cum, below, count, degs)
+        buckets = np.concatenate(([0], np.cumsum(count))) if split else offsets
+        t.deg = count.astype(float)
+        t.hi, t.lo = _guide(high, low, degs, buckets)
+        if split:
+            t._buckets = buckets
+        t.ladder = int((t.hi - t.lo).max()).bit_length()
         if t.ladder == 0:
             t.first = targets[t.lo]
         net._tables = t
@@ -221,7 +211,7 @@ def _sampling_tables(net: Network):
 
 
 class CSRSampler:
-    """Batched one-step draws over the tables of :func:`_sampling_tables`.
+    """Batched and one-vertex draws over the tables of :func:`_sampling_tables`.
 
     With an empty ladder the draw is ``first`` at the bucket, one gather.
     Otherwise it counts from ``j = lo``, the bucket's first possible draw.
@@ -232,7 +222,7 @@ class CSRSampler:
     neighbor is ``targets[j]``: a ladder of 1 needs no ``hi``.
     """
 
-    def __init__(self, tables):
+    def __init__(self, tables, lists=False):
         self.buckets, self.deg = tables.buckets, tables.deg
         self.first = getattr(tables, "first", None)
         if self.first is None:  # a pickled sampler carries only what it reads
@@ -240,6 +230,13 @@ class CSRSampler:
             if tables.ladder > 1:
                 self.hi = tables.hi
         self.steps = [1 << i for i in reversed(range(tables.ladder))]
+        if lists:  # what walk() reads
+            self.bucket_list, self.deg_list = tables.buckets.tolist(), tables.deg.tolist()
+            if self.first is not None:
+                self.first_list = self.first.tolist()
+            else:
+                self.target_list, self.cum_list = self.targets.tolist(), self.cum.tolist()
+                self.lo_list, self.hi_list = self.lo.tolist(), tables.hi.tolist()
 
     def draw(self, u, r):
         """Vertices reached from the vertices ``u`` with the uniforms ``r``."""
@@ -255,31 +252,47 @@ class CSRSampler:
         j += cum[j] <= r
         return self.targets[j]
 
+    def walk(self, u, draws):
+        """The vertices that one walker from ``u`` reaches, one for each
+        uniform of ``draws`` it takes: the rule of :meth:`draw` on the Python
+        lists of a sampler made with ``lists`` (see :func:`network_sampler`)."""
+        buckets, deg = self.bucket_list, self.deg_list
+        if not self.steps:
+            first = self.first_list
+            for r in draws:
+                u = first[buckets[u] + int(r * deg[u])]
+                yield u
+            return
+        lo, hi, cum, targets = self.lo_list, self.hi_list, self.cum_list, self.target_list
+        passes = self.steps[:-1]
+        for r in draws:
+            at = buckets[u] + int(r * deg[u])
+            j = lo[at]
+            for step in passes:
+                if cum[min(j + step - 1, hi[at])] <= r:
+                    j += step
+            u = targets[j + (cum[j] <= r)]
+            yield u
 
-def _guide_search(cum, lo, hi, r):
-    """The first index in ``r``'s guide range ``[lo, hi]`` whose ``cum(j)`` is
-    above ``r``, by bisection: the rule of :meth:`CSRSampler.draw`, one draw."""
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if cum(mid) <= r:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    def step(self, u, r):
+        """The vertex reached from the one vertex ``u`` with the uniform ``r``."""
+        (v,) = self.walk(u, (r,))  # run to its end: closing a paused walk costs more
+        return v
+
+
+def network_sampler(net):
+    """The :class:`CSRSampler` of ``net`` for one-vertex draws, made with its
+    lists once per network and kept with the tables, which do not pickle it."""
+    tables = _sampling_tables(net)
+    if "sampler" not in vars(tables):
+        tables.sampler = CSRSampler(tables, lists=True)
+    return tables.sampler
 
 
 def sample_step(net, u, rng):
-    """One transition of the conductance-weighted walk from ``u``.
-
-    The same rule as :meth:`CSRSampler.draw`, by :func:`_guide_search` where
-    the tables have no ``first``, for callers that draw one step at a time.
-    """
-    _, targets, cum = tables = _sampling_tables(net)
-    r = rng.random()
-    at = tables.buckets.item(u) + int(r * tables.deg.item(u))
-    if tables.ladder == 0:
-        return tables.first.item(at)
-    return targets.item(_guide_search(cum.item, tables.lo.item(at), tables.hi.item(at), r))
+    """One transition of the conductance-weighted walk from ``u``, by
+    :meth:`CSRSampler.step` with one uniform drawn from ``rng``."""
+    return network_sampler(net).step(u, rng.random())
 
 
 class NetworkStepper:
@@ -305,12 +318,10 @@ def walk_discrete(net, start, T, seed):
     if T < 0:
         raise ValueError("T must be nonnegative")
     u = check_vertex(net, start)
-    rng = _as_rng(seed)
+    draws = iter(_as_rng(seed).random, None)  # one uniform a step, as the walk takes them
     out = np.empty(T + 1, dtype=np.int64)
     out[0] = u
-    for n in range(1, T + 1):
-        u = sample_step(net, u, rng)
-        out[n] = u
+    out[1:] = np.fromiter(network_sampler(net).walk(u, draws), np.int64, count=T)
     return Trajectory(out)
 
 
@@ -326,7 +337,7 @@ def walk_continuous(net, start, t_max, seed):
         raise ValueError("t_max must be positive")
     u = check_vertex(net, start)
     rng = _as_rng(seed)
-    rates = net.vertex_conductance
+    rates, step = net.vertex_conductance, network_sampler(net).step
     verts = [u]
     times = [0.0]
     t = 0.0
@@ -337,7 +348,7 @@ def walk_continuous(net, start, t_max, seed):
         t += rng.exponential(1.0 / rate)
         if t >= t_max:
             break
-        v = sample_step(net, u, rng)
+        v = step(u, rng.random())
         if v != u:
             verts.append(v)
             times.append(t)

@@ -47,8 +47,13 @@ configuration at a time t, from the 2^V chain.
 lists, as ``gen_wilson_ust`` ran before it stepped through the CSR sampler;
 it still gives the trees pinned then.  :func:`wilson_sample_step` is the
 loop of one ``sample_step`` call a step that ``gen_wilson_ust`` ran before
-it drew its uniforms in blocks, and :func:`spanning_tree_law` is the exact
-weighted spanning-tree law by enumeration.
+it drew its uniforms in blocks, and :func:`wilson_guide_rows` the loop that
+read the guide itself before it drew through the sampler's one-vertex
+form; both must give the same trees.  :func:`spanning_tree_law` is the
+exact weighted spanning-tree law by enumeration.  :func:`split_rows_tables`
+builds the sampling tables as the package did before it counted each row's
+buckets first: a guide of one bucket an entry, whose crowded rows are then
+split and re-keyed; every array and attribute must be the same.
 """
 
 import itertools
@@ -64,8 +69,9 @@ from collisionlab._parallel import (BLOCK_STEPS, TAG_CTCOLLIDE, TAG_GROWTH, TAG_
 from collisionlab.graph_core import TransitionKernel, build_network
 from collisionlab.interacting import collision_measure, discretization_integral
 from collisionlab.models import CombLattice, PathLattice
-from collisionlab.walk_engine import (CSRSampler, JumpTrajectory, _sampling_tables,
-                                      sample_step, substream_rng, walk_continuous)
+from collisionlab.walk_engine import (GUIDE_SPLITS, CSRSampler, JumpTrajectory,
+                                      SamplingTables, _sampling_tables, sample_step,
+                                      substream_rng, walk_continuous)
 
 
 def neighbor_probs(net):
@@ -260,6 +266,94 @@ def guide_range_step(net, u, rng):
         else:
             hi = mid
     return int(targets[lo])
+
+
+def _guide_two_pass(cum, below, d, degs, buckets):
+    """The guide ``(hi, lo)`` of rows of ``degs`` entries keyed from ``buckets``."""
+    o, n = np.repeat(buckets[:-1], degs), int(buckets[-1])
+    return (np.bincount((c * d).astype(np.int64) + o + k, minlength=n + 1)[:n]
+            .cumsum(dtype=np.int32) for c, k in ((cum, 0), (below, 1)))
+
+
+def _rows_of(at, offsets):
+    """A mask of the rows that hold the entries ``at``."""
+    rows = np.zeros(offsets.size - 1, dtype=bool)
+    rows[np.searchsorted(offsets, at, side="right") - 1] = True
+    return rows
+
+
+def _split_rows(t, below, rows):
+    """Split the buckets of ``rows`` 2, 4, ... fold until none holds two
+    cumulative values or ``GUIDE_SPLITS`` is reached, then re-key those rows
+    alone, moving the other rows' buckets to their new keys unchanged."""
+    offsets, _, cum = t
+    degs = np.diff(offsets)
+    n = degs[rows]
+    start = np.concatenate(([0], np.cumsum(n)))  # the rows' entries, joined
+    base = offsets[rows] - start[:-1]  # joined index + base = entry index
+    at = np.repeat(base, n) + np.arange(start[-1])
+    c, b = cum[at], below[at]
+    size, crowded = n.copy(), np.ones(rows.size, dtype=bool)
+    for _ in range(GUIDE_SPLITS):
+        size[crowded] *= 2
+        d = np.repeat(size.astype(float), n)
+        high, low = (c * d).astype(np.int64), (b * d).astype(np.int64)
+        held = high == low
+        two = np.flatnonzero(held[1:] & held[:-1] & (high[1:] == high[:-1]))
+        if not two.size:
+            break
+        crowded = _rows_of(two, start)
+    keys = np.concatenate(([0], np.cumsum(size)))
+    entry = np.repeat(base, size)  # joined count + entry = entry index
+    count = degs.copy()
+    count[rows] = size
+    buckets = np.concatenate(([0], np.cumsum(count)))
+    grow = np.zeros(offsets[-1], dtype=np.int64)
+    grow[offsets[rows + 1] - 1] = size - n
+    kept = np.cumsum(grow)  # each old bucket's new key: the buckets added before it
+    kept += np.arange(offsets[-1])
+    moved = np.repeat(buckets[rows] - keys[:-1], size) + np.arange(keys[-1])
+    for name, joined in zip(("hi", "lo"), _guide_two_pass(c, b, d, n, keys)):
+        guide = np.empty(int(buckets[-1]), dtype=np.int32)
+        guide[kept] = getattr(t, name)  # a split row's buckets are overwritten next
+        joined += entry
+        guide[moved] = joined
+        setattr(t, name, guide)
+    t.deg, t._buckets = count.astype(float), buckets
+
+
+def split_rows_tables(net):
+    """Sampling tables built in two passes, uncached: a guide of one bucket an
+    entry, then the crowded rows split and re-keyed by :func:`_split_rows`."""
+    offsets, targets, weights = net.adjacency_csr()
+    if targets.size == 0:
+        offsets, targets, weights = np.array([0, 1]), np.zeros(1, dtype=np.int64), np.ones(1)
+    degs = np.diff(offsets)
+    cum = weights.copy()
+    rows, top = np.arange(degs.size), int(degs.max())
+    for k in range(1, top):
+        rows = rows[degs[rows] > k]
+        if rows.size < top - k:
+            for a, b in zip(offsets[rows].tolist(), offsets[rows + 1].tolist()):
+                np.add.accumulate(weights[a:b], out=cum[a:b])
+            break
+        at = offsets[rows] + k
+        cum[at] += cum[at - 1]
+    cum /= np.repeat(cum[offsets[1:] - 1], degs)
+    cum[offsets[1:] - 1] = 1.0
+    t = SamplingTables((offsets, targets, cum))
+    t.deg = degs.astype(float)
+    below = np.maximum(cum.view(np.int64) - 1, 0).view(float)
+    t.hi, t.lo = _guide_two_pass(cum, below, np.repeat(t.deg, degs), degs, offsets)
+    width = t.hi - t.lo
+    widest = int(width.max())
+    if widest > 1:
+        _split_rows(t, below, np.flatnonzero(_rows_of(np.flatnonzero(width > 1), offsets)))
+        widest = int((t.hi - t.lo).max())
+    t.ladder = widest.bit_length()
+    if t.ladder == 0:
+        t.first = targets[t.lo]
+    return t
 
 
 def adjacency_lexsort(net):
@@ -848,6 +942,62 @@ def wilson_sample_step(base, seed=0):
         u = start
         while not in_tree[u]:
             v = sample_step(base, u, rng)
+            parent[u] = v
+            u = v
+        u = start
+        while not in_tree[u]:
+            in_tree[u] = True
+            u = parent[u]
+    u, v = np.arange(1, n), np.array(parent[1:])
+    offsets, targets, weights = base.adjacency_csr()
+    keys = np.repeat(np.arange(n), np.diff(offsets)) * n + targets
+    w = weights[np.searchsorted(keys, u * n + v)]
+    return build_network(n, np.column_stack([u, v, w]))
+
+
+def wilson_guide_rows(base, seed=0):
+    """Wilson's algorithm reading the guide itself, by block-drawn uniforms.
+
+    On ladder-0 tables each step reads a Python list of the vertex's
+    ``first`` entries; otherwise it bisects the guide range of ``r``'s
+    bucket through memoryviews of the tables.  The tables are those of
+    :func:`split_rows_tables`.
+    """
+    n = base.vertex_count
+    if n == 1:
+        return build_network(1, [])
+    rng = np.random.default_rng(seed)
+    tables = split_rows_tables(base)
+    deg, rows = tables.deg.tolist(), None
+    if tables.ladder == 0:
+        first, cut = tables.first.tolist(), tables.buckets.tolist()
+        rows = [first[a:b] for a, b in zip(cut, cut[1:])]
+    else:
+        buckets, targets, cum, lo, hi = map(
+            memoryview, (tables.buckets, *tables[1:], tables.lo, tables.hi))
+    draws, block = iter(()), 8
+    in_tree = [False] * n
+    in_tree[0] = True
+    parent = [0] * n
+    for start in range(1, n):
+        u = start
+        while not in_tree[u]:
+            r = next(draws, None)
+            if r is None:
+                draws, block = iter(rng.random(block).tolist()), min(2 * block, 4096)
+                r = next(draws)
+            if rows is not None:
+                v = rows[u][int(r * deg[u])]
+            else:
+                at = buckets[u] + int(r * deg[u])
+                a, b = lo[at], hi[at]
+                while a < b:
+                    mid = (a + b) >> 1
+                    if cum[mid] <= r:
+                        a = mid + 1
+                    else:
+                        b = mid
+                v = targets[a]
             parent[u] = v
             u = v
         u = start

@@ -19,6 +19,7 @@ import oracles
 import collisionlab
 from collisionlab import (
     CertificateViolationError,
+    build_network,
     ConfigError,
     ResourceLimitError,
     experiment_cli,
@@ -513,6 +514,25 @@ class TestRun:
                        transport="leaf_adjacency", root_law="biased"))
         assert env.payload == {"out": 0.5, "in": 1.0, "verdict": "violated"}
 
+    def test_indeterminate_mtp_writes_strict_json(self, tmp_path):
+        # conductances of 1e13 put the qlast transport past its value cap: the
+        # masses are undefined and echo as null in both files
+        path = tmp_path / "star.json"
+        star = build_network(5, [(0, v, 1e13) for v in range(1, 5)])
+        path.write_text(json.dumps(star.to_json_dict()))
+        out, envelope = tmp_path / "out.json", tmp_path / "env.json"
+        assert main(["mtp", "--network", str(path), "--transport", "qlast:0:1",
+                     "--output", str(out), "--envelope", str(envelope)]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = {"out": None, "in": None, "verdict": "indeterminate"}
+        assert json.loads(out.read_text(), parse_constant=reject) == payload
+        assert json.loads(envelope.read_text(), parse_constant=reject)["payload"] == payload
+        env = run(_cfg(kind="mtp", network_file=str(path), transport="qlast:0:1"))
+        assert json.loads(env.deterministic_bytes())["payload"] == payload
+
     def test_gen_writes_network_and_sidecar(self, tmp_path):
         out = tmp_path / "net.json"
         env = run(_cfg(kind="gen", model={"name": "comb", "R": 2}, output=str(out)))
@@ -880,6 +900,27 @@ class TestOutputPaths:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {field}:")
         assert not (tmp_path / "absent").exists()
+
+
+    def test_gen_sidecar_directory_refused_before_build(self, tmp_path, monkeypatch):
+        # the sidecar is written after the network: a directory in its place
+        # is refused before the model is built and before either file is written
+        out = tmp_path / "g.json"
+        (tmp_path / "g.sidecar.json").mkdir()
+        cfg = _cfg(kind="gen", model={"name": "path", "R": 3}, output=str(out))
+        problems = validate(cfg)
+        assert len(problems) == 1
+        assert problems[0].startswith("output:") and "g.sidecar.json is a directory" in problems[0]
+
+        def build(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr("collisionlab.models._box_bonds", build)
+        with pytest.raises(ConfigError, match="^output:.*sidecar"):
+            run(cfg)
+        assert main(["gen", "--model", "path", "--model-param", "R=3",
+                     "--output", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestCommandLine:

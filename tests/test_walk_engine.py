@@ -1,7 +1,9 @@
+import ast
 import csv
 import hashlib
 import itertools
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from collisionlab.walk_engine import (
     CSRSampler,
     NetworkStepper,
     _sampling_tables,
+    network_sampler,
     sample_step,
     write_trajectory_csv,
 )
@@ -268,6 +271,133 @@ class TestSplitGuide:
         tables = _sampling_tables(make())
         assert tables.buckets is tables[0]
         assert _tables_digest(tables) == digest
+
+
+def _pa_tree(n=3000, seed=24):
+    """A preferential-attachment tree with conductances uniform in [0.5, 2]:
+    its hubs' rows split, most leaves' rows do not."""
+    rng = np.random.default_rng(seed)
+    ends, edges = [1, 0], [(1, 0, 1.0)]
+    for k in range(2, n):
+        target = ends[int(rng.random() * len(ends))]
+        edges.append((k, target, float(rng.uniform(0.5, 2.0))))
+        ends += [k, target]
+    return build_network(n, edges)
+
+
+def _fresh(net):
+    """A copy of ``net`` with no tables built yet."""
+    return build_network(net.vertex_count, np.column_stack([net.ends, net.conductances]))
+
+
+_TABLE_NETS = [
+    *_SAMPLER_NETS, *_SPLIT_NETS[:-1], ("torus5", gen_torus(5).network),
+    ("percolation30", gen_percolation_cluster(30, 0.5, seed=4).network),
+    ("pa_tree", _pa_tree()),
+    *((f"random{i}", net) for i, net in enumerate(nets.battery(30, min_vertices=20,
+                                                               max_vertices=200))),
+]
+
+# ladder 0, ladder 1, ladder 2 at the split cap and ladder 6
+_LADDER_NETS = [("torus6", gen_torus(6).network), ("parallel_and_loops", nets.parallel_and_loops()),
+                ("tiny_beside_unit", nets.tiny_beside_unit()), ("skewed_hub", nets.skewed_hub())]
+
+
+class TestOneSampler:
+    """The tables' guide built in one pass, and one draw rule for batched and
+    one-vertex draws, against the two-pass build and the loops they replaced."""
+
+    @pytest.mark.parametrize("name,net", _TABLE_NETS, ids=[n for n, _ in _TABLE_NETS])
+    def test_tables_match_two_pass_build(self, name, net):
+        tables, ref = _sampling_tables(_fresh(net)), oracles.split_rows_tables(net)
+        assert vars(tables).keys() == vars(ref).keys()
+        assert (tables.buckets is tables[0]) == (ref.buckets is ref[0])
+        assert tables.ladder == ref.ladder
+        for a, b in zip((*tables, *vars(tables).values()), (*ref, *vars(ref).values())):
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_pa_tree_splits_some_rows(self):
+        tables = _sampling_tables(_fresh(_pa_tree()))
+        degs = np.diff(tables[0])
+        assert "_buckets" in vars(tables) and 0 < (tables.deg != degs).sum() < degs.size // 10
+        assert tables.ladder == 1
+
+    @pytest.mark.parametrize("name,net", _LADDER_NETS, ids=[n for n, _ in _LADDER_NETS])
+    def test_one_vertex_form_matches_draw(self, name, net):
+        tables = _sampling_tables(net)
+        u, r = _boundary_cases(net)
+        u = np.concatenate([u, np.repeat(np.arange(net.vertex_count), 2)])
+        r = np.concatenate([r, np.tile([0.0, np.nextafter(1.0, 0.0)], net.vertex_count)])
+        expected = CSRSampler(tables).draw(u, r).tolist()
+        step = network_sampler(net).step
+        assert [step(a, b) for a, b in zip(u.tolist(), r.tolist())] == expected
+        replay = _FixedUniforms(r.tolist())
+        assert [oracles.guide_range_step(net, a, replay) for a in u.tolist()] == expected
+        ladder = {"torus6": 0, "parallel_and_loops": 1, "tiny_beside_unit": 2, "skewed_hub": 6}
+        assert tables.ladder == ladder[name]
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_torus(8).network,
+        lambda: gen_percolation_cluster(12, 0.5, seed=2).network,
+        nets.skewed_hub, lambda: nets.skewed_hub(hub=1),
+        lambda: nets.random_connected_network(5),
+        nets.parallel_and_loops, nets.tiny_beside_unit,
+        lambda: nets.weighted_star(60, cycle=True),
+    ], ids=["torus8", "percolation12", "skewed_hub", "skewed_hub_at_1", "random_conductances",
+            "parallel_and_loops", "tiny_beside_unit", "partly_split"])
+    def test_wilson_trees_match_guide_loop(self, make):
+        base = make()
+        for seed in (1, 2, 3):
+            assert gen_wilson_ust(base, seed).edges == oracles.wilson_guide_rows(base, seed).edges
+
+    @pytest.mark.parametrize("name,net", _LADDER_NETS, ids=[n for n, _ in _LADDER_NETS])
+    def test_one_vertex_draws_pickle_nothing_more(self, name, net):
+        net = _fresh(net)
+        stepper, network = len(pickle.dumps(NetworkStepper(net, 0))), len(pickle.dumps(net))
+        walk_discrete(net, 0, 50, seed=1)
+        assert "sampler" in vars(_sampling_tables(net))
+        assert len(pickle.dumps(NetworkStepper(net, 0))) == stepper
+        assert len(pickle.dumps(net)) == network
+        again = pickle.loads(pickle.dumps(net))
+        assert walk_discrete(again, 0, 50, seed=1).steps.tolist() == \
+            walk_discrete(net, 0, 50, seed=1).steps.tolist()
+
+
+_GUIDE_FIELDS = {"ladder", "lo", "hi", "first", "buckets", "_buckets"}
+
+
+def guide_reads(source):
+    """(line, name) of every read of a guide field of the sampling tables and
+    every private ``walk_engine`` name used in ``source``, but
+    ``_sampling_tables``, which builds the tables (and which the benchmark's
+    tracer wraps where each module looks it up)."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _GUIDE_FIELDS:
+            hits.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "walk_engine" and node.attr.startswith("_")):
+            hits.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("walk_engine"):
+            hits += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+    return [(line, name) for line, name in hits if name != "_sampling_tables"]
+
+
+def test_only_walk_engine_reads_the_guide():
+    # other modules draw through CSRSampler and network_sampler, never the guide
+    package = Path(__file__).resolve().parents[1] / "src" / "collisionlab"
+    hits = {path.name: guide_reads(path.read_text()) for path in sorted(package.glob("*.py"))
+            if path.name != "walk_engine.py"}
+    assert {name: found for name, found in hits.items() if found} == {}
+
+
+def test_guide_guard_finds_reads():
+    source = ("from . import walk_engine\nfrom .walk_engine import _guide, _sampling_tables\n"
+              "t = walk_engine._sampling_tables(net)\nf = walk_engine._guide_search\n"
+              "x = t.ladder + t.lo[0] + t.hi[0] + t.first[0] + t.buckets[0] + t._buckets[0]\n")
+    assert sorted(guide_reads(source)) == sorted([(2, "_guide"), (4, "_guide_search"), *(
+        (5, name) for name in _GUIDE_FIELDS)])
 
 
 class TestStartRange:
