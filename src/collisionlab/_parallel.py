@@ -222,15 +222,16 @@ def run_chunked(worker, payloads, workers=1):
     result beside the merged results, not every group's.  Nothing runs until
     the first result is taken.  At most ``workers`` payloads are submitted
     beyond the result being taken, as finished results wait here until taken.
+    No more processes start than there are payloads or usable CPUs.
     """
-    if workers <= 1 or len(payloads) <= 1:
+    workers = min(workers, len(payloads), _usable_cpus())
+    if workers <= 1:
         yield from map(worker, payloads)
         return
     # imported here: together they take 20-27 ms, and one worker needs neither
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(workers, len(payloads))
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         pending = deque()

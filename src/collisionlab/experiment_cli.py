@@ -13,19 +13,23 @@ own vertex count and certificate, or its vertex count when that is known
 before building.  Resolution, validation (parameter checks, certified
 horizons, the memory cap) and the ``--model`` help all read that table.  The
 numeric config fields are checked by the same :class:`Param` type, from
-:data:`_FIELDS`, and a run uses the checked values.  Validation
-refuses a run whose arrays would exceed ``graph_core.MEMORY_BUDGET``: the
-model's box, the dense kernels when the vertex count is known beforehand, the
-per-replica results (a voter run's opinion rows on a network file once it
-loads), the per-replica CSV rows when ``output`` is set (voter and ctcollide
-build them only then) and the dump.  It also refuses a voter ``t_max`` whose
-V·t_max events are too many for one Poisson draw of a replica's event
-budget, when V is known (a network file's, once it loads), and an output,
-envelope or dump path that is a directory or whose directory does not
-exist, so no run fails at its write after sampling.  Flags are described once
-too: ``_FLAGS`` maps each flag to the config field it sets, ``_SUBCOMMANDS``
-lists the flags of each run subcommand, and ``validate`` takes all of them,
-so it checks any run's command line.
+:data:`_FIELDS`, and a run uses the checked values.  Validation is the only
+place that refuses a run, but for a network file that fails to load, which
+only the run reads.  It refuses a run whose arrays would exceed
+``graph_core.MEMORY_BUDGET``: the model's box, the dense kernels, the
+per-replica results (a voter replica's opinion row), the per-replica CSV rows
+when ``output`` is set (voter and ctcollide build them only then) and the
+dump; a start or ``initial`` vertex outside [0, V); a voter ``t_max`` whose
+V·t_max events are too many for one Poisson draw of a replica's event budget;
+a network file that is not a file; and an output, envelope or dump path that
+is a directory or whose directory does not exist, so no run fails at its
+write after sampling.  The checks that read the vertex count V run when V is
+known before building; when only the build gives it (a network file, a
+percolation cluster), ``run`` repeats them with V right after the build,
+before any sampler or kernel.  Flags are described once too: ``_FLAGS``
+maps each flag to the config field it sets, ``_SUBCOMMANDS`` lists the
+flags of each run subcommand, and ``validate`` takes all of them, so it
+checks any run's command line.
 
 Results are wrapped in a :class:`ResultEnvelope` whose deterministic body
 (version, canonical config echo, payload) is byte-identical across runs and
@@ -260,7 +264,7 @@ MODELS = {
 @dataclass
 class ResolvedGraph:
     walker: object = None  # the lattice walker that collide walks (no start), else None
-    vertex_count: Optional[int] = None  # when known before building
+    vertex_count: Optional[int] = None  # when known before building, or from the build
     sites: Optional[int] = None  # bound on the vertex count, when known before building
     gen_site_bytes: int = SITE_BYTES  # charge a site of a ``gen`` run
     _materialize: object = None
@@ -330,14 +334,10 @@ def resolve_graph(config):
 
 
 def _network_and_start(config, resolved):
-    """The built model's network and the run's start vertex, checked against it."""
+    """The built model's network and the run's start vertex."""
     model = resolved.model()
-    net = model.network
-    if config.start is None:
-        return net, model.start if model.start is not None else 0
-    if config.start >= net.vertex_count:
-        raise ConfigError(f"start: vertex {config.start} is outside [0, {net.vertex_count})")
-    return net, config.start
+    start = model.start if config.start is None else config.start
+    return model.network, start or 0
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +392,9 @@ def _check_fields(config):
     return replace(config, **values), out
 
 
-def _violations(config):
-    """(violations, the config with its numeric fields checked)."""
+def _violations(config, vertices=None):
+    """(violations, the config with its numeric fields checked), without
+    building; ``vertices`` is the built model's count when only a build gives it."""
     if config.kind not in _RUNNERS:
         return [Violation("kind", f"unknown experiment kind {config.kind!r}")], config
     config, out = _check_fields(config)
@@ -401,7 +402,13 @@ def _violations(config):
         return out, config  # the checks below read these fields
 
     resolved, out = _resolve(config)
+    if vertices is not None:
+        resolved.vertex_count = vertices
     walker = resolved.walker if resolved else None
+    V = resolved.vertex_count if resolved else None
+    # gen and mtp do not read start
+    if V and config.start is not None and config.start >= V and config.kind not in ("gen", "mtp"):
+        out.append(Violation("start", f"vertex {config.start} is outside [0, {V})"))
     window = config.n_steps or 0
     if config.kind == "collide":
         if not config.horizons:
@@ -429,12 +436,12 @@ def _violations(config):
 
     if config.kind == "voter" and config.initial is not None:
         try:
-            _initial_ones(config.initial, resolved and resolved.vertex_count)
+            _initial_ones(config.initial, V)
         except ValueError as exc:
             out.append(Violation("initial", str(exc)))
-    if config.kind == "voter" and resolved and resolved.vertex_count:
+    if config.kind == "voter" and V:
         try:
-            _voter_t_max(config, resolved.vertex_count)
+            check_event_budget(V, _voter_t_max(config, V))
         except ValueError as exc:
             out.append(Violation("t_max", str(exc)))
 
@@ -447,8 +454,11 @@ def _violations(config):
 
 
 def _path_violations(config):
-    """Output paths that no run could write, refused before any sampling."""
-    out = []
+    """Network and output paths that no run could read or write, refused before building."""
+    out, file = [], config.network_file
+    if config.model is None and file is not None and not (
+            isinstance(file, (str, os.PathLike)) and os.path.isfile(file)):
+        out.append(Violation("network_file", f"{file} is not a file"))
     paths = [(field, getattr(config, field)) for field in ("output", "envelope_path",
                                                            "dump_trajectories")]
     if config.kind == "gen" and config.output and isinstance(config.output, (str, os.PathLike)):
@@ -466,7 +476,7 @@ def _path_violations(config):
 
 
 def _memory_violations(config, resolved, window):
-    """The run's arrays against the memory cap, from what is known before building."""
+    """The run's arrays against the memory cap, from the sizes known so far."""
     out = []
 
     def require(field, estimate, *args):
@@ -484,7 +494,7 @@ def _memory_violations(config, resolved, window):
     if config.kind in ("identity", "mtp") and V is not None:
         require("model", require_memory, dense_bytes(V, window),
                 f"the dense kernels on {V} vertices")
-    require("replicas", _require_results, config, sites)
+    require("replicas", _require_results, config, V or sites)
     if config.kind == "collide" and config.dump_trajectories and config.horizons:
         walks = 2 * min(config.dump_limit, config.replicas)
         steps = walks * (max(config.horizons) + 1)
@@ -509,9 +519,9 @@ def validate(config):
     return [str(v) for v in _violations(config)[0]]
 
 
-def _raise_violations(config):
+def _raise_violations(config, vertices=None):
     """The config with its numeric fields checked, or the typed error of its violations."""
-    problems, config = _violations(config)
+    problems, config = _violations(config, vertices)
     if problems:
         raise problems[0].error("; ".join(str(p) for p in problems))
     return config
@@ -637,32 +647,19 @@ def _initial_ones(spec, V):
 
 
 def _parse_initial(spec, net, start):
-    V = net.vertex_count
-    try:
-        ones = _initial_ones(f"single:{start}" if spec is None else spec, V)
-    except ValueError as exc:
-        raise ConfigError(f"initial: {exc}")
-    ops = np.zeros(V, dtype=np.int8)
-    ops[ones] = 1
+    ops = np.zeros(net.vertex_count, dtype=np.int8)
+    ops[_initial_ones(f"single:{start}" if spec is None else spec, net.vertex_count)] = 1
     return ops
 
 
 def _voter_t_max(config, vertices):
-    """The voter's ``t_max``, 50·V² by default; ValueError when V·t_max is
-    too large for one Poisson draw of an event budget."""
-    t_max = config.t_max if config.t_max is not None else 50.0 * vertices**2
-    check_event_budget(vertices, t_max)
-    return t_max
+    """The voter's ``t_max``, 50·V² by default."""
+    return config.t_max if config.t_max is not None else 50.0 * vertices**2
 
 
 def _run_voter(config, resolved):
     net, start = _network_and_start(config, resolved)
-    # a network file's vertex count is known only now
-    _require_results(config, net.vertex_count)
-    try:
-        t_max = _voter_t_max(config, net.vertex_count)
-    except ValueError as exc:
-        raise ConfigError(f"t_max: {exc}") from None
+    t_max = _voter_t_max(config, net.vertex_count)
     initial = _parse_initial(config.initial, net, start)
     ens = voter_ensemble(
         net, initial, t_max, config.replicas, config.master_seed, workers=config.workers
@@ -729,6 +726,8 @@ def run(config):
     checked = _raise_violations(config)
     resolved = resolve_graph(checked)
     t0 = time.perf_counter()
+    if resolved.vertex_count is None:  # only the build gives it: the same checks again
+        _raise_violations(checked, resolved.model().network.vertex_count)
     payload, rows, work = _RUNNERS[config.kind](checked, resolved)
     wall = time.perf_counter() - t0
     meta = {"wall_clock_s": wall, "workers": checked.workers}

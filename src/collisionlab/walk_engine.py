@@ -155,8 +155,8 @@ def _guide(high, low, degs, buckets):
     on and in ``lo`` past ``low[j]``.  One running count over all entries
     serves all rows."""
     o, n = np.repeat(buckets[:-1], degs), int(buckets[-1])
-    return (np.bincount(b + o + k, minlength=n + 1)[:n].cumsum(dtype=np.int32)
-            for b, k in ((high, 0), (low, 1)))
+    return (np.bincount(b + o, minlength=n + 1)[:n].cumsum(dtype=np.int32)
+            for b in (high, low + 1))
 
 
 def _sampling_tables(net: Network):

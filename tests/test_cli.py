@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import hashlib
 import json
@@ -644,6 +645,121 @@ class TestStartRange:
                    **_KIND_FIELDS[kind])
         with pytest.raises(ConfigError, match=r"^start: "):
             run(cfg)
+
+    @pytest.mark.parametrize("kind", sorted(_KIND_FIELDS))
+    @pytest.mark.parametrize("model,V", [({"name": "torus", "side": 4}, 16),
+                                         ({"name": "ust_torus", "side": 4}, 16),
+                                         ({"name": "path", "R": 7}, 15)])
+    def test_out_of_range_start_refused_unbuilt(self, kind, model, V, monkeypatch):
+        def build(*args):
+            raise AssertionError("the model was built")
+
+        # the vertex count of these models is known before building
+        monkeypatch.setitem(MODELS, model["name"], replace(MODELS[model["name"]], build=build))
+        cfg = _cfg(kind=kind, model=model, start=V, **_KIND_FIELDS[kind])
+        message = f"start: vertex {V} is outside [0, {V})"
+        assert validate(cfg) == [message]
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            run(cfg)
+
+
+# count-dependent refusals: (field, config fields, error, memory cap or None).
+# On torus 4 (16 vertices, 8,192 bytes of sites) a cap of 10,000 bytes
+# refuses 250 voter rows of 16 + 33 bytes and the dense kernels, but not
+# 250 rows of an unknown count (33 bytes each).
+_COUNT_REFUSALS = [
+    ("start", {"kind": "identity", "n_steps": 3, "start": 16}, ConfigError, None),
+    ("start", {"kind": "ctcollide", "replicas": 2, "start": 16}, ConfigError, None),
+    ("initial", {"kind": "voter", "replicas": 2, "t_max": 1.0, "initial": "single:16"},
+     ConfigError, None),
+    ("t_max", {"kind": "voter", "replicas": 2, "t_max": 4e18}, ConfigError, None),
+    ("replicas", {"kind": "voter", "replicas": 250, "t_max": 1.0}, ResourceLimitError, 10_000),
+    ("model", {"kind": "identity", "n_steps": 4}, ResourceLimitError, 10_000),
+    ("model", {"kind": "mtp", "transport": "adjacency"}, ResourceLimitError, 10_000),
+]
+
+# what a run calls after its model is built
+_SAMPLERS = ("collision_growth", "walk_pair", "last_collision_identity", "check_mtp",
+             "voter_ensemble", "continuous_collision_ensemble")
+
+
+def runner_refusals(source):
+    """(function, line) of every ``raise`` and every memory check in the
+    runners, ``_network_and_start`` and ``_parse_initial`` of ``source``: a
+    run is refused by ``_violations`` alone."""
+    checks = {"require_memory", "require_sites", "_require_results"}
+    hits = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef) or not (
+                fn.name.startswith("_run_") or fn.name in ("_network_and_start", "_parse_initial")):
+            continue
+        for node in ast.walk(fn):
+            called = isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) in checks
+            if called or isinstance(node, ast.Raise):
+                hits.append((fn.name, node.lineno))
+    return hits
+
+
+class TestOneCheckPass:
+    @pytest.mark.parametrize("field,fields,error,cap", _COUNT_REFUSALS)
+    def test_network_file_refused_as_the_same_torus(self, field, fields, error, cap, tmp_path,
+                                                    monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("built or sampled")
+
+        path = tmp_path / "torus4.json"
+        path.write_text(json.dumps(gen_torus(4).network.to_json_dict()))
+        for name in _SAMPLERS + ("gen_torus",):
+            monkeypatch.setattr(experiment_cli, name, fail)
+        if cap is not None:
+            monkeypatch.setattr("collisionlab.graph_core.MEMORY_BUDGET", cap)
+        torus = _cfg(model={"name": "torus", "side": 4}, **fields)
+        named = validate(torus)
+        assert [p.split(":")[0] for p in named] == [field]
+        with pytest.raises(error) as refused:
+            run(torus)
+        assert str(refused.value) == named[0]
+        # the file's vertex count is known once it loads, before any sampling
+        file = replace(torus, model=None, network_file=str(path))
+        assert validate(file) == []
+        with pytest.raises(error) as refused:
+            run(file)
+        assert str(refused.value) == named[0]
+
+    def test_percolation_start_refused_after_build(self, monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(experiment_cli, "collision_growth", sample)
+        # the cluster of 13,507 vertices is known only once it is built
+        cfg = _cfg(kind="collide", model={"name": "percolation", "n": 200, "seed": 0},
+                   horizons=(4,), replicas=5, start=13507)
+        assert validate(cfg) == []
+        with pytest.raises(ConfigError, match=r"^start: vertex 13507 is outside \[0, 13507\)$"):
+            run(cfg)
+
+    @pytest.mark.parametrize("name", ["absent.json", ""])
+    def test_network_file_not_a_file_named(self, name, tmp_path, capsys):
+        # "" names tmp_path itself, a directory
+        path = os.path.join(tmp_path, name)
+        assert validate(_cfg(kind="collide", network_file=path, horizons=(5,))) == [
+            f"network_file: {path} is not a file"]
+        assert main(["validate", "--kind", "collide", "--network", path, "--horizons", "5"]) == 2
+        assert json.loads(capsys.readouterr().out) == [f"network_file: {path} is not a file"]
+
+    def test_runners_refuse_nothing(self):
+        source = Path(experiment_cli.__file__).read_text()
+        assert runner_refusals(source) == []
+
+    def test_refusal_guard_finds_checks(self):
+        source = ("def _run_x(config):\n    require_memory(8, 'x')\n"
+                  "    graph_core.require_memory(8, 'x')\n"
+                  "def _network_and_start(config, resolved):\n    raise ConfigError('start')\n"
+                  "def _parse_initial(spec, net, start):\n    _require_results(spec, 3)\n"
+                  "def _violations(config):\n    raise ConfigError('kind')\n")
+        assert runner_refusals(source) == [("_run_x", 2), ("_run_x", 3),
+                                           ("_network_and_start", 5), ("_parse_initial", 7)]
 
 
 def _weighted_hub():

@@ -4,6 +4,7 @@ Every group engine must give, bit for bit, what its chunks give when each is
 stepped alone by the per-chunk loops in ``oracles``, whatever the grouping.
 """
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -53,6 +54,35 @@ class TestRunChunked:
         assert calls == []
         assert next(results) == 4 and calls == [4]
         assert list(results) == [5, 6] and calls == [4, 5, 6]
+
+    def test_pool_capped_at_usable_cpus(self, monkeypatch):
+        started = []
+
+        class Pool:  # runs each payload at submit, in this process
+            def __init__(self, max_workers, mp_context):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, worker, payload):
+                future = concurrent.futures.Future()
+                future.set_result(worker(payload))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 3)
+        squares = [x * x for x in range(10)]
+        assert list(run_chunked(_square, list(range(10)), 100_000)) == squares
+        assert list(run_chunked(_square, list(range(2)), 100_000)) == squares[:2]
+        assert started == [3, 2]
+        # one usable CPU runs the payloads here, with no pool
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)
+        assert list(run_chunked(_square, list(range(10)), 4)) == squares
+        assert started == [3, 2]
 
     def test_cli_import_leaves_out_the_pool(self):
         # only workers > 1 starts a pool, so a fresh import loads neither module
