@@ -9,7 +9,6 @@ from .errors import (
     DisconnectedGraphError,
     EndpointOutOfRangeError,
     HorizonMismatchError,
-    LengthMismatchError,
     NonpositiveConductanceError,
     ResourceLimitError,
     TransportCapExceededError,
@@ -24,7 +23,6 @@ from .graph_core import (
     n_step_kernel,
     network_from_json,
     stationary_distribution,
-    transition_prob,
 )
 from .models import (
     CombLattice,
@@ -50,17 +48,12 @@ from .walk_engine import (
     walk_pair,
 )
 from .collision_stats import (
-    CollisionReport,
     GrowthResult,
     HorizonEstimates,
-    ParityFeasibility,
     collision_growth,
-    count_collisions,
     horizon_estimates,
     last_collision_identity,
     last_collision_identity_all,
-    parity_feasibility,
-    q0_exact,
     q0_profile,
     q0_profile_all,
     qlast_horizon,
@@ -70,23 +63,17 @@ from .mtp_check import (
     MtpVerdict,
     RootedDistribution,
     adjacency_transport,
-    check_detailed_balance_n,
     check_mtp,
     check_reversibility_labeled,
-    expected_mass,
     leaf_adjacency_transport,
     qlast_transport,
-    random_transport,
-    received_mass_identity,
     received_mass_identity_all,
     transport_by_name,
 )
 from .interacting import (
-    CoalescingResult,
     CollisionMeasure,
     VoterConfiguration,
     VoterEnsembleResult,
-    coalescing_walks,
     collision_measure,
     continuous_collision_ensemble,
     discretization_integral,

@@ -38,42 +38,12 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from ._parallel import TAG_GROWTH, ChunkGroup, chunk_groups, run_chunked
-from .errors import LengthMismatchError
-from .graph_core import (Network, check_vertex, dense_bytes, is_bipartite, kernel_powers,
-                         require_memory)
-from .walk_engine import NetworkStepper, Trajectory
-
-
-@dataclass(frozen=True)
-class CollisionReport:
-    """Meeting times of two equal-length discrete trajectories."""
-
-    collision_times: np.ndarray  # sorted times n >= 1 with X_n = Y_n
-    collision_count: int
-    includes_time_zero: bool
-
-
-def count_collisions(trajectory_x, trajectory_y):
-    """Exact pointwise comparison of two trajectories of equal length."""
-    x = trajectory_x.steps if isinstance(trajectory_x, Trajectory) else np.asarray(trajectory_x)
-    y = trajectory_y.steps if isinstance(trajectory_y, Trajectory) else np.asarray(trajectory_y)
-    if len(x) != len(y):
-        raise LengthMismatchError(
-            f"trajectories have lengths {len(x)} and {len(y)}; they must match"
-        )
-    equal = x == y
-    times = np.flatnonzero(equal)
-    times = times[times >= 1]
-    return CollisionReport(
-        collision_times=times,
-        collision_count=int(times.size),
-        includes_time_zero=bool(equal[0]),
-    )
+from .graph_core import Network, check_vertex, dense_bytes, kernel_powers, require_memory
+from .walk_engine import NetworkStepper
 
 
 def q0_profile_all(net, N):
@@ -103,11 +73,6 @@ def q0_profile(net, v, N):
     """Array q0(v, m) for m = 0..N; a column of :func:`q0_profile_all`."""
     v = check_vertex(net, v, "vertex")
     return q0_profile_all(net, N)[:, v]
-
-
-def q0_exact(net, v, m):
-    """Probability two independent walks from v never meet at steps 1..m."""
-    return float(q0_profile(net, v, m)[m])
 
 
 @dataclass(frozen=True)
@@ -308,26 +273,3 @@ def collision_growth(
         horizons=tuple(horizons), counts=counts, stats=stats, seed=int(seed)
     )
 
-
-# ---------------------------------------------------------------------------
-# Parity
-# ---------------------------------------------------------------------------
-
-
-class ParityFeasibility(Enum):
-    FEASIBLE = "feasible"
-    ALWAYS_INFEASIBLE = "always_infeasible"
-
-
-def parity_feasibility(net, u, v):
-    """Whether two walks from u and v can ever occupy the same vertex.
-
-    On a bipartite graph the color difference of the two walkers is conserved,
-    so starts in different classes can never meet; every other case is
-    feasible.
-    """
-    u, v = check_vertex(net, u, "vertex"), check_vertex(net, v, "vertex")
-    bip, colors = is_bipartite(net)
-    if bip and colors[u] != colors[v]:
-        return ParityFeasibility.ALWAYS_INFEASIBLE
-    return ParityFeasibility.FEASIBLE

@@ -25,10 +25,6 @@ class CertificateViolationError(CollisionLabError):
     """A requested horizon exceeds what the truncation certificate covers."""
 
 
-class LengthMismatchError(CollisionLabError):
-    """Two trajectories that must have equal length do not."""
-
-
 class HorizonMismatchError(CollisionLabError):
     """Two continuous-time trajectories cover different time windows."""
 

@@ -406,8 +406,7 @@ def _violations(config, vertices=None):
         resolved.vertex_count = vertices
     walker = resolved.walker if resolved else None
     V = resolved.vertex_count if resolved else None
-    # gen and mtp do not read start
-    if V and config.start is not None and config.start >= V and config.kind not in ("gen", "mtp"):
+    if V and config.start is not None and config.start >= V:
         out.append(Violation("start", f"vertex {config.start} is outside [0, {V})"))
     window = config.n_steps or 0
     if config.kind == "collide":

@@ -281,15 +281,6 @@ def check_vertex(net, v, role="start vertex"):
     return v
 
 
-def transition_prob(net, u, v):
-    """One-step probability p(u, v) = c(u, v) / c(u)."""
-    u, v = check_vertex(net, u, "vertex"), check_vertex(net, v, "vertex")
-    cu = net.vertex_conductance[u]
-    if cu == 0.0:
-        return 1.0 if u == v else 0.0
-    return net.conductance_between(u, v) / cu
-
-
 def n_step_kernel(net, n):
     """P^n as a kernel: the last power of :func:`kernel_powers`, holding one at a time."""
     for Pn in kernel_powers(net, n):

@@ -1,4 +1,4 @@
-"""Continuous-time collision measure, the voter model, and coalescing walks.
+"""Continuous-time collision measure and the voter model.
 
 The collision measure of two continuous-time trajectories is the Lebesgue
 measure of the set of times at which they occupy the same vertex, computed
@@ -45,12 +45,7 @@ from ._parallel import (BLOCK_STEPS, TAG_CTCOLLIDE, TAG_VOTER, ChunkGroup, _as_r
                         chunk_groups, run_chunked)
 from .errors import HorizonMismatchError
 from .graph_core import check_vertex
-from .walk_engine import (
-    CSRSampler,
-    JumpTrajectory,
-    _sampling_tables,
-    network_sampler,
-)
+from .walk_engine import CSRSampler, JumpTrajectory, _sampling_tables
 from .walk_engine import walk_continuous  # noqa: F401  perfbench traces it here
 
 
@@ -322,64 +317,6 @@ def dual_walker_positions(net, start, t, replicas, seed):
         r = rng.random(act.size)
         pos[act] = sampler.draw(pos[act], r)
     return pos
-
-
-# ---------------------------------------------------------------------------
-# Coalescing walks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoalescingResult:
-    """Partition of walkers into coalesced groups and their positions at t_max."""
-
-    partition: tuple  # of tuples of walker ids, each sorted, ordered by minimum
-    positions: tuple  # per-walker vertex at t_max
-    t_max: float
-
-
-def coalescing_walks(net, starts, t_max, seed):
-    """Rate-1 jump-kernel walks that merge permanently upon meeting.
-
-    Walkers sharing a start coalesce at time 0.  Merged walkers move as one
-    cluster (carried by the minimal walker id) at rate 1.
-    """
-    starts = [int(s) for s in starts]
-    k = len(starts)
-    if k == 0:
-        raise ValueError("at least one walker is required")
-    label = np.arange(k)  # smallest walker id of each walker's cluster
-    occupied = {}
-    for i, s in enumerate(starts):
-        label[i] = occupied.setdefault(s, i)
-    positions = {i: s for s, i in occupied.items()}
-    roots = sorted(positions)
-    rng, step = _as_rng(seed), network_sampler(net).step
-    t = 0.0
-    while True:
-        m = len(roots)
-        t += rng.exponential(1.0 / m)
-        if t > t_max:
-            break
-        root = roots[int(rng.integers(m))]
-        old = positions[root]
-        v = step(old, rng.random())
-        if v == old:
-            continue
-        del occupied[old]
-        if v in occupied:
-            keep, drop = sorted((root, occupied[v]))
-            label[label == drop] = keep
-            positions.pop(drop)
-            positions[keep] = v
-            occupied[v] = keep
-            roots = sorted(positions)
-        else:
-            occupied[v] = root
-            positions[root] = v
-    partition = tuple(tuple(np.flatnonzero(label == r).tolist()) for r in roots)
-    pos = tuple(positions[r] for r in label.tolist())
-    return CoalescingResult(partition=partition, positions=pos, t_max=float(t_max))
 
 
 # ---------------------------------------------------------------------------

@@ -231,8 +231,8 @@ def gen_wilson_ust(base, seed=0):
     """Random spanning tree of ``base`` by loop-erased random walks (Wilson 1996).
 
     The tree has probability proportional to the product of its edge
-    conductances (uniform for unit conductances).  The walks take the steps
-    of :func:`~collisionlab.walk_engine.sample_step`, the network sampler's
+    conductances (uniform for unit conductances).  The walks step by
+    :meth:`~collisionlab.walk_engine.CSRSampler.walk`, the network sampler's
     one-vertex draws, and the sweep is rooted at vertex 0; the law does not
     depend on that choice.  It draws uniforms in blocks of 8, 16, ..., 4,096,
     exactly the per-step draws: ``Generator.random`` takes one 64-bit word

@@ -19,10 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._parallel import substream_rng
 from .collision_stats import q0_profile_all
 from .errors import TransportCapExceededError
-from .graph_core import Network, check_vertex, kernel_powers, n_step_kernel
+from .graph_core import Network, kernel_powers, n_step_kernel
 
 TRANSPORT_VALUE_CAP = 1e12
 
@@ -84,19 +83,6 @@ def qlast_transport(n, N):
     return MassTransport(f"qlast:{n}:{N}", build, window=N)
 
 
-def random_transport(seed):
-    """Seeded transport, uniform on [0, 10) over pairs within graph distance 2."""
-
-    def build(net):
-        rng = substream_rng(0xF00D, seed)
-        A = adjacency_transport().builder(net) > 0
-        reach = np.eye(net.vertex_count, dtype=bool) | A | (A @ A)
-        values = rng.uniform(0.0, 10.0, size=A.shape)
-        return np.where(reach, values, 0.0)
-
-    return MassTransport(f"random:{seed}", build)
-
-
 def transport_by_name(name):
     """Resolve a CLI transport spec: adjacency | leaf_adjacency | qlast:<n>:<N>."""
     if name == "adjacency":
@@ -141,14 +127,6 @@ def _masses(dist, transport):
     return out, into
 
 
-def expected_mass(dist, transport, direction):
-    """Exact E[sum_v f(G, rho, v)] ("out") or E[sum_u f(G, u, rho)] ("in")."""
-    if direction not in ("out", "in"):
-        raise ValueError("direction must be 'out' or 'in'")
-    out, into = _masses(dist, transport)
-    return out if direction == "out" else into
-
-
 class MtpVerdict(Enum):
     HOLDS = "holds"
     VIOLATED = "violated"
@@ -179,11 +157,6 @@ def _max_asymmetry(net, weights, n):
     return float(np.abs(flow - flow.T).max())
 
 
-def check_detailed_balance_n(net, n):
-    """Max over (u, v) of |c(u) p_n(u, v) - c(v) p_n(v, u)|."""
-    return _max_asymmetry(net, net.vertex_conductance, n)
-
-
 def received_mass_identity_all(net, N):
     """Both sides of sum_u c(u) p_n(u, v)^2 = c(v) p_{2n}(v, v) for all v, n.
 
@@ -197,13 +170,6 @@ def received_mass_identity_all(net, N):
         lhs[n] = c @ (Pn * Pn)
         rhs[n] = c * np.einsum("uv,vu->u", Pn, Pn)
     return lhs, rhs
-
-
-def received_mass_identity(net, v, N):
-    """Single-vertex view of :func:`received_mass_identity_all`."""
-    v = check_vertex(net, v, "vertex")
-    lhs, rhs = received_mass_identity_all(net, N)
-    return lhs[:, v], rhs[:, v]
 
 
 def check_reversibility_labeled(net, root_law, n):

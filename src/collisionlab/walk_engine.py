@@ -274,11 +274,6 @@ class CSRSampler:
             u = targets[j + (cum[j] <= r)]
             yield u
 
-    def step(self, u, r):
-        """The vertex reached from the one vertex ``u`` with the uniform ``r``."""
-        (v,) = self.walk(u, (r,))  # run to its end: closing a paused walk costs more
-        return v
-
 
 def network_sampler(net):
     """The :class:`CSRSampler` of ``net`` for one-vertex draws, made with its
@@ -287,12 +282,6 @@ def network_sampler(net):
     if "sampler" not in vars(tables):
         tables.sampler = CSRSampler(tables, lists=True)
     return tables.sampler
-
-
-def sample_step(net, u, rng):
-    """One transition of the conductance-weighted walk from ``u``, by
-    :meth:`CSRSampler.step` with one uniform drawn from ``rng``."""
-    return network_sampler(net).step(u, rng.random())
 
 
 class NetworkStepper:
@@ -331,28 +320,31 @@ def walk_continuous(net, start, t_max, seed):
     The holding time at ``u`` is Exponential(c(u)) and the jump target is
     drawn from the one-step kernel; a jump across a self-loop does not change
     the vertex, so it simply extends the current segment (the visible law is
-    unchanged by memorylessness).
+    unchanged by memorylessness).  One :meth:`CSRSampler.walk` takes the
+    jumps: before each uniform it reads, the walk's draws make the holding
+    time at the current vertex, and they end at a rate of 0 or at ``t_max``.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     u = check_vertex(net, start)
     rng = _as_rng(seed)
-    rates, step = net.vertex_conductance, network_sampler(net).step
+    rates = net.vertex_conductance
     verts = [u]
     times = [0.0]
     t = 0.0
-    while True:
-        rate = rates[u]
-        if rate == 0.0:
-            break
-        t += rng.exponential(1.0 / rate)
-        if t >= t_max:
-            break
-        v = step(u, rng.random())
-        if v != u:
+
+    def draws():
+        nonlocal t
+        while (rate := rates[verts[-1]]) != 0.0:
+            t += rng.exponential(1.0 / rate)
+            if t >= t_max:
+                return
+            yield rng.random()
+
+    for v in network_sampler(net).walk(u, draws()):
+        if v != verts[-1]:
             verts.append(v)
             times.append(t)
-            u = v
     return JumpTrajectory(
         np.array(verts, dtype=np.int64), np.array(times), t_max=float(t_max)
     )

@@ -9,7 +9,13 @@ the package's sampler does, and applies the padded-table rule the package
 used before its CSR sampler, a row search since narrowed by a guide table,
 so the two must agree bit for bit.  :func:`guide_range_step` is the guide's
 range search alone, the draw rule before the tables kept each bucket's
-neighbor where every range is one index.  :func:`adjacency_lexsort` builds
+neighbor where every range is one index.  :func:`sample_step` is one draw
+through the package's one-vertex walk.  :func:`continuous_walk_loop` is
+``walk_continuous`` as a scalar loop of an exponential and then a uniform a
+jump; the two must give the same paths and leave a shared generator in the
+same state.
+:func:`random_transport` is seeded test input for ``check_mtp``.
+:func:`adjacency_lexsort` builds
 the CSR adjacency and vertex conductances as ``Network`` did before its
 single-key sort and ``bincount``, and :func:`box_bonds_loop` lists a box's
 bonds in nested loops; both must agree bit for bit.
@@ -46,7 +52,7 @@ configuration at a time t, from the 2^V chain.
 :func:`wilson_incidence` is Wilson's algorithm over per-vertex incidence
 lists, as ``gen_wilson_ust`` ran before it stepped through the CSR sampler;
 it still gives the trees pinned then.  :func:`wilson_sample_step` is the
-loop of one ``sample_step`` call a step that ``gen_wilson_ust`` ran before
+loop of one :func:`sample_step` call a step that ``gen_wilson_ust`` ran before
 it drew its uniforms in blocks, and :func:`wilson_guide_rows` the loop that
 read the guide itself before it drew through the sampler's one-vertex
 form; both must give the same trees.  :func:`spanning_tree_law` is the
@@ -69,8 +75,9 @@ from collisionlab._parallel import (BLOCK_STEPS, TAG_CTCOLLIDE, TAG_GROWTH, TAG_
 from collisionlab.graph_core import TransitionKernel, build_network
 from collisionlab.interacting import collision_measure, discretization_integral
 from collisionlab.models import CombLattice, PathLattice
+from collisionlab.mtp_check import MassTransport, adjacency_transport
 from collisionlab.walk_engine import (GUIDE_SPLITS, CSRSampler, JumpTrajectory,
-                                      SamplingTables, _sampling_tables, sample_step,
+                                      SamplingTables, _sampling_tables, network_sampler,
                                       substream_rng, walk_continuous)
 
 
@@ -112,6 +119,20 @@ def adjacency_edges(net):
         F[a, b] = 1.0
         F[b, a] = 1.0
     return F
+
+
+def random_transport(seed):
+    """Seeded transport, uniform on [0, 10) over pairs within graph distance 2,
+    drawn from the stream (0xF00D, ``seed``): test input for ``check_mtp``."""
+
+    def build(net):
+        rng = substream_rng(0xF00D, seed)
+        A = adjacency_transport().builder(net) > 0
+        reach = np.eye(net.vertex_count, dtype=bool) | A | (A @ A)
+        values = rng.uniform(0.0, 10.0, size=A.shape)
+        return np.where(reach, values, 0.0)
+
+    return MassTransport(f"random:{seed}", build)
 
 
 def matrix_power_kernel(net, n):
@@ -266,6 +287,13 @@ def guide_range_step(net, u, rng):
         else:
             hi = mid
     return int(targets[lo])
+
+
+def sample_step(net, u, rng):
+    """One transition from ``u`` with one uniform drawn from ``rng``, by the
+    network sampler's one-vertex walk."""
+    (v,) = network_sampler(net).walk(u, (rng.random(),))
+    return v
 
 
 def _guide_two_pass(cum, below, d, degs, buckets):
@@ -447,6 +475,26 @@ def continuous_walk_marginal(net, start, t):
             Q[b, a] += w
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return expm(t * Q)[start]
+
+
+def continuous_walk_loop(net, start, t_max, rng):
+    """(vertices, entry times) of ``walk_continuous`` as one scalar loop: at
+    each vertex an exponential holding time, then, unless it passes
+    ``t_max``, one uniform for the jump, drawn by :class:`PaddedSampler`; a
+    jump to the same vertex extends the segment, and a vertex of rate 0
+    draws nothing."""
+    ref, rates = PaddedSampler(net), net.vertex_conductance
+    verts, times, t, u = [start], [0.0], 0.0, start
+    while rates[u] != 0.0:
+        t += rng.exponential(1.0 / rates[u])
+        if t >= t_max:
+            break
+        v = ref.draw(u, rng.random())
+        if v != u:
+            verts.append(v)
+            times.append(t)
+            u = v
+    return verts, times
 
 
 def unit_rate_walk_marginal(net, start, t):

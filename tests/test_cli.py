@@ -662,6 +662,16 @@ class TestStartRange:
         with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
             run(cfg)
 
+    @pytest.mark.parametrize("kind,fields", [("gen", []), ("mtp", ["--transport", "adjacency"])])
+    def test_gen_and_mtp_refuse_out_of_range_start(self, kind, fields, capsys):
+        # neither reads a start, but the config that a run echoes names it
+        flags = [*fields, "--model", "torus", "--model-param", "side=4", "--start", "99"]
+        message = "start: vertex 99 is outside [0, 16)"
+        assert main(["validate", "--kind", kind, *flags]) == 2
+        assert json.loads(capsys.readouterr().out) == [message]
+        assert main([kind, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 # count-dependent refusals: (field, config fields, error, memory cap or None).
 # On torus 4 (16 vertices, 8,192 bytes of sites) a cap of 10,000 bytes

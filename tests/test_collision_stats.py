@@ -7,16 +7,11 @@ import nets
 import oracles
 from collisionlab import (
     CertificateViolationError,
-    LengthMismatchError,
-    ParityFeasibility,
     ResourceLimitError,
     collision_growth,
-    count_collisions,
     horizon_estimates,
     last_collision_identity,
     last_collision_identity_all,
-    parity_feasibility,
-    q0_exact,
     q0_profile,
     q0_profile_all,
     qlast_horizon,
@@ -29,44 +24,24 @@ from collisionlab.models import (CombLattice, GridLattice, PathLattice, gen_perc
 
 
 class TestCountCollisions:
-    def test_identical_trajectories(self):
-        r = count_collisions(np.arange(6), np.arange(6))
-        assert r.collision_count == 5
-        assert r.collision_times.tolist() == [1, 2, 3, 4, 5]
-        assert r.includes_time_zero
-
     def test_single_edge_deterministic(self):
         tx, ty = walk_pair(nets.single_edge(), 0, 0, 7, seed=2)
-        assert count_collisions(tx, ty).collision_count == 7
-
-    def test_disjoint_support(self):
-        r = count_collisions([0, 0, 0], [1, 1, 1])
-        assert r.collision_count == 0
-        assert not r.includes_time_zero
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            count_collisions([0, 1], [0, 1, 2])
-
-    def test_time_zero_excluded_from_times(self):
-        r = count_collisions([2, 0, 1], [2, 1, 1])
-        assert r.collision_times.tolist() == [2]
-        assert r.includes_time_zero
+        assert np.count_nonzero(tx.steps[1:] == ty.steps[1:]) == 7
 
 
 class TestQ0Exact:
     def test_single_edge_forced_meeting(self):
-        assert q0_exact(nets.single_edge(), 0, 1) == 0.0
+        assert q0_profile(nets.single_edge(), 0, 1)[1] == 0.0
 
     def test_triangle_one_step(self):
-        assert q0_exact(nets.triangle(), 0, 1) == pytest.approx(0.5, abs=1e-15)
+        assert q0_profile(nets.triangle(), 0, 1)[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_triangle_two_steps(self):
-        assert q0_exact(nets.triangle(), 0, 2) == pytest.approx(0.375, abs=1e-15)
+        assert q0_profile(nets.triangle(), 0, 2)[2] == pytest.approx(0.375, abs=1e-15)
 
     def test_empty_window_convention(self):
         for _, net in nets.small_named()[:5]:
-            assert q0_exact(net, 0, 0) == 1.0
+            assert q0_profile(net, 0, 0)[0] == 1.0
 
     def test_monotone_in_window(self):
         for _, net in nets.small_named():
@@ -100,7 +75,7 @@ class TestQ0Exact:
     def test_pair_cap(self):
         net = nets.path_n(7000)
         with pytest.raises(ResourceLimitError):
-            q0_exact(net, 0, 1)
+            q0_profile(net, 0, 1)
 
     def test_identity_all_on_critical_cluster(self):
         # a critical percolation cluster, the stand-in for the IIC, at a
@@ -115,7 +90,7 @@ class TestQlastHorizon:
         net = nets.weighted_triangle()
         for N in (0, 1, 4):
             assert qlast_horizon(net, 0, 0, 0, N) == pytest.approx(
-                q0_exact(net, 0, N), abs=1e-14
+                q0_profile(net, 0, N)[N], abs=1e-14
             )
 
     def test_single_edge_final_step(self):
@@ -157,7 +132,7 @@ class TestHorizonEstimates:
         est = horizon_estimates(net, 0, 6)
         assert est.q0[0].tolist() == [1.0, 1.0, 1.0]
         assert est.identity_total == pytest.approx(1.0, abs=1e-12)
-        assert est.qlast[0, 0] == pytest.approx(q0_exact(net, 0, 6), abs=1e-14)
+        assert est.qlast[0, 0] == pytest.approx(q0_profile(net, 0, 6)[6], abs=1e-14)
         assert est.qlast.shape == (7, 3)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -187,7 +162,7 @@ class TestVertexRange:
         lambda net: last_collision_identity(net, -1, 4),
         lambda net: q0_profile(net, -1, 3),
         lambda net: q0_profile(net, 3, 3),
-        lambda net: q0_exact(net, 3, 3),
+        lambda net: q0_profile(net, 3, 3)[3],
         lambda net: qlast_horizon(net, 0, -1, 1, 3),
         lambda net: qlast_horizon(net, 0, 3, 1, 3),
         lambda net: qlast_horizon(net, -1, 0, 1, 3),
@@ -336,23 +311,11 @@ def _exact_mean_collisions(net, u, T):
 
 
 class TestParity:
-    def test_c4_adjacent_infeasible(self):
-        assert parity_feasibility(nets.cycle(4), 0, 1) is ParityFeasibility.ALWAYS_INFEASIBLE
-
-    def test_same_vertex_feasible(self):
-        assert parity_feasibility(nets.cycle(4), 2, 2) is ParityFeasibility.FEASIBLE
-
     @pytest.mark.parametrize("u,v", [(0, -1), (-1, 0), (0, 4), (4, 0)])
     def test_out_of_range_vertex_rejected(self, u, v):
-        # -1 must not read vertex 3's color
+        # -1 must not start either walk at vertex 3
         with pytest.raises(ValueError, match="vertex"):
-            parity_feasibility(nets.cycle(4), u, v)
-
-    def test_non_bipartite_always_feasible(self):
-        tri = nets.triangle()
-        for u in range(3):
-            for v in range(3):
-                assert parity_feasibility(tri, u, v) is ParityFeasibility.FEASIBLE
+            collision_growth(nets.cycle(4), (u, v), [5], 8, seed=1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_parity_conservation(self, seed):

@@ -28,7 +28,6 @@ from collisionlab import (
     network_from_json,
     qlast_transport,
     stationary_distribution,
-    transition_prob,
 )
 
 
@@ -131,7 +130,7 @@ class TestBuildNetwork:
         net = build_network(2, [(0, 1, 1.0), (0, 0, 2.0)])
         assert net.vertex_conductance[0] == 3.0
         assert net.conductance_between(0, 0) == 2.0
-        assert transition_prob(net, 0, 0) == pytest.approx(2.0 / 3.0)
+        assert net.one_step_matrix()[0, 0] == pytest.approx(2.0 / 3.0)
 
     def test_one_step_matrix_matches_row_loop(self):
         singles = [build_network(1, []), build_network(1, [(0, 0, 2.0)])]
@@ -201,19 +200,13 @@ class TestNetworkFromJson:
 
 class TestTransitionProb:
     def test_p3_center(self):
-        assert transition_prob(nets.p3(), 1, 0) == 0.5
+        assert nets.p3().one_step_matrix()[1, 0] == 0.5
 
     def test_p3_leaf(self):
-        assert transition_prob(nets.p3(), 0, 1) == 1.0
+        assert nets.p3().one_step_matrix()[0, 1] == 1.0
 
     def test_parallel_edges_all_mass_across(self):
-        assert transition_prob(nets.two_vertex_multi(), 0, 1) == 1.0
-
-    @pytest.mark.parametrize("u,v", [(-1, 1), (3, 1), (1, -1), (1, 3)])
-    def test_out_of_range_vertex_rejected(self, u, v):
-        # p(2, 1) = 1, so a wrapped -1 would not answer 0.0 either
-        with pytest.raises(ValueError, match="vertex"):
-            transition_prob(nets.p3(), u, v)
+        assert nets.two_vertex_multi().one_step_matrix()[0, 1] == 1.0
 
 
 def _random_multigraph(rng):

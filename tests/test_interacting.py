@@ -1,5 +1,4 @@
 import hashlib
-import json
 import time
 
 import numpy as np
@@ -9,7 +8,6 @@ import nets
 import oracles
 from collisionlab import (
     HorizonMismatchError,
-    coalescing_walks,
     collision_measure,
     continuous_collision_ensemble,
     discretization_integral,
@@ -378,45 +376,3 @@ class TestDuality:
         with pytest.raises(ValueError, match="start"):
             dual_walker_positions(nets.p3(), start, 1.0, 10, seed=1)
 
-
-class TestCoalescing:
-    def test_single_walker(self):
-        res = coalescing_walks(nets.p3(), [1], 2.0, seed=1)
-        assert res.partition == ((0,),)
-
-    def test_same_start_coalesces_immediately(self):
-        res = coalescing_walks(nets.p3(), [2, 2], 1e-9, seed=1)
-        assert res.partition == ((0, 1),)
-        assert res.positions == (2, 2)
-
-    def test_positions_track_clusters(self):
-        res = coalescing_walks(nets.triangle(), [0, 1, 2], 100.0, seed=4)
-        assert res.partition == ((0, 1, 2),)
-        assert len(set(res.positions)) == 1
-
-    def test_pinned_battery(self):
-        # 480 runs on four nets (shared starts included), hashed on the
-        # union-find version; the draws and the merges must not move
-        runs = [(nets.cycle(5), [0, 1, 2, 3]), (nets.k4(), [0, 0, 1, 3]),
-                (nets.star(4), [1, 2, 3, 4, 0]),
-                (nets.random_connected_network(2), [0, 1, 2, 3, 1])]
-        h = hashlib.sha256()
-        for net, starts in runs:
-            for t_max in (0.3, 2.0, 20.0):
-                for seed in range(40):
-                    res = coalescing_walks(net, starts, t_max, seed=seed)
-                    h.update(json.dumps([res.partition, res.positions]).encode())
-        assert h.hexdigest() == "29ac140bab9a4dd70d37a16bebd0475af14b3b3cb144b5ea67ce062b3b3c697f"
-
-    def test_partition_coarsens_with_horizon(self):
-        net = nets.cycle(5)
-        starts = [0, 1, 2, 3]
-        previous = None
-        for t_max in (0.1, 0.5, 2.0, 8.0, 32.0):
-            res = coalescing_walks(net, starts, t_max, seed=7)
-            groups = [set(g) for g in res.partition]
-            if previous is not None:
-                # every earlier group sits inside one later group
-                for g in previous:
-                    assert any(g <= h for h in groups)
-            previous = groups

@@ -23,7 +23,7 @@ from collisionlab import (
 )
 from collisionlab._parallel import substream_rng
 from collisionlab.models import CombLattice, GridLattice, PathLattice, RootedModel, _box_bonds
-from collisionlab.walk_engine import _sampling_tables, sample_step
+from collisionlab.walk_engine import _sampling_tables
 
 
 class TestPathSegment:
@@ -348,11 +348,11 @@ class TestWilsonBlocks:
 
     @staticmethod
     def _same_trees(base, seeds, monkeypatch):
-        steps = []
+        steps, step = [], oracles.sample_step
 
         def counted(*args):
             steps[-1] += 1
-            return sample_step(*args)
+            return step(*args)
 
         monkeypatch.setattr(oracles, "sample_step", counted)
         for seed in seeds:

@@ -29,7 +29,6 @@ from collisionlab.walk_engine import (
     NetworkStepper,
     _sampling_tables,
     network_sampler,
-    sample_step,
     write_trajectory_csv,
 )
 
@@ -53,6 +52,13 @@ _SAMPLER_NETS = [
     ("parallel_and_loops", nets.parallel_and_loops()),
     ("skewed_hub", nets.skewed_hub()),
 ]
+
+
+def _walk_draws(net, u, r):
+    """The draw at each ``(u, r)`` by the one-vertex form: a walk of
+    ``network_sampler(net)`` from ``u`` that takes the one uniform ``r``."""
+    walk = network_sampler(net).walk
+    return [v for a, b in zip(u.tolist(), r.tolist()) for v in walk(a, (b,))]
 
 
 def _draw_cases(net, ref, seed):
@@ -82,8 +88,7 @@ class TestSampler:
         u, r = _draw_cases(net, ref, seed=len(name))
         expected = np.array([ref.draw(a, b) for a, b in zip(u, r)])
         assert np.array_equal(CSRSampler(_sampling_tables(net)).draw(u, r), expected)
-        scalar = _FixedUniforms(r)
-        assert [sample_step(net, int(a), scalar) for a in u] == expected.tolist()
+        assert _walk_draws(net, u, r) == expected.tolist()
 
     @pytest.mark.parametrize("name,net", _SAMPLER_NETS, ids=[n for n, _ in _SAMPLER_NETS])
     def test_ladder_no_longer_than_binary_search(self, name, net):
@@ -124,8 +129,7 @@ class TestSampler:
         expected = [oracles.guide_range_step(net, a, _FixedUniforms([b]))
                     for a, b in zip(u.tolist(), r.tolist())]
         assert CSRSampler(tables).draw(u, r).tolist() == expected
-        scalar = _FixedUniforms(r)
-        assert [sample_step(net, int(a), scalar) for a in u] == expected
+        assert _walk_draws(net, u, r) == expected
 
     def test_single_vertex_stays_put(self):
         net = build_network(1, [])
@@ -202,8 +206,7 @@ class TestSplitGuide:
         u, r = _boundary_cases(net)
         expected = [ref.draw(a, b) for a, b in zip(u, r)]
         assert CSRSampler(_sampling_tables(net)).draw(u, r).tolist() == expected
-        scalar = _FixedUniforms(r)
-        assert [sample_step(net, int(a), scalar) for a in u] == expected
+        assert _walk_draws(net, u, r) == expected
 
     @pytest.mark.parametrize("name,net", _WILSON_NETS, ids=[n for n, _ in _WILSON_NETS])
     def test_wilson_trees_match_padded_rule(self, name, net, monkeypatch):
@@ -330,8 +333,7 @@ class TestOneSampler:
         u = np.concatenate([u, np.repeat(np.arange(net.vertex_count), 2)])
         r = np.concatenate([r, np.tile([0.0, np.nextafter(1.0, 0.0)], net.vertex_count)])
         expected = CSRSampler(tables).draw(u, r).tolist()
-        step = network_sampler(net).step
-        assert [step(a, b) for a, b in zip(u.tolist(), r.tolist())] == expected
+        assert _walk_draws(net, u, r) == expected
         replay = _FixedUniforms(r.tolist())
         assert [oracles.guide_range_step(net, a, replay) for a in u.tolist()] == expected
         ladder = {"torus6": 0, "parallel_and_loops": 1, "tiny_beside_unit": 2, "skewed_hub": 6}
@@ -398,6 +400,61 @@ def test_guide_guard_finds_reads():
               "x = t.ladder + t.lo[0] + t.hi[0] + t.first[0] + t.buckets[0] + t._buckets[0]\n")
     assert sorted(guide_reads(source)) == sorted([(2, "_guide"), (4, "_guide_search"), *(
         (5, name) for name in _GUIDE_FIELDS)])
+
+
+# public names that no run kind, benchmark op or acceptance test calls, each
+# kept for the reason given
+_UNCALLED_KEPT = {
+    "voter_simulate": "the one-replica voter; its law pins and the generator-state "
+                      "test hold _voter_batch through it",
+    "is_bipartite": "the model digests pin the colouring it gives",
+    "JumpTrajectory.restrict": "the collision-measure additivity test cuts walks with it",
+    "RootLaw.sample": "the draw of a root from its law, which the root-law tests check",
+    "Network.conductance_between": "the one reader of c(u, v); the spanning-tree tests "
+                                   "check tree edge weights with it",
+}
+
+
+def uncalled_api(package, callers):
+    """The public top-level functions and methods (``Class.name``) defined in
+    the sources ``package`` whose name no source of ``callers`` reads: as a
+    name, an attribute or a string, as the benchmark's tracer names what it
+    wraps.  Names match alone, so a method shares its callers with every
+    attribute of its name."""
+    read = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    defined = []
+    for source in package:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [(f"{node.name}.{f.name}", f.name) for f in node.body
+                            if isinstance(f, ast.FunctionDef)]
+    return sorted(full for full, name in defined if not name.startswith("_") and name not in read)
+
+
+def test_src_ships_only_called_api():
+    root = Path(__file__).resolve().parents[1]
+    package = [p.read_text() for p in sorted((root / "src" / "collisionlab").glob("*.py"))]
+    callers = package + [p.read_text() for p in sorted((root / "perfbench").glob("*.py"))] + [
+        (root / "tests" / "test_acceptance.py").read_text()]
+    assert uncalled_api(package, callers) == sorted(_UNCALLED_KEPT)
+
+
+def test_api_guard_finds_uncalled():
+    package = ("def used():\n    pass\ndef traced():\n    pass\ndef unused():\n    pass\n"
+               "def _private():\n    pass\nclass K:\n    def read(self):\n        pass\n"
+               "    def dropped(self):\n        pass\n    def _own(self):\n        pass\n")
+    callers = [package, "used()\nk.read()\nwrap(module, 'traced')\n"]
+    assert uncalled_api([package], callers) == ["K.dropped", "unused"]
 
 
 class TestStartRange:
@@ -533,6 +590,22 @@ class TestWalkContinuous:
         mean = total / runs
         sigma = 0.5 / np.sqrt(runs)  # exponential sd equals its mean
         assert abs(mean - 0.5) < 3 * sigma + 1e-4  # tiny censoring bias at t_max=8
+
+    @pytest.mark.parametrize("name,net", [("single_vertex", build_network(1, [])),
+                                          *(_LADDER_NETS[i] for i in (0, 1, 3))],
+                             ids=["single_vertex", "torus6", "parallel_and_loops", "skewed_hub"])
+    def test_generator_state_after_runs(self, name, net):
+        # walks on one shared Generator leave it where the scalar loop of an
+        # exponential, then a uniform a jump, does: no uniform after the last
+        # exponential, and no draw at all at a vertex of rate 0
+        got, want = np.random.default_rng(26), np.random.default_rng(26)
+        got.random(3), want.random(3)
+        for k in range(60):
+            start, t_max = k % net.vertex_count, (0.05, 1.0, 7.5)[k % 3]
+            j = walk_continuous(net, start, t_max, got)
+            verts, times = oracles.continuous_walk_loop(net, start, t_max, want)
+            assert j.vertices.tolist() == verts and j.entry_times.tolist() == times
+            assert got.bit_generator.state == want.bit_generator.state
 
     def test_marginal_matches_matrix_exponential(self):
         net = nets.weighted_triangle()
