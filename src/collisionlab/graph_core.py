@@ -104,10 +104,11 @@ class Network:
                 f"edge ({a}, {b}) has conductance {w[i]}; conductances must be finite and > 0"
             )
         ends = arr[:, :2].astype(np.int64)
+        self.conductances = np.ascontiguousarray(w)
+        del arr, w, bad_end  # the float rows are not held while the adjacency builds
 
         self.vertex_count = vertex_count
         self.ends = ends
-        self.conductances = np.ascontiguousarray(w)
         ends.flags.writeable = False
         self.conductances.flags.writeable = False
         self._build_adjacency()
@@ -118,22 +119,25 @@ class Network:
         n = self.vertex_count
         a, b = self.ends.T
         w = self.conductances
-        loop = a == b
-        # each non-loop edge appears in both directions; a loop appears once
-        src = np.concatenate([a, b[~loop]])
-        dst = np.concatenate([b, a[~loop]])
-        ww = np.concatenate([w, w[~loop]])
+        # each non-loop edge appears in both directions, the reverse entries
+        # after the edges; a loop appears once
+        back = np.flatnonzero(a != b)
         # edge ends per vertex, a self-loop counted once
-        self.degrees = np.bincount(src, minlength=n)
+        self.degrees = np.bincount(a, minlength=n) + np.bincount(b[back], minlength=n)
 
-        # sorted by (src, dst) as lexsort would; n * n < 2**63 for any n whose
-        # arrays fit the memory budget
-        key = src * n + dst
+        # the entries' keys src * n + dst, sorted as lexsort would sort (src,
+        # dst); n * n < 2**63 for any n whose arrays fit the memory budget.
+        # Each array goes once the next needs no more of it.
+        key = np.concatenate([a * n + b, b[back] * n + a[back]])
         order = np.argsort(key, kind="stable")
-        key, ww = key[order], ww[order]
+        key = key[order]
+        ww = np.concatenate([w, w[back]])[order]
+        del order, back
         starts = np.flatnonzero(np.diff(key, prepend=-1))
         rows, targets = np.divmod(key[starts], n)
+        del key
         weights = np.add.reduceat(ww, starts) if starts.size else np.zeros(0)
+        del ww
 
         counts = np.bincount(rows, minlength=n)
         offsets = np.zeros(n + 1, dtype=np.int64)
@@ -216,23 +220,26 @@ def build_network(vertex_count, edge_list):
 def network_from_json(obj):
     """Rebuild a network from its interchange dict.
 
-    Edge rows that are all lists of one width, as ``json`` parses them, are
-    read with one ``np.fromiter`` instead of a nested-list ``np.asarray``
-    (both take ``float()`` of each entry).  Any other edge list, or one that
-    ``fromiter`` refuses, goes to :class:`Network` as it is, which names the
-    fault.
+    Edge rows that are all lists of the first row's width, as ``json``
+    parses them, are read with one ``np.fromiter`` instead of a nested-list
+    ``np.asarray`` (both take ``float()`` of each entry), after one check
+    pass: ``list.__len__`` gives each row's width and refuses a row that is
+    not a list.  Any other edge list, or one that ``fromiter`` refuses, goes
+    to :class:`Network` as it is, which names the fault.  The rows are let
+    go before the build, so they are freed there when ``obj`` was the
+    caller's only reference to them.
     """
-    edges = obj["edges"]
-    if type(edges) is list and edges and set(map(type, edges)) == {list}:
-        widths = set(map(len, edges))
-        if len(widths) == 1:
-            width = widths.pop()
-            try:
+    edges, vertices = obj["edges"], obj["vertices"]
+    del obj
+    if type(edges) is list and edges:
+        try:
+            rows, width = len(edges), list.__len__(edges[0])
+            if set(map(list.__len__, edges)) == {width}:
                 edges = np.fromiter(chain.from_iterable(edges), float,
-                                    width * len(edges)).reshape(len(edges), width)
-            except (TypeError, ValueError):
-                pass
-    return Network(obj["vertices"], edges)
+                                    rows * width).reshape(rows, width)
+        except (TypeError, ValueError):
+            pass
+    return Network(vertices, edges)
 
 
 @dataclass(frozen=True)
@@ -248,9 +255,6 @@ class TransitionKernel:
             raise ValueError("kernel rows must sum to 1 within 1e-12")
         if self.matrix.min() < -ROW_SUM_TOL or self.matrix.max() > 1 + ROW_SUM_TOL:
             raise ValueError("kernel entries must lie in [0, 1]")
-
-    def entry(self, u, v):
-        return float(self.matrix[u, v])
 
 
 def require_memory(nbytes, what):
@@ -322,8 +326,14 @@ def component_labels(n, a, b):
         live = la != lb
         if not live.any():
             return label
-        a, b, la, lb = a[live], b[live], la[live], lb[live]
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        if not live.all():  # copies only when an edge has joined its ends' trees
+            a, b = a[live], b[live]
+            la, lb = la[live], lb[live]
+        hi = np.maximum(la, lb)
+        np.minimum(la, lb, out=la)
+        del lb
+        np.minimum.at(label, hi, la)
+        del la, hi
         while True:
             up = label[label]
             if np.array_equal(up, label):

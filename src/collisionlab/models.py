@@ -142,18 +142,30 @@ def _box_bonds(cols, rows, spine=False, wrap=False):
     ``spine`` keeps the x-bonds of row 0 only (the comb); ``wrap`` joins the
     last column and row to the first (the torus).  Every generator starts
     here, so this is where the memory cap refuses a model before it is built.
+    The ends are computed in the result's two columns; the only other
+    array as long is each bond's flat index 2 * site + bond (0 along x, 1
+    along y).
     """
     require_sites(cols * rows)
-    site = np.arange(cols * rows).reshape(cols, rows)
-    ends = np.empty((cols, rows, 2, 2), dtype=np.int64)  # site, bond (x, y), end
-    ends[..., 0] = site[..., None]
-    ends[..., 0, 1] = np.roll(site, -1, axis=0)  # x + 1, the last column to the first
-    ends[..., 1, 1] = np.roll(site, -1, axis=1)
-    exists = np.ones((cols, rows, 2), dtype=bool)
+    exists = np.ones((cols, rows, 2), dtype=bool)  # site, bond (x, y)
     exists[-1, :, 0] = exists[:, -1, 1] = wrap
     if spine:
         exists[:, 1:, 0] = False
-    return ends.reshape(-1, 2).compress(exists.ravel(), axis=0)
+    at = np.flatnonzero(exists)
+    ends = np.empty((at.size, 2), dtype=np.int64)
+    site, far = ends.T
+    np.right_shift(at, 1, out=site)
+    np.bitwise_and(at, 1, out=far)
+    del at
+    if wrap:  # the last row's y-bonds close to row 0
+        last_row = (far == 1) & (site % rows == rows - 1)
+    far *= 1 - rows
+    far += rows
+    far += site  # x + 1 is rows sites on, y + 1 one site on
+    if wrap:  # and the last column's x-bonds to column 0
+        far[last_row] -= rows
+        far[far >= cols * rows] -= cols * rows
+    return ends
 
 
 # bytes a site charged for a model's arrays
@@ -163,9 +175,11 @@ SITE_BYTES = 512
 def require_sites(sites, site_bytes=SITE_BYTES):
     """Refuse a model on a box of ``sites`` sites above the memory cap.
 
-    Measured generator peaks per vertex: grid box 509 bytes, torus 510,
-    comb 320, path 270, percolation 183 per site of its box.  A ``gen`` run
-    passes its model's own ``site_bytes``, which also pay for the payload.
+    Measured generator peaks per site of the box, as the VmHWM rise of one
+    generator call in a fresh process with ``numpy.random`` loaded, at about
+    360,000 sites: grid box 300 bytes, torus 301, comb 156, path 156,
+    percolation 66.  A ``gen`` run passes its model's own ``site_bytes``,
+    which also pay for the payload.
     """
     require_memory(site_bytes * sites,
                    f"the arrays of {sites} lattice sites at {site_bytes} bytes a site")
@@ -200,20 +214,19 @@ def gen_percolation_cluster(n, p=CRITICAL_BOND_P, seed=0):
     side = n + 1
     sites = side * side
     bonds = _box_bonds(side, side)
-    a, b = bonds.T
-    rng = _as_rng(seed)
-    keep = rng.random(a.size) < p
-
-    roots = component_labels(sites, a[keep], b[keep])
-    sizes = np.bincount(roots, minlength=sites)
-    best_root = int(np.flatnonzero(sizes == sizes.max())[0])
+    bonds = bonds[_as_rng(seed).random(len(bonds)) < p]  # the box's bonds are freed
+    roots = component_labels(sites, *bonds.T)
     # roots are minimal members of their components, so the first maximal root
     # is also the tie-break by smallest minimal vertex index
+    best_root = int(np.bincount(roots, minlength=sites).argmax())
     members = np.flatnonzero(roots == best_root)
+    bonds = bonds[roots[bonds[:, 0]] == best_root]  # a kept bond lies in one cluster
+    del roots
     relabel = np.full(sites, -1)
     relabel[members] = np.arange(members.size)
-    inside = keep & (roots[a] == best_root)  # a kept bond lies in one cluster
-    net = build_network(len(members), relabel[bonds[inside]])
+    bonds = relabel[bonds]
+    del relabel
+    net = build_network(members.size, bonds)
     return RootedModel(
         net,
         start=0,

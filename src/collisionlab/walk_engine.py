@@ -111,12 +111,17 @@ class SamplingTables(tuple):
         return {k: v for k, v in vars(self).items() if k != "sampler"}
 
 
-def _bucket_keys(cum, below, count, degs):
+def _bucket_keys(cum, count, degs):
     """Each entry's buckets ``int(cum * d)`` and ``int(below * d)``, ``d`` the
     float bucket count of its row (``count``, over rows of ``degs``
-    entries) and ``below`` the float before ``cum``."""
+    entries) and ``below`` the float before ``cum`` (0 kept), made here
+    and freed on return."""
     d = np.repeat(count.astype(float), degs)
-    return (cum * d).astype(np.int64), (below * d).astype(np.int64)
+    high = (cum * d).astype(np.int64)
+    below = cum.view(np.int64) - 1
+    d *= np.maximum(below, 0, out=below).view(float)
+    del below
+    return high, d.astype(np.int64)
 
 
 def _crowded(high, low):
@@ -131,7 +136,7 @@ def _crowded(high, low):
     return 1 + np.flatnonzero(held[1:] & held[:-1] & (high[1:] == high[:-1]))
 
 
-def _bucket_counts(offsets, cum, below, high, low):
+def _bucket_counts(offsets, cum, high, low):
     """Each row's bucket count: its degree, doubled while one of its buckets
     holds two cumulative values, at most ``GUIDE_SPLITS`` times.  ``high``
     and ``low`` are the entries' buckets at one bucket an entry; each later
@@ -145,7 +150,7 @@ def _bucket_counts(offsets, cum, below, high, low):
         count[rows] *= 2
         n = degs[rows]
         at = np.repeat(offsets[rows] - np.cumsum(n) + n, n) + np.arange(n.sum())
-        two = at[_crowded(*_bucket_keys(cum[at], below[at], count[rows], n))]
+        two = at[_crowded(*_bucket_keys(cum[at], count[rows], n))]
     return count
 
 
@@ -153,10 +158,14 @@ def _guide(high, low, degs, buckets):
     """The guide ``(hi, lo)`` of rows of ``degs`` entries, keyed from
     ``buckets[u]``: entry ``j`` counts in ``hi`` from its bucket ``high[j]``
     on and in ``lo`` past ``low[j]``.  One running count over all entries
-    serves all rows."""
+    serves all rows.  ``high`` and ``low`` are keyed in place, so they are
+    spent."""
     o, n = np.repeat(buckets[:-1], degs), int(buckets[-1])
-    return (np.bincount(b + o, minlength=n + 1)[:n].cumsum(dtype=np.int32)
-            for b in (high, low + 1))
+    high += o
+    low += o
+    low += 1
+    del o
+    return [np.bincount(b, minlength=n + 1)[:n].cumsum(dtype=np.int32) for b in (high, low)]
 
 
 def _sampling_tables(net: Network):
@@ -192,15 +201,16 @@ def _sampling_tables(net: Network):
         cum /= np.repeat(cum[offsets[1:] - 1], degs)
         cum[offsets[1:] - 1] = 1.0
         t = SamplingTables((offsets, targets, cum))
-        below = np.maximum(cum.view(np.int64) - 1, 0).view(float)  # prev(cum), 0 kept
-        high, low = _bucket_keys(cum, below, degs, degs)
-        count = _bucket_counts(offsets, cum, below, high, low)
+        high, low = _bucket_keys(cum, degs, degs)
+        count = _bucket_counts(offsets, cum, high, low)
         split = not np.array_equal(count, degs)
         if split:
-            high, low = _bucket_keys(cum, below, count, degs)
+            del high, low
+            high, low = _bucket_keys(cum, count, degs)
         buckets = np.concatenate(([0], np.cumsum(count))) if split else offsets
         t.deg = count.astype(float)
         t.hi, t.lo = _guide(high, low, degs, buckets)
+        del high, low  # the entries' bucket scratch
         if split:
             t._buckets = buckets
         t.ladder = int((t.hi - t.lo).max()).bit_length()

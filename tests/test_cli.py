@@ -307,6 +307,17 @@ class TestValidate:
                           horizons=(10,), replicas=1024)
         assert rise <= SITE_BYTES * side * side + INTERPRETER_ALLOWANCE
 
+    def test_percolation_peak_per_box_site(self):
+        # a cluster build holds its inputs, its outputs and one pass's scratch:
+        # from n = 300 to n = 600 the rise grows by about 70 bytes a site of
+        # the box on this seed, against 142 when the generator and Network
+        # held every stage's arrays at once.  The slope cancels the
+        # interpreter's allowance; the bound is 70 plus a margin of 30
+        sites = {n: (n + 1) ** 2 for n in (300, 600)}
+        rise = {n: _peak_rise(kind="collide", model={"name": "percolation", "n": n, "seed": 0},
+                              start=0, horizons=(10,), replicas=64) for n in sites}
+        assert (rise[600] - rise[300]) / (sites[600] - sites[300]) <= 100
+
     def test_identity_peak_within_charge(self):
         # the dense kernels are charged dense_bytes(V, N): 43.4 MiB on this torus
         side, window = 30, 10

@@ -262,12 +262,12 @@ class TestNStepKernel:
         assert np.array_equal(K.matrix, np.eye(3))
 
     def test_p3_two_step_return(self):
-        assert n_step_kernel(nets.p3(), 2).entry(0, 0) == pytest.approx(0.5)
+        assert n_step_kernel(nets.p3(), 2).matrix[0, 0] == pytest.approx(0.5)
 
     def test_triangle_two_step_return(self):
         K = n_step_kernel(nets.triangle(), 2)
         for v in range(3):
-            assert K.entry(v, v) == pytest.approx(0.5)
+            assert K.matrix[v, v] == pytest.approx(0.5)
 
     def test_dense_cap(self):
         net = nets.path_n(7000)

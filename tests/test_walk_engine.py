@@ -417,28 +417,30 @@ _UNCALLED_KEPT = {
 
 def uncalled_api(package, callers):
     """The public top-level functions and methods (``Class.name``) defined in
-    the sources ``package`` whose name no source of ``callers`` reads: as a
-    name, an attribute or a string, as the benchmark's tracer names what it
-    wraps.  Names match alone, so a method shares its callers with every
-    attribute of its name."""
-    read = set()
+    the sources ``package`` whose name no source of ``callers`` reads: a
+    function as a name, an attribute or a string, a method as an attribute
+    or a string, as the benchmark's tracer names what it wraps.  Names match
+    alone, so a method shares its callers with every attribute of its name,
+    but not with a local variable of that name."""
+    names, attributes = set(), set()
     for source in callers:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                read.add(node.value)
-    defined = []
+                attributes.add(node.value)
+    anywhere, defined = names | attributes, []
     for source in package:
         for node in ast.parse(source).body:
             if isinstance(node, ast.FunctionDef):
-                defined.append((node.name, node.name))
+                defined.append((node.name, node.name, anywhere))
             elif isinstance(node, ast.ClassDef):
-                defined += [(f"{node.name}.{f.name}", f.name) for f in node.body
+                defined += [(f"{node.name}.{f.name}", f.name, attributes) for f in node.body
                             if isinstance(f, ast.FunctionDef)]
-    return sorted(full for full, name in defined if not name.startswith("_") and name not in read)
+    return sorted(full for full, name, read in defined
+                  if not name.startswith("_") and name not in read)
 
 
 def test_src_ships_only_called_api():
@@ -452,9 +454,10 @@ def test_src_ships_only_called_api():
 def test_api_guard_finds_uncalled():
     package = ("def used():\n    pass\ndef traced():\n    pass\ndef unused():\n    pass\n"
                "def _private():\n    pass\nclass K:\n    def read(self):\n        pass\n"
-               "    def dropped(self):\n        pass\n    def _own(self):\n        pass\n")
-    callers = [package, "used()\nk.read()\nwrap(module, 'traced')\n"]
-    assert uncalled_api([package], callers) == ["K.dropped", "unused"]
+               "    def dropped(self):\n        pass\n    def _own(self):\n        pass\n"
+               "    def shadowed(self):\n        pass\n")
+    callers = [package, "used()\nk.read()\nwrap(module, 'traced')\nshadowed = 1\n"]
+    assert uncalled_api([package], callers) == ["K.dropped", "K.shadowed", "unused"]
 
 
 class TestStartRange:
