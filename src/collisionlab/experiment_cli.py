@@ -35,6 +35,7 @@ Results are wrapped in a :class:`ResultEnvelope` whose deterministic body
 (version, canonical config echo, payload) is byte-identical across runs and
 across worker counts; wall-clock time and the worker count live in the
 envelope's ``meta`` section, outside the deterministic body, and so do
+the network build's time (``build_s``, absent when nothing was built),
 collide's walker steps, the voter's events and rounds, their rates and
 collide's chunk-group count.
 """
@@ -49,7 +50,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -269,10 +270,13 @@ class ResolvedGraph:
     gen_site_bytes: int = SITE_BYTES  # charge a site of a ``gen`` run
     _materialize: object = None
     _model: Optional[RootedModel] = None
+    build_s: Optional[float] = field(default=None, init=False)  # the build's seconds, once built
 
     def model(self):
         if self._model is None:
+            t0 = time.perf_counter()
             self._model = self._materialize()
+            self.build_s = time.perf_counter() - t0
         return self._model
 
 
@@ -730,6 +734,8 @@ def run(config):
     payload, rows, work = _RUNNERS[config.kind](checked, resolved)
     wall = time.perf_counter() - t0
     meta = {"wall_clock_s": wall, "workers": checked.workers}
+    if resolved.build_s is not None:  # lattice walkers build nothing
+        meta["build_s"] = resolved.build_s
     for name, count in work.items():
         meta.update({name: count, f"{name}_per_s": count / wall})
     if config.kind == "collide":

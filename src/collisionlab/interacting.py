@@ -358,7 +358,8 @@ def _ct_chunk(payload):
         if done.any():
             live = ~done
             idx, x, y, e, cx, total, r = (
-                idx[live], x[live], y[live], e[live], cx[live], total[live], r[:, live]
+                idx[live], x[live], y[live], e[live], cx[live], total[live],
+                np.compress(live, r, axis=1),
             )
         x_moves = r[0] * total < cx
         target = sampler.draw(np.where(x_moves, x, y), r[1])

@@ -214,13 +214,15 @@ def gen_percolation_cluster(n, p=CRITICAL_BOND_P, seed=0):
     side = n + 1
     sites = side * side
     bonds = _box_bonds(side, side)
-    bonds = bonds[_as_rng(seed).random(len(bonds)) < p]  # the box's bonds are freed
+    # the box's bonds are freed
+    bonds = np.compress(_as_rng(seed).random(len(bonds)) < p, bonds, axis=0)
     roots = component_labels(sites, *bonds.T)
     # roots are minimal members of their components, so the first maximal root
     # is also the tie-break by smallest minimal vertex index
     best_root = int(np.bincount(roots, minlength=sites).argmax())
     members = np.flatnonzero(roots == best_root)
-    bonds = bonds[roots[bonds[:, 0]] == best_root]  # a kept bond lies in one cluster
+    # a kept bond lies in one cluster
+    bonds = np.compress(roots[bonds[:, 0]] == best_root, bonds, axis=0)
     del roots
     relabel = np.full(sites, -1)
     relabel[members] = np.arange(members.size)

@@ -191,7 +191,7 @@ def _sampling_tables(net: Network):
         cum = weights.copy()
         rows, top = np.arange(degs.size), int(degs.max())
         for k in range(1, top):
-            rows = rows[degs[rows] > k]
+            rows = np.compress(degs[rows] > k, rows)
             if rows.size < top - k:  # fewer rows left than passes: finish row by row
                 for a, b in zip(offsets[rows].tolist(), offsets[rows + 1].tolist()):
                     np.add.accumulate(weights[a:b], out=cum[a:b])

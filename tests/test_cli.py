@@ -824,7 +824,16 @@ class TestPinnedEnvelopes:
         assert meta["walker_steps"] == 2 * 600 * 40
         assert meta["walker_steps_per_s"] == meta["walker_steps"] / meta["wall_clock_s"]
         assert meta["chunk_groups"] == groups
+        assert "build_s" not in meta  # the lattice walkers build no network
         assert hashlib.sha256(env.deterministic_bytes()).hexdigest() == sha
+
+    def test_collide_meta_times_the_build(self):
+        cfg = _cfg(kind="collide", model={"name": "percolation", "n": 30, "seed": 0},
+                   start=0, horizons=(10,), replicas=64)
+        env = run(cfg)
+        assert 0.0 < env.meta["build_s"] <= env.meta["wall_clock_s"]
+        # the time is outside the deterministic body
+        assert env.deterministic_bytes() == run(cfg).deterministic_bytes()
 
     def test_collide_weighted_network_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1152,6 +1161,13 @@ class TestCommandLine:
         ('{"vertices": 3}', "network_file"),
         ('{"edges": [[0, 1, 1.0], [1, 2, 1.0]]}', "network_file"),
         ('{"vertices": 3, "edges": [[0, 1, 1.0], [1, 2', "network_file"),
+        # a vertex count that is not an integer is not truncated to one
+        ('{"vertices": 3.7, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}',
+         "network_file: no network read (ValueError: vertex_count"),
+        ('{"vertices": true, "edges": [[0, 0, 1.0]]}',
+         "network_file: no network read (ValueError: vertex_count"),
+        ('{"vertices": NaN, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}',
+         "network_file: no network read (ValueError: vertex_count"),
     ])
     def test_main_rejects_malformed_network_file(self, tmp_path, capsys, text, message):
         path = tmp_path / "net.json"

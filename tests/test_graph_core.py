@@ -71,8 +71,27 @@ class TestBuildNetwork:
 
     @pytest.mark.parametrize("end", [float("nan"), float("inf"), -1.0, 3.0])
     def test_nonfinite_or_outside_endpoint_rejected(self, end):
-        with pytest.raises(EndpointOutOfRangeError):
-            build_network(3, [(0, 1, 1.0), (1, end, 1.0)])
+        # the bad end in either column, in tuples and, where an int64 holds
+        # it, in an edge array
+        for column in (0, 1):
+            edge = [1, 2, 1.0]
+            edge[column] = end
+            with pytest.raises(EndpointOutOfRangeError, match="outside"):
+                build_network(3, [(0, 1, 1.0), tuple(edge)])
+            if np.isfinite(end):
+                ends = np.array([(0, 1), (1, 2)], dtype=np.int64)
+                ends[1, column] = end
+                with pytest.raises(EndpointOutOfRangeError, match="outside"):
+                    build_network(3, ends)
+
+    @pytest.mark.parametrize("count", [True, 3.7, 3.0, float("nan"), "3", None])
+    def test_non_integer_vertex_count_rejected(self, count):
+        with pytest.raises(ValueError, match="vertex_count"):
+            build_network(count, [(0, 1, 1.0)])
+
+    @pytest.mark.parametrize("count", [3, np.int64(3), np.int32(3)])
+    def test_integer_vertex_count_accepted(self, count):
+        assert build_network(count, [(0, 1), (1, 2)]).vertex_count == 3
 
     @pytest.mark.parametrize("edges", [
         [(0, 1), (1, 2, 1.0)],  # pairs mixed with triples
@@ -119,6 +138,31 @@ class TestBuildNetwork:
         net = nets.two_vertex_multi()
         assert net.conductance_between(0, 1) == 4.0
         assert net.vertex_conductance[0] == 4.0
+
+    @pytest.mark.parametrize("weights,total", [
+        ((1.0, 2.0**-53, 2.0**-53), 1.0 + 2.0**-52),
+        ((2.0**-53, 2.0**-53, 1.0), 1.0),  # each 2^-53 rounds away on 1.0
+    ])
+    def test_parallel_edges_sum_in_input_order(self, weights, total):
+        # c(u, v) is np.add.reduceat's sum of the parallel weights in input
+        # order: the first weight plus the sum of the others
+        net = build_network(2, [(0, 1, w) for w in weights])
+        assert net.conductance_between(0, 1) == net.conductance_between(1, 0) == total
+        assert net.vertex_conductance.tolist() == [total, total]
+
+    def test_many_parallel_edges_keep_input_order(self):
+        # 200 copies of one edge, each followed by 19 edges of a path, which
+        # an unstable argsort of the entries' keys takes out of input order
+        weights = [1.0] + [2.0**-53] * 199
+        path = [(v, v + 1, 1.0) for v in range(1, 39)]
+        edges = []
+        for i, w in enumerate(weights):
+            edges.append((0, 1, w))
+            edges.extend(path[i % 2::2])
+        net = build_network(40, edges + path)
+        total = np.add.reduceat(weights, [0])[0]
+        assert net.conductance_between(0, 1) == net.conductance_between(1, 0) == total
+        assert net.vertex_conductance[0] == total
 
     @pytest.mark.parametrize("u,v", [(-1, 1), (1, 3), (3, 1), (1, -1)])
     def test_conductance_between_rejects_outside_vertex(self, u, v):
