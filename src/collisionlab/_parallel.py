@@ -13,16 +13,19 @@ the results do not depend on how the chunks are grouped.  Groups are
 contiguous so that concatenating their results in group order is chunk order.
 
 Fixed-width draws, one per step, come in blocks of about ``BLOCK_BYTES``
-(:meth:`ChunkGroup.uniforms`): a chunk of m replicas draws the next n steps'
-uniforms as one ``random((n, rows, m))`` call.  ``Generator.random`` takes
-one 64-bit word per double, in order, so that call returns exactly the n
-per-step ``random(rows * m)`` draws, and a chunk's draws do not depend on
-the block length.  When a run has more than one block and the process may
-use more CPUs than there are processes stepping groups, a draw thread fills
-the next block while the caller steps the current one: ``Generator.random``
-releases the GIL while it fills.  Two pool workers on two CPUs draw inline:
-with a draw thread each, collision_growth of 1,024 and 16,384 pairs at
-workers=2 took 0.98-1.10x the time of drawing inline (2 vCPUs).
+(:meth:`ChunkGroup.blocks`), each an (n, rows, size) array of n steps: a
+chunk of m replicas draws the next n steps' uniforms as one ``random`` call
+that fills an (n, rows, m) array, reused from block to block, and copies it
+into its slice.  ``Generator.random`` takes one 64-bit word per double, in
+order, so that call returns exactly the n per-step ``random(rows * m)``
+draws, and a chunk's draws do not depend on the block length.  The caller
+takes a block's steps as it needs them, a row at a time or many steps in one
+call.  When a run has more than one block and the process may use more CPUs
+than there are processes stepping groups, a draw thread fills the next block
+while the caller steps the current one: ``Generator.random`` releases the
+GIL while it fills.  Two pool workers on two CPUs draw inline: with a draw
+thread each, collision_growth of 1,024 and 16,384 pairs at workers=2 took
+0.98-1.10x the time of drawing inline (2 vCPUs).
 
 Every generator comes from :func:`substream_rng`, the percolation and Wilson
 models' too: :func:`_as_rng` gives them the stream (seed, 0).  Stream paths
@@ -147,27 +150,31 @@ class ChunkGroup:
         """The group of chunks first, first + 1, ... of the family ``tag``."""
         return cls([substream_rng(seed, tag, first + c) for c in range(len(sizes))], sizes)
 
-    def uniforms(self, rows, steps, processes=1):
-        """Yield ``steps`` draws, each a flat (rows x size) array of uniforms.
+    def blocks(self, rows, steps, processes=1):
+        """Yield the draws of ``steps`` steps in blocks, each a (k, rows, size) array.
 
-        Chunk c's slices of a draw's rows, row 0 first, are the one
-        ``random(rows * m)`` draw of its m replicas alone.  Draws come in
-        blocks of about ``BLOCK_BYTES``, one ``random((n, rows, m))`` call
-        per chunk, so no chunk draws past step ``steps``.  With more than
-        one block, and more usable CPUs than the ``processes`` that step
-        groups at once, a draw thread fills the next block while the caller
-        uses this one; its errors are raised here, and closing the generator
-        stops and joins it.  A yielded array is overwritten by a later
-        block: use it before the next draw.
+        Chunk c's slices of a step's rows, row 0 first, are the one
+        ``random(rows * m)`` draw of its m replicas alone.  A block holds
+        about ``BLOCK_BYTES``, one ``random`` call of k x rows x m per chunk,
+        and the last block stops at step ``steps``, so no chunk draws past
+        it.  With more than one block, and more usable CPUs than the
+        ``processes`` that step groups at once, a draw thread fills the next
+        block while the caller uses this one; its errors are raised here,
+        and closing the generator stops and joins it.  A yielded block is
+        overwritten by a later one, and the caller may overwrite it: use it
+        before taking the next.
         """
         n = max(1, min(steps, BLOCK_BYTES // (8 * rows * self.size)))
         lengths = [min(n, steps - done) for done in range(0, steps, n)]
         ahead = len(lengths) > 1 and _usable_cpus() > processes
         blocks = [np.empty((n, rows, self.size)) for _ in range(1 + ahead)]
+        # each chunk's draw, reused: a new array per draw left 1 MB of the
+        # heap free but scattered after 45 s of lattice_mc rounds (2 vCPUs)
+        part = np.empty(n * rows * int(np.diff(self.bounds).max()))
         if not ahead:
             for k in lengths:
-                self._fill(blocks[0], k)
-                yield from blocks[0].reshape(n, -1)[:k]
+                self._fill(blocks[0], k, part)
+                yield blocks[0][:k]
             return
         free, ready = queue.SimpleQueue(), queue.SimpleQueue()
 
@@ -176,7 +183,7 @@ class ChunkGroup:
                 for i, k in enumerate(lengths):
                     if not free.get():
                         return
-                    self._fill(blocks[i % 2], k)
+                    self._fill(blocks[i % 2], k, part)
                     ready.put(None)
             except BaseException as exc:  # raised in the caller
                 ready.put(exc)
@@ -190,17 +197,19 @@ class ChunkGroup:
                 exc = ready.get()
                 if exc is not None:
                     raise exc
-                yield from blocks[i % 2].reshape(n, -1)[:k]
+                yield blocks[i % 2][:k]
                 free.put(True)
         finally:
             free.put(False)
             thread.join()
 
-    def _fill(self, block, n):
-        """Fill the first ``n`` steps of ``block``, one draw per chunk."""
+    def _fill(self, block, n, part):
+        """Fill the first ``n`` steps of ``block``, one draw per chunk into ``part``."""
         rows = block.shape[1]
         for rng, a, b in zip(self.rngs, self.bounds[:-1].tolist(), self.bounds[1:].tolist()):
-            block[:n, :, a:b] = rng.random((n, rows, b - a))
+            draw = part[:n * rows * (b - a)].reshape(n, rows, b - a)
+            rng.random(out=draw)
+            block[:n, :, a:b] = draw
 
     def parts(self, active):
         """(generator, lo, hi) of every chunk holding active replicas.

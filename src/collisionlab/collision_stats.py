@@ -23,13 +23,24 @@ function takes a per-call cap.
 Monte Carlo collision counting runs replicas in fixed chunks with per-chunk
 seed streams, so the per-replica counts are independent of the worker count.
 A worker steps a group of contiguous chunks (``_parallel.ChunkGroup``) as
-one (2, n) pair state of its n pairs, the x row before the y row, with one
-``advance`` on the flat state per step, and counts a collision wherever
-x == y, in an int8 tally added to the counts at least every 127 steps.
-The uniforms come from ``ChunkGroup.uniforms`` in blocks of steps: chunk c
-of m pairs draws n steps at once as one (n, 2, m) array, whose row for each
-step is the 2m draw, x slice then y slice, it would make alone.
-With a CPU to spare, a draw thread fills the next block meanwhile.
+one, its n pairs' uniforms coming from ``ChunkGroup.blocks`` in blocks of
+steps: chunk c of m pairs draws k steps at once as one (k, 2, m) array, whose
+row for each step is the 2m draw, x slice then y slice, it would make alone.
+With a CPU to spare, a draw thread fills the next block meanwhile.  The
+blocks are cut into spans that end at every horizon, and each span is
+counted by one of two loops:
+
+* the block loop, for a walker whose step does not depend on its position
+  (the line and the grid, which have ``difference_steps``): both walks start
+  at one code, so they meet exactly when the difference walk D = X - Y of
+  their codes is back at 0.  A span's steps of D come from one call, D's
+  running sum takes one add a step, and one equality and one reduce along
+  the step axis count the span's zeros;
+* the per-step loop, for the comb and networks: one ``advance`` per step on
+  a flat pair state, x half before y half, taking a row of the span, and a
+  collision wherever x == y, in an int8 tally added to the counts after each
+  span of at most 127 steps.
+
 ``run_chunked`` yields one group's counts at a time, each copied into the
 merged counts at once, so a run holds no other group's counts beside them.
 """
@@ -165,37 +176,92 @@ class GrowthResult:
     seed: int
 
 
-def _growth_chunk(payload):
-    """Collision counts at each horizon for one chunk group, stepping the pair state.
+# bytes of one span of the running difference walk D: 16 steps at 1,024 pairs
+SPAN_BYTES = 2**17
 
-    Each step's meetings are added, as bytes, into an int8 tally, which is
-    added to the counts every 127 steps, the most it can hold, and at each
-    horizon.  The counts are int32 while the last horizon fits, so the
-    group's result crosses a process boundary at half the size.
+
+def _pair_counter(stepper, origin, counters):
+    """The per-step loop: ``count(span)`` adds a span's meetings to ``counters``.
+
+    The (2, n) pair state takes one ``advance`` a step, on a row of the
+    span's draws, and each step's meetings x == y are added, as bytes, into
+    an int8 tally, which the span then adds to the counts: a span is at most
+    127 steps, the most the tally can hold.  Returns (count, widest span).
     """
-    stepper, origin, horizons, seed, first, sizes, processes = payload
-    group = ChunkGroup.streams(seed, TAG_GROWTH, first, sizes)
-    size = group.size
+    size = counters.size
     state = np.repeat(origin, size)
     x, y = state[:size], state[size:]
     met = np.empty(size, dtype=bool)
     tally, met_bytes = np.zeros(size, dtype=np.int8), met.view(np.int8)
+
+    def count(span):
+        for r in span.reshape(len(span), -1):
+            stepper.advance(state, r)
+            np.equal(x, y, out=met)
+            np.add(tally, met_bytes, out=tally)
+        np.add(counters, tally, out=counters)
+        tally.fill(0)
+
+    return count, 127
+
+
+def _difference_counter(walker, origin, counters):
+    """The block loop: ``count(span)`` adds a span's meetings to ``counters``.
+
+    The walks meet when the difference walk D = X - Y of their codes is 0.
+    ``walker.difference_steps`` writes a span's steps of D in one call, one
+    add a step makes D's running sum, and one equality and one reduce along
+    the step axis count the span's zeros.  On the grid D = dx * 2^32 + dy
+    with |dx|, |dy| <= 2T < 2^32, and int64 sums are exact modulo 2^64, so
+    D is 0 only when dx and dy both are: a D that wraps never reads a false
+    0.  Returns (count, widest span), the span sized by ``SPAN_BYTES``.
+    """
+    size = counters.size
+    width = max(1, SPAN_BYTES // (8 * size))
+    walk = np.empty((width + 1, size), dtype=np.int64)  # row 0: D before the span
+    walk[0] = origin[0] - origin[1]
+    rows = list(walk)
+    met = np.empty((width, size), dtype=bool)
+
+    def count(span):
+        s = len(span)
+        walker.difference_steps(span, walk[1:s + 1])
+        for before, row in zip(rows, rows[1:s + 1]):
+            np.add(before, row, out=row)
+        np.equal(walk[1:s + 1], 0, out=met[:s])
+        np.add(counters, np.add.reduce(met[:s], axis=0, dtype=counters.dtype), out=counters)
+        walk[0] = walk[s]
+
+    return count, width
+
+
+def _growth_chunk(payload):
+    """Collision counts at each horizon for one chunk group.
+
+    The group's blocks of draws are cut into spans that end at every
+    horizon, and each span is counted by the block loop when the walker has
+    ``difference_steps`` and by the per-step loop otherwise.  The counts are
+    int32 while the last horizon fits, so the group's result crosses a
+    process boundary at half the size.
+    """
+    stepper, origin, horizons, seed, first, sizes, processes = payload
+    group = ChunkGroup.streams(seed, TAG_GROWTH, first, sizes)
     dtype = np.int32 if horizons[-1] < 1 << 31 else np.int64
-    counters = np.zeros(size, dtype=dtype)
-    out = np.empty((len(horizons), size), dtype=dtype)
-    walked = 0
+    counters = np.zeros(group.size, dtype=dtype)
+    out = np.empty((len(horizons), group.size), dtype=dtype)
+    counter = _difference_counter if hasattr(stepper, "difference_steps") else _pair_counter
+    count, width = counter(stepper, origin, counters)
+    walked, block, lo = 0, (), 0
     # closed on the way out, so a draw thread never outlives the group
-    with closing(group.uniforms(2, horizons[-1], processes)) as uniforms:
+    with closing(group.blocks(2, horizons[-1], processes)) as blocks:
         for i, h in enumerate(horizons):  # ascending
             while walked < h:
-                steps = min(h - walked, 127)
-                for _ in range(steps):
-                    stepper.advance(state, next(uniforms))
-                    np.equal(x, y, out=met)
-                    tally += met_bytes
-                counters += tally
-                tally.fill(0)
-                walked += steps
+                if lo == len(block):
+                    block, lo = next(blocks), 0
+                hi = min(len(block), lo + width, lo + h - walked)
+                count(block[lo:hi])
+                walked += hi - lo
+                lo = hi
             out[i] = counters
     return out
 

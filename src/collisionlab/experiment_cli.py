@@ -33,7 +33,8 @@ checks any run's command line.
 
 Results are wrapped in a :class:`ResultEnvelope` whose deterministic body
 (version, canonical config echo, payload) is byte-identical across runs and
-across worker counts; wall-clock time and the worker count live in the
+across worker counts; wall-clock time, CPU time (``cpu_s``: the run's own
+threads and the pool workers it reaped) and the worker count live in the
 envelope's ``meta`` section, outside the deterministic body, and so do
 the network build's time (``build_s``, absent when nothing was built),
 collide's walker steps, the voter's events and rounds, their rates and
@@ -48,6 +49,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -720,6 +722,13 @@ _RUNNERS = {
 }
 
 
+def _cpu_seconds():
+    """CPU seconds of this process's threads and of the children it has reaped."""
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    reaped = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return own.ru_utime + own.ru_stime + reaped.ru_utime + reaped.ru_stime
+
+
 def run(config):
     """Validate, dispatch, and wrap the named experiment in an envelope.
 
@@ -728,12 +737,12 @@ def run(config):
     """
     checked = _raise_violations(config)
     resolved = resolve_graph(checked)
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), _cpu_seconds()
     if resolved.vertex_count is None:  # only the build gives it: the same checks again
         _raise_violations(checked, resolved.model().network.vertex_count)
     payload, rows, work = _RUNNERS[config.kind](checked, resolved)
     wall = time.perf_counter() - t0
-    meta = {"wall_clock_s": wall, "workers": checked.workers}
+    meta = {"wall_clock_s": wall, "cpu_s": _cpu_seconds() - cpu0, "workers": checked.workers}
     if resolved.build_s is not None:  # lattice walkers build nothing
         meta["build_s"] = resolved.build_s
     for name, count in work.items():

@@ -16,8 +16,11 @@ right steps taken so far, on the grid and the comb x * 2^32 + y (y >= 0
 there), unique for radius < 2^31.  The walks of a pair have always taken the
 same number of steps, so they meet exactly when their codes are equal.  A
 line step adds [r >= 1/2]; a grid or comb step adds a delta gathered from a
-small table at floor(4r) or floor(6r).  ``coords(state, steps)`` decodes
-codes to vertex labels, the line's as x = 2 * code - steps.
+small table at floor(4r) or floor(6r).  The line's and the grid's steps do
+not depend on the position, so ``difference_steps`` can give the steps of
+the difference X - Y of a pair's codes for many steps at once.
+``coords(state, steps)`` decodes codes to vertex labels, the line's as
+x = 2 * code - steps.
 
 A truncation with safety radius ``R`` reproduces the infinite lattice's walk
 law exactly for any horizon ``T <= R - 1`` started from the designated center:
@@ -298,6 +301,8 @@ _HIGH = 1 << 32
 _LOW = _HIGH - 1
 
 _GRID_MOVES = np.array([-_HIGH, _HIGH, -1, 1], dtype=np.int64)  # by floor(4r)
+# a step of X - Y, by 4 * floor(4 r_x) + floor(4 r_y)
+_GRID_DIFFERENCES = (_GRID_MOVES[:, None] - _GRID_MOVES).ravel()
 # by 6 * on_tooth + floor(6r): the spine's thirds, then the tooth's halves
 _COMB_MOVES = np.array([-_HIGH, -_HIGH, _HIGH, _HIGH, 1, 1,
                         -1, -1, -1, 1, 1, 1], dtype=np.int64)
@@ -309,7 +314,12 @@ class _CoordinateWalker:
 
     Each walker has its own ``advance(state, r)``, which moves walker i of the
     flat code array ``state`` by the uniform ``r[i]`` and may overwrite ``r``,
-    and its own ``_box(R) -> (cols, rows, y0)``, the truncation's box.
+    and its own ``_box(R) -> (cols, rows, y0)``, the truncation's box.  A
+    walker whose step does not depend on its position (the line and the
+    grid) also has ``difference_steps(r, out)``: for the (k, 2, m) uniforms
+    of k steps of m pairs, x row before y row, it writes the k steps of the
+    code difference X - Y into the (k, m) int64 ``out``, the steps that
+    ``advance`` would give x less those it would give y.
     """
 
     planar = True  # x * 2^32 + y codes
@@ -362,6 +372,10 @@ class PathLattice(_CoordinateWalker):
     def advance(self, state, r):
         state += r >= 0.5
 
+    def difference_steps(self, r, out):
+        right = (r >= 0.5).view(np.int8)
+        np.subtract(right[:, 0], right[:, 1], out=out)
+
     def coords(self, state, steps=0):
         return (2 * state - steps).tolist()
 
@@ -375,6 +389,17 @@ class GridLattice(_CoordinateWalker):
     def advance(self, state, r):
         r *= 4  # exact, so floor(4r) is the quarter r lies in
         state += _GRID_MOVES[r.astype(np.intp)]
+
+    def difference_steps(self, r, out):
+        # advance's floor(4r) by three comparisons: 4r is exact, so r >= k/4
+        # exactly when 4r >= k
+        quarter = (r >= 0.25).view(np.int8)
+        quarter += (r >= 0.5).view(np.int8)
+        quarter += (r >= 0.75).view(np.int8)
+        pair = quarter[:, 0] * np.int8(4)
+        pair += quarter[:, 1]
+        # every index is in range, so no mode="raise" check needs a copy of out
+        np.take(_GRID_DIFFERENCES, pair, out=out, mode="clip")
 
 
 class CombLattice(_CoordinateWalker):

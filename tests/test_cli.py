@@ -824,6 +824,8 @@ class TestPinnedEnvelopes:
         assert meta["walker_steps"] == 2 * 600 * 40
         assert meta["walker_steps_per_s"] == meta["walker_steps"] / meta["wall_clock_s"]
         assert meta["chunk_groups"] == groups
+        # this process's threads, and at two workers the pool it reaped
+        assert meta["cpu_s"] > 0
         assert "build_s" not in meta  # the lattice walkers build no network
         assert hashlib.sha256(env.deterministic_bytes()).hexdigest() == sha
 

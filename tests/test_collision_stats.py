@@ -229,10 +229,10 @@ class TestCollisionGrowth:
         assert (g.counts[2] >= g.counts[1]).all()
 
     def test_worker_independence(self):
-        lat = PathLattice(65)
-        a = collision_growth(lat, None, [64], 1200, seed=3, workers=1)
-        b = collision_growth(lat, None, [64], 1200, seed=3, workers=2)
-        assert np.array_equal(a.counts, b.counts)
+        for lat in (PathLattice(65), GridLattice(65)):
+            a = collision_growth(lat, None, [64], 1200, seed=3, workers=1)
+            b = collision_growth(lat, None, [64], 1200, seed=3, workers=2)
+            assert np.array_equal(a.counts, b.counts)
 
     def test_distinct_starts_pinned(self):
         # sha256 of the counts fixed before both walks moved into one pair
@@ -251,14 +251,17 @@ class TestCollisionGrowth:
         (gen_torus(6).network, gen_torus(6).network, 0),
         (nets.single_edge(), nets.single_edge(), 0),
     ], ids=["path", "comb", "grid", "torus", "edge"])
-    @pytest.mark.parametrize("horizons", [(1, 126, 127, 128, 254, 255, 300), (300,)],
-                             ids=["straddling", "one"])
+    @pytest.mark.parametrize("horizons", [(1, 126, 127, 128, 254, 255, 300), (300,),
+                                          (0, 7, 7, 58, 59, 60, 118, 299)],
+                             ids=["straddling", "one", "block_edges"])
     def test_counts_match_int64_loop_across_tally_flushes(self, graph, reference, start,
                                                          horizons):
         # the int8 tally is added to the counts at each horizon and after 127
         # steps without one: horizons on both sides of those flushes, and one
         # horizon far past 127 steps.  On one edge the walks meet at every
-        # step, so a tally held past 127 meetings would wrap
+        # step, so a tally held past 127 meetings would wrap.  A block of
+        # draws is 59 steps at 1,100 replicas: horizons on both sides of its
+        # edges, at 0 and repeated, where the block loop cuts its spans
         replicas = 1100
         got = collision_growth(graph, start, horizons, replicas, seed=23)
         stepper, origin = _resolve_pair(reference, start)

@@ -32,7 +32,7 @@ from collisionlab._parallel import (
 from collisionlab.collision_stats import _resolve_pair, collision_growth
 from collisionlab.interacting import (continuous_collision_ensemble, voter_ensemble,
                                      voter_simulate)
-from collisionlab.models import CombLattice, PathLattice, gen_torus
+from collisionlab.models import CombLattice, GridLattice, PathLattice, gen_torus
 
 REMAINDER = 3 * REPLICA_CHUNK + 77
 # more chunks than one group holds, the last one short
@@ -116,7 +116,7 @@ class TestChunkGroups:
         for cpus in (1, 4):
             monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
             group = ChunkGroup.streams(7, TAG_GROWTH, 4, sizes)
-            draws = [d.reshape(2, group.size).copy() for d in group.uniforms(2, steps)]
+            draws = [r.copy() for block in group.blocks(2, steps) for r in block]
             assert len(draws) == steps
             for c, (a, b) in enumerate(zip(group.bounds[:-1], group.bounds[1:])):
                 alone = substream_rng(7, TAG_GROWTH, 4 + c)
@@ -129,7 +129,7 @@ class TestChunkGroups:
         # 64 steps of a pair state at 1,024 replicas, 8 at the widest group
         rngs = [_Draws(c) for c in range(chunks)]
         group = ChunkGroup(rngs, (REPLICA_CHUNK,) * chunks)
-        assert sum(1 for _ in group.uniforms(2, 2 * steps + 5)) == 2 * steps + 5
+        assert sum(len(block) for block in group.blocks(2, 2 * steps + 5)) == 2 * steps + 5
         for rng in rngs:
             assert rng.sizes == [(steps, 2, REPLICA_CHUNK)] * 2 + [(5, 2, REPLICA_CHUNK)]
 
@@ -139,7 +139,7 @@ class TestChunkGroups:
 
 
 def _block_steps(width, rows=2):
-    """Steps in a block of ``uniforms`` for a group of ``width`` replicas."""
+    """Steps in a block of ``ChunkGroup.blocks`` for a group of ``width`` replicas."""
     return max(1, BLOCK_BYTES // (8 * rows * width))
 
 
@@ -159,15 +159,15 @@ class _Draws:
     def __init__(self, seed, fail=0):
         self.rng, self.sizes, self.fail = np.random.default_rng(seed), [], fail
 
-    def random(self, size):
-        self.sizes.append(size)
+    def random(self, out):
+        self.sizes.append(out.shape)
         if len(self.sizes) == self.fail:
             raise RuntimeError(f"draw {self.fail} failed")
-        return self.rng.random(size)
+        return self.rng.random(out=out)
 
 
 class TestDrawThread:
-    """The thread that fills the next block of ``ChunkGroup.uniforms``."""
+    """The thread that fills the next block of ``ChunkGroup.blocks``."""
 
     @staticmethod
     def _cpus(monkeypatch, cpus):
@@ -198,7 +198,7 @@ class TestDrawThread:
         started = self._starts(monkeypatch)
         group = ChunkGroup.streams(3, TAG_GROWTH, 0, (512, 512))
         steps = blocks * _block_steps(group.size)
-        assert sum(1 for _ in group.uniforms(2, steps, processes)) == steps
+        assert sum(len(block) for block in group.blocks(2, steps, processes)) == steps
         assert len(started) == threads
         assert not any(t.is_alive() for t in started)
 
@@ -207,8 +207,8 @@ class TestDrawThread:
         before = threading.active_count()
         group = ChunkGroup.streams(3, TAG_GROWTH, 0, (512, 512))
         n = _block_steps(group.size)
-        draws = group.uniforms(2, 10 * n)
-        for _ in range(n + n // 2):  # into the second block
+        draws = group.blocks(2, 10 * n)
+        for _ in range(2):  # into the second block
             next(draws)
         assert threading.active_count() == before + 1
         draws.close()
@@ -221,13 +221,13 @@ class TestDrawThread:
         before = threading.active_count()
         n = _block_steps(300)
         group = ChunkGroup([_Draws(5, fail=3)], (300,))
-        want = np.random.default_rng(5).random((2 * n, 2, 300)).reshape(2 * n, -1)
+        want = np.random.default_rng(5).random((2 * n, 2, 300))
         got, raised = [], []
 
         def consume():  # in a thread of its own, so a lost error cannot hang the test
             try:
-                for d in group.uniforms(2, 5 * n):
-                    got.append(d.copy())
+                for block in group.blocks(2, 5 * n):
+                    got.extend(r.copy() for r in block)
             except RuntimeError as exc:
                 raised.append(exc)
 
@@ -240,24 +240,36 @@ class TestDrawThread:
         assert threading.active_count() == before
 
     def test_error_in_the_caller_stops_the_thread(self, monkeypatch):
+        # an error raised in the second block, in each loop of _growth_chunk
         self._cpus(monkeypatch, 2)
         before = threading.active_count()
+        first_block = _block_steps(1024)
+        walked = []
 
-        class Broken(PathLattice):
-            calls = 0
+        def step(steps):
+            walked.append(steps)
+            if sum(walked) > first_block:
+                raise ZeroDivisionError
 
+        class BrokenComb(CombLattice):  # the per-step loop
             def advance(self, state, r):
-                Broken.calls += 1
-                if Broken.calls == 100:  # in the second block
-                    raise ZeroDivisionError
+                step(1)
                 super().advance(state, r)
 
-        # the traceback keeps the group's frame alive, so only closing the
-        # draws on the way out can have stopped the thread
-        with pytest.raises(ZeroDivisionError) as caught:
-            collision_growth(Broken(600), None, [500], 1024, seed=1)
-        assert threading.active_count() == before
-        del caught
+        class BrokenPath(PathLattice):  # the block loop
+            def difference_steps(self, r, out):
+                step(len(r))
+                super().difference_steps(r, out)
+
+        for walker in (BrokenComb(600), BrokenPath(600)):
+            walked.clear()
+            # the traceback keeps the group's frame alive, so only closing
+            # the draws on the way out can have stopped the thread
+            with pytest.raises(ZeroDivisionError) as caught:
+                collision_growth(walker, None, [500], 1024, seed=1)
+            assert sum(walked) > first_block
+            assert threading.active_count() == before
+            del caught
 
     def test_handoffs_under_fast_switching(self, monkeypatch):
         # three groups drawn at once, six threads on fewer CPUs, many small
@@ -265,14 +277,14 @@ class TestDrawThread:
         # caller is done with it would change that caller's draws
         monkeypatch.setattr(_parallel, "BLOCK_BYTES", 8 * 2 * 600 * 3)
         self._cpus(monkeypatch, 1)
-        want = [np.array([d.copy() for d in ChunkGroup.streams(s, TAG_GROWTH, 0, (512, 88))
-                          .uniforms(2, 400)]) for s in range(3)]
+        want = [np.concatenate([b.copy() for b in ChunkGroup.streams(s, TAG_GROWTH, 0, (512, 88))
+                                .blocks(2, 400)]) for s in range(3)]
         self._cpus(monkeypatch, 2)
         got = [None] * 3
 
         def consume(s):
             group = ChunkGroup.streams(s, TAG_GROWTH, 0, (512, 88))
-            got[s] = np.array([d.copy() for d in group.uniforms(2, 400)])
+            got[s] = np.concatenate([b.copy() for b in group.blocks(2, 400)])
 
         consumers = [threading.Thread(target=consume, args=(s,), daemon=True) for s in range(3)]
         interval = sys.getswitchinterval()
@@ -295,9 +307,10 @@ class TestGrowthGroups:
     @pytest.mark.parametrize("graph,start", [
         (CombLattice(300), None),
         (PathLattice(300), None),
+        (GridLattice(300), None),
         (gen_torus(6).network, 0),
         (gen_torus(6).network, (0, 7)),
-    ], ids=["comb", "path", "torus", "torus_pair"])
+    ], ids=["comb", "path", "grid", "torus", "torus_pair"])
     def test_block_edges_match_per_chunk_loop(self, graph, start, replicas, workers,
                                               monkeypatch):
         edges = _block_edges(replicas, workers)
