@@ -290,7 +290,6 @@ def collision_growth(
     horizons,
     replicas,
     seed,
-    certificate=None,
     workers=1,
 ):
     """Monte Carlo statistics of the collision count at each horizon.
@@ -298,14 +297,13 @@ def collision_growth(
     ``graph`` is either an explicit :class:`Network` (with ``start``) or a
     lattice coordinate walker.  ``start`` may be a single vertex (both walks
     begin there) or a pair of vertices; counts at each horizon come from one
-    continued run.  When a truncation certificate applies (passed explicitly
-    or carried by the walker), horizons beyond the certified range raise.
+    continued run.  When the walker carries a truncation certificate,
+    horizons beyond the certified range raise.
     """
     horizons = sorted(int(h) for h in horizons)
     if not horizons or horizons[0] < 0:
         raise ValueError("horizons must be nonnegative")
-    if certificate is None:
-        certificate = getattr(graph, "certificate", None)
+    certificate = getattr(graph, "certificate", None)
     if certificate is not None:
         for T in horizons:
             certificate.require(T)

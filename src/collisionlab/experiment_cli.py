@@ -70,6 +70,7 @@ from .graph_core import dense_bytes, network_from_json, require_memory
 from .interacting import check_event_budget, continuous_collision_ensemble, voter_ensemble
 from .models import (
     CRITICAL_BOND_P,
+    ROOT_LAWS,
     SITE_BYTES,
     CombLattice,
     GridLattice,
@@ -292,7 +293,7 @@ def _resolve(config):
             try:
                 with open(config.network_file) as fh:
                     return RootedModel(network_from_json(json.load(fh)), start=0)
-            except (OSError, KeyError, TypeError, ValueError) as exc:
+            except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ConfigError(f"network_file: no network read ({type(exc).__name__}: {exc})")
 
         return ResolvedGraph(_materialize=load), []
@@ -436,7 +437,7 @@ def _violations(config, vertices=None):
                 window = transport_by_name(config.transport).window
             except ValueError as exc:
                 out.append(Violation("transport", str(exc)))
-        if config.root_law not in ("uniform", "biased", "conductance_biased"):
+        if config.root_law not in (*ROOT_LAWS, "biased"):
             out.append(Violation("root_law", f"unknown root law {config.root_law!r}"))
 
     if config.kind == "voter" and config.initial is not None:
@@ -568,7 +569,7 @@ def _run_gen(config, resolved):
     sidecar = {
         "model": config.model or {"name": "network"},
         "start": model.start,
-        "root_law": model.root_law.kind if model.root_law else None,
+        "root_law": model.root_law,
         "certificate": asdict(model.certificate) if model.certificate else None,
     }
     return {"network": net.to_json_dict(), "sidecar": sidecar}, None, {}

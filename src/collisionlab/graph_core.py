@@ -115,6 +115,12 @@ class Network:
             raise NonpositiveConductanceError(
                 f"edge ({a}, {b}) has conductance {w[i]}; conductances must be finite and > 0"
             )
+        # a connected graph on V vertices has at least V - 1 edges; checked
+        # before any V-long array is allocated
+        if vertex_count > len(arr) + 1:
+            raise DisconnectedGraphError(
+                f"graph is not connected; {len(arr)} edges cannot connect {vertex_count} vertices"
+            )
         ends = arr[:, :2].astype(np.int64)
         self.conductances = np.ascontiguousarray(w)
         del arr, w, inside, bad_end  # the float rows are not held while the adjacency builds

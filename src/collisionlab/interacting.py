@@ -125,8 +125,7 @@ class VoterConfiguration:
 
 
 def _initial_opinions(net, initial):
-    ops = initial.opinions if isinstance(initial, VoterConfiguration) else initial
-    ops = np.asarray(ops, dtype=np.int8)
+    ops = np.asarray(initial, dtype=np.int8)
     if ops.shape != (net.vertex_count,):
         raise ValueError("initial opinions must cover every vertex")
     if not np.isin(ops, (0, 1)).all():

@@ -47,11 +47,14 @@ from . import walk_engine
 CRITICAL_BOND_P = 0.5  # classical critical density for square-lattice bond percolation
 
 
+ROOT_LAWS = ("uniform", "conductance_biased")
+
+
 @dataclass(frozen=True)
 class RootLaw:
     """Probability law for the root vertex of a network."""
 
-    kind: str  # "uniform" | "conductance_biased" | "fixed"
+    kind: str  # one of ROOT_LAWS
     probabilities: np.ndarray
 
     def sample(self, rng, size=None):
@@ -59,23 +62,17 @@ class RootLaw:
         return rng.choice(n, size=size, p=self.probabilities)
 
 
-def apply_root_law(net, kind, vertex=None):
+def apply_root_law(net, kind):
     """Build a root law of the given kind over ``net``'s vertices.
 
-    ``uniform`` puts mass 1/|V| everywhere, ``conductance_biased`` weights each
-    vertex by c(v), and ``fixed`` concentrates on ``vertex``.
+    ``uniform`` puts mass 1/|V| everywhere, and ``conductance_biased`` weights
+    each vertex by c(v).
     """
     n = net.vertex_count
     if kind == "uniform":
         return RootLaw("uniform", np.full(n, 1.0 / n))
     if kind == "conductance_biased":
         return RootLaw("conductance_biased", stationary_distribution(net))
-    if kind == "fixed":
-        if vertex is None or not (0 <= vertex < n):
-            raise ValueError("fixed root law needs a valid vertex")
-        p = np.zeros(n)
-        p[vertex] = 1.0
-        return RootLaw("fixed", p)
     raise ValueError(f"unknown root law kind {kind!r}")
 
 
@@ -106,7 +103,7 @@ class RootedModel:
     network: Network
     start: Optional[int] = None
     certificate: Optional[TruncationCertificate] = None
-    root_law: Optional[RootLaw] = None
+    root_law: Optional[str] = None  # the name of the model's root law, one of ROOT_LAWS
     make_coords: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -207,7 +204,7 @@ def gen_percolation_cluster(n, p=CRITICAL_BOND_P, seed=0):
 
     Each nearest-neighbor bond of the box is retained independently with
     probability ``p``.  The largest cluster (ties broken by smallest minimal
-    vertex index) is returned re-indexed densely, with a uniform root law.
+    vertex index) is returned re-indexed densely; its root law is ``uniform``.
     Deterministic given ``seed``, a Generator or the stream (seed, 0).
     """
     if n < 1:
@@ -231,11 +228,10 @@ def gen_percolation_cluster(n, p=CRITICAL_BOND_P, seed=0):
     relabel[members] = np.arange(members.size)
     bonds = relabel[bonds]
     del relabel
-    net = build_network(members.size, bonds)
     return RootedModel(
-        net,
+        build_network(members.size, bonds),
         start=0,
-        root_law=apply_root_law(net, "uniform"),
+        root_law="uniform",
         make_coords=lambda: zip((members // side).tolist(), (members % side).tolist()),
     )
 

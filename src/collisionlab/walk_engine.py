@@ -54,11 +54,6 @@ class JumpTrajectory:
     def exit_times(self):
         return np.append(self.entry_times[1:], self.t_max)
 
-    def segments(self):
-        exits = self.exit_times()
-        for v, s, e in zip(self.vertices, self.entry_times, exits):
-            yield int(v), float(s), float(e)
-
     def vertex_at(self, t):
         """Occupied vertex at time t (arrays accepted); t must lie in [0, t_max]."""
         i = np.searchsorted(self.entry_times, t, side="right") - 1
@@ -372,17 +367,14 @@ def walk_pair(net, start_x, start_y, T, seed, replica=0):
 
 
 def write_trajectory_csv(path, items):
-    """Write trajectories as rows replica,walker,step_or_entry_time,vertex.
+    """Write discrete walks as rows replica,walker,step_or_entry_time,vertex.
 
-    ``items`` yields (replica, walker, trajectory) with either trajectory type.
+    ``items`` yields (replica, walker, :class:`Trajectory`); the third column
+    holds the step number.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["replica", "walker", "step_or_entry_time", "vertex"])
         for replica, walker, traj in items:
-            if isinstance(traj, Trajectory):
-                for n, v in enumerate(traj.steps):
-                    writer.writerow([replica, walker, n, int(v)])
-            else:
-                for v, entry, _ in traj.segments():
-                    writer.writerow([replica, walker, repr(entry), v])
+            for n, v in enumerate(traj.steps):
+                writer.writerow([replica, walker, n, int(v)])

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -906,6 +907,17 @@ class TestPinnedEnvelopes:
             "85e33692e781dfccc73099a5a605906cf43311c4b64151678ab8581d451c705d"
         )
 
+    @pytest.mark.parametrize("model,root_law,sha", [
+        ({"name": "percolation", "n": 20, "seed": 3}, "uniform",
+         "0802ec8064033fc8813f43f3b8240f9230f3c72133006eae4031a5b068e8aa36"),
+        ({"name": "torus", "side": 4}, None,
+         "a5c7117701e2f84a72d719b554ba71beba672b141b147ef5006e8ae07b061e7e"),
+    ])
+    def test_gen_sidecar(self, model, root_law, sha):
+        env = run(_cfg(kind="gen", model=model))
+        assert env.payload["sidecar"]["root_law"] == root_law
+        assert hashlib.sha256(env.deterministic_bytes()).hexdigest() == sha
+
     def test_identity_torus(self):
         cfg = _cfg(kind="identity", model={"name": "torus", "side": 10}, n_steps=20)
         assert self._sha(cfg) == (
@@ -1170,6 +1182,8 @@ class TestCommandLine:
          "network_file: no network read (ValueError: vertex_count"),
         ('{"vertices": NaN, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}',
          "network_file: no network read (ValueError: vertex_count"),
+        pytest.param("[" * 100_000, "network_file: no network read (RecursionError",
+                     id="too-deep-for-json"),
     ])
     def test_main_rejects_malformed_network_file(self, tmp_path, capsys, text, message):
         path = tmp_path / "net.json"
@@ -1196,6 +1210,21 @@ class TestCommandLine:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and error in err
+
+    def test_main_refuses_sparse_network_file_in_small_memory(self, tmp_path, capsys):
+        path = tmp_path / "sparse.json"
+        path.write_text('{"vertices": 1000000000000, "edges": [[0, 1]]}')
+        tracemalloc.start()
+        try:
+            rc = main(["collide", "--network", str(path), "--horizons", "4"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot connect" in err
+        assert err.count("\n") == 1  # one line, no traceback
+        assert peak < 2**20
 
     def test_main_rejects_missing_network_file(self, tmp_path, capsys):
         rc = main(["identity", "--network", str(tmp_path / "absent.json"), "--N", "4"])

@@ -284,13 +284,6 @@ class TestCollisionGrowth:
         m = nets.p3()  # no certificate: any horizon is allowed
         collision_growth(m, 0, [10], 8, seed=1)
 
-    def test_explicit_certificate(self):
-        from collisionlab import TruncationCertificate
-
-        cert = TruncationCertificate(horizon=5, safety_radius=6, start_vertex=0)
-        with pytest.raises(CertificateViolationError):
-            collision_growth(nets.p3(), 0, [6], 8, seed=1, certificate=cert)
-
     def test_mean_matches_exact_small_horizon(self):
         net = nets.weighted_triangle()
         T = 4

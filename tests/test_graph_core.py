@@ -1,5 +1,6 @@
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,24 @@ class TestBuildNetwork:
     def test_isolated_vertex_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             build_network(3, [(0, 1, 1.0)])
+
+    def test_too_few_edges_rejected_before_any_vertex_array(self):
+        # V - 1 edges at least connect V vertices; 10**12 vertices would take
+        # terabytes of per-vertex arrays
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedGraphError, match="1 edges cannot connect"):
+                network_from_json({"vertices": 10**12, "edges": [[0, 1]]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_endpoint_check_precedes_edge_count_check(self):
+        with pytest.raises(EndpointOutOfRangeError):
+            build_network(10**12, [(0, -1)])
+        with pytest.raises(NonpositiveConductanceError):
+            build_network(10**12, [(0, 1, 0.0)])
 
     def test_nonpositive_conductance_rejected(self):
         with pytest.raises(NonpositiveConductanceError):

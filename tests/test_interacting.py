@@ -19,7 +19,7 @@ from collisionlab import (
 )
 from collisionlab import build_network, gen_torus, interacting
 from collisionlab._parallel import TAG_CTCOLLIDE, TAG_VOTER, ChunkGroup, chunk_sizes
-from collisionlab.interacting import VoterConfiguration, _ct_chunk
+from collisionlab.interacting import _ct_chunk
 from collisionlab.walk_engine import JumpTrajectory, substream_rng
 
 
@@ -161,11 +161,6 @@ class TestVoterSimulate:
         cfg, t = voter_simulate(nets.cycle(6), [0, 1, 0, 1, 0, 1], 1e-6, seed=9)
         assert t is None
         assert cfg.time == 1e-6
-
-    def test_accepts_configuration_object(self):
-        cfg0 = VoterConfiguration(np.array([1, 0, 0], dtype=np.int8), 0.0)
-        cfg, t = voter_simulate(nets.p3(), cfg0, 400.0, seed=4)
-        assert t is not None
 
     @staticmethod
     def _battery_sha():

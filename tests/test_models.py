@@ -283,10 +283,11 @@ class TestPercolation:
 
     def test_root_law_uniform_chisquare(self):
         m = gen_percolation_cluster(100, 0.5, seed=5)
+        law = apply_root_law(m.network, m.root_law)
         rng = np.random.default_rng(11)
-        draws = m.root_law.sample(rng, 100_000)
+        draws = law.sample(rng, 100_000)
         counts = np.bincount(draws, minlength=m.network.vertex_count)
-        p = chisquare_pvalue(counts, m.root_law.probabilities, 100_000)
+        p = chisquare_pvalue(counts, law.probabilities, 100_000)
         assert p > 0.01
 
 
@@ -417,10 +418,6 @@ class TestRootLaw:
     def test_conductance_biased_single_vertex(self):
         law = apply_root_law(build_network(1, []), "conductance_biased")
         assert law.probabilities.tolist() == [1.0]
-
-    def test_fixed(self):
-        law = apply_root_law(nets.p3(), "fixed", vertex=2)
-        assert law.probabilities.tolist() == [0.0, 0.0, 1.0]
 
 
 def _model_digest(model):

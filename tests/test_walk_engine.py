@@ -577,8 +577,9 @@ class TestWalkContinuous:
     def test_single_segment_when_no_jump(self):
         net = nets.two_vertex(1e-9)  # tiny rate: first holding exceeds t_max
         j = walk_continuous(net, 0, 1.0, seed=8)
-        assert len(j.vertices) == 1
-        assert list(j.segments()) == [(0, 0.0, 1.0)]
+        assert j.vertices.tolist() == [0]
+        assert j.entry_times.tolist() == [0.0]
+        assert j.exit_times().tolist() == [1.0]
 
     def test_mean_first_holding(self):
         # holding time at a vertex of total conductance 2 is Exponential(2)
@@ -645,11 +646,10 @@ class TestWalkContinuous:
 
     def test_segments_contiguous(self):
         j = walk_continuous(nets.weighted_triangle(), 0, 5.0, seed=2)
-        segs = list(j.segments())
-        assert segs[0][1] == 0.0
-        for (_, _, e0), (_, s1, _) in zip(segs[:-1], segs[1:]):
-            assert e0 == s1
-        assert segs[-1][2] == 5.0
+        entries, exits = j.entry_times, j.exit_times()
+        assert entries[0] == 0.0
+        assert np.array_equal(exits[:-1], entries[1:])
+        assert exits[-1] == 5.0
 
     def test_restrict_preserves_occupation(self):
         j = walk_continuous(nets.weighted_triangle(), 0, 6.0, seed=13)
@@ -707,10 +707,9 @@ class TestWalkPair:
 def test_trajectory_csv(tmp_path):
     path = tmp_path / "walks.csv"
     tx, ty = walk_pair(nets.p3(), 1, 1, 4, seed=6)
-    jz = walk_continuous(nets.p3(), 1, 2.0, seed=6)
-    write_trajectory_csv(path, [(0, 0, tx), (0, 1, ty), (1, 0, jz)])
+    write_trajectory_csv(path, [(0, 0, tx), (0, 1, ty)])
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["replica", "walker", "step_or_entry_time", "vertex"]
     assert rows[1] == ["0", "0", "0", "1"]
-    assert len(rows) == 1 + 5 + 5 + len(jz.vertices)
+    assert len(rows) == 1 + 5 + 5
